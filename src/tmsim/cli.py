@@ -3,9 +3,10 @@
 Subcommands cover the pipeline stages (`jsa`, `schmidt`, `rho`), the pulse
 gate (`qpg map|project|filter`), tomography (`tomo mubs|simulate|
 reconstruct|bootstrap`), the four source presets and the chirp scan.  A
-JSON config file supplies defaults; kebab-case flags override individual
-fields.  Exit codes: 0 success, 2 configuration error, 3 numerical
-failure, 4 I/O error.
+run's configuration is layered: the preset case or recorded manifest (the
+defaults for other subcommands), then a JSON config file, then kebab-case
+flags overriding individual fields.  Exit codes: 0 success, 2 configuration
+error, 3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .qpg import (
     separability_report,
 )
 from .spectral import (
+    SPEED_OF_LIGHT_M_PER_S,
     HermiteGaussParams,
     convert_bandwidth,
     hg_mode,
@@ -99,12 +101,15 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     return overrides
 
 
-def _resolve_config(args: argparse.Namespace) -> presets.ExperimentConfig:
-    if getattr(args, "config", None):
+def _resolve_config(args: argparse.Namespace,
+                    base: presets.ExperimentConfig | None = None
+                    ) -> presets.ExperimentConfig:
+    """Layer the --config file, then the flags, over ``base`` (the defaults
+    if None); each layer must leave a valid configuration."""
+    config = presets.ExperimentConfig() if base is None else base
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            config = presets.config_from_dict(json.load(fh))
-    else:
-        config = presets.ExperimentConfig()
+            config = presets.merge_overrides(config, json.load(fh))
     return presets.merge_overrides(config, _overrides_from_args(args))
 
 
@@ -201,7 +206,7 @@ def _cmd_qpg_map(args) -> int:
         args.input_center_nm, args.input_fwhm_nm).sigma_omega
     sigma_pump = np.sqrt(2.0) * convert_bandwidth(
         args.qpg_pump_center_nm, args.qpg_pump_fwhm_nm).sigma_omega
-    out_center_nm = 2.0 * np.pi * 299.792458 / omega_out
+    out_center_nm = 2.0 * np.pi * SPEED_OF_LIGHT_M_PER_S * 1e-6 / omega_out
     sigma_out = np.sqrt(2.0) * convert_bandwidth(
         out_center_nm, args.output_fwhm_nm).sigma_omega
 
@@ -288,11 +293,8 @@ def _cmd_tomo_reconstruct(args) -> int:
     out = Path(args.out)
     _write(out / "rho_hat.json",
            serialize.dump_json(serialize.density_to_dict(result.rho_hat)))
-    _write(out / "reconstruction_log.json", serialize.dump_json({
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "final_log_likelihood_per_count": float(result.log_likelihood[-1]),
-    }))
+    _write(out / "reconstruction_log.json",
+           serialize.dump_json(serialize.reconstruction_log_to_dict(result)))
     print(f"purity {result.rho_hat.purity():.6f} after {result.iterations} "
           f"iterations (converged: {result.converged})")
     if not result.converged:
@@ -316,27 +318,24 @@ def _cmd_tomo_bootstrap(args) -> int:
 
 
 def _cmd_preset(args) -> int:
+    if args.case and args.from_manifest:
+        raise InvalidArgumentError("give a preset case or --from-manifest, not both")
     if args.from_manifest:
-        summary = presets.run_from_manifest(args.from_manifest, output_dir=args.out)
+        case, base = presets.load_manifest(args.from_manifest)
+    elif args.case:
+        case, base = args.case, presets.preset_config(args.case)
     else:
-        if not args.case:
-            raise InvalidArgumentError(
-                "preset needs a case (a, b, c or d) or --from-manifest")
-        config = None
-        if args.config:
-            with open(args.config, encoding="utf-8") as fh:
-                config = json.load(fh)
-        overrides = _overrides_from_args(args)
-        if config:
-            merged = config
-            for section, fields in overrides.items():
-                merged.setdefault(section, {}).update(fields)
-            overrides = merged
-        summary = presets.run_preset(args.case, overrides=overrides,
-                                     output_dir=args.out)
+        raise InvalidArgumentError(
+            "preset needs a case (a, b, c or d) or --from-manifest")
+    summary = presets.run_preset(case, _resolve_config(args, base),
+                                 output_dir=args.out)
     print(f"case {summary['case']}: SVD purity {summary['svd_purity']:.4f}, "
           f"reconstructed {summary['reconstructed_purity']:.4f} "
           f"+- {summary['purity_std']:.4f}")
+    if not summary["converged"]:
+        print("numerical failure: the maximum-likelihood estimate did not converge",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -231,42 +231,35 @@ _SECTIONS = {
 }
 
 
-def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a configuration from a nested dict, rejecting unknown fields."""
-    if not isinstance(data, dict):
+def merge_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
+    """Validated copy of a configuration with a partial nested-dict override
+    applied; ``config`` itself is left unchanged.
+
+    This is the only path from a dict to a configuration: it rejects a
+    non-object override, unknown sections and unknown fields.
+    """
+    if not isinstance(overrides, dict):
         raise InvalidArgumentError("configuration must be a JSON object")
-    kwargs = {}
-    for section, value in data.items():
-        if section not in _SECTIONS:
-            raise InvalidArgumentError(f"unknown configuration section {section!r}")
-        cls = _SECTIONS[section]
-        names = {f.name for f in dataclasses.fields(cls)}
-        if not isinstance(value, dict):
-            raise InvalidArgumentError(f"{section}: must be a JSON object")
-        unknown = set(value) - names
-        if unknown:
-            raise InvalidArgumentError(
-                f"{section}: unknown field(s) {sorted(unknown)}")
-        kwargs[section] = cls(**value)
-    config = ExperimentConfig(**kwargs)
-    config.validate()
-    return config
-
-
-def merge_overrides(config: ExperimentConfig, overrides: Optional[dict]
-                    ) -> ExperimentConfig:
-    """Apply a partial nested-dict override onto a configuration."""
-    if not overrides:
-        config.validate()
-        return config
-    base = config.to_dict()
+    merged = config.to_dict()
     for section, value in overrides.items():
         if section not in _SECTIONS:
             raise InvalidArgumentError(f"unknown configuration section {section!r}")
         if not isinstance(value, dict):
-            raise InvalidArgumentError(f"{section}: override must be a JSON object")
-        base[section].update(value)
-    return config_from_dict(base)
+            raise InvalidArgumentError(f"{section}: must be a JSON object")
+        unknown = set(value) - set(merged[section])
+        if unknown:
+            raise InvalidArgumentError(
+                f"{section}: unknown field(s) {sorted(unknown)}")
+        merged[section].update(value)
+    resolved = ExperimentConfig(**{section: cls(**merged[section])
+                                   for section, cls in _SECTIONS.items()})
+    resolved.validate()
+    return resolved
+
+
+def config_from_dict(data: dict) -> ExperimentConfig:
+    """Build a configuration from a nested dict over the defaults."""
+    return merge_overrides(ExperimentConfig(), data)
 
 
 def preset_config(case: str) -> ExperimentConfig:
@@ -374,7 +367,7 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def run_preset(case: str, overrides: Optional[dict] = None,
+def run_preset(case: str, config: Optional[ExperimentConfig] = None,
                output_dir: Optional[str] = None) -> dict:
     """Run the full pipeline for one preset and write its artifacts.
 
@@ -383,12 +376,14 @@ def run_preset(case: str, overrides: Optional[dict] = None,
     reconstructed state with bootstrap errors, a summary against the
     published reference values, and a manifest that reproduces the run.
 
-    Returns the summary dict (with an extra ``output_dir`` entry).
+    ``config`` is the resolved configuration (the preset's own if None);
+    ``output_dir`` replaces its output directory.  Returns the summary dict
+    with extra ``output_dir`` and ``converged`` entries, the latter telling
+    whether the maximum-likelihood estimate converged.
     """
-    config = merge_overrides(preset_config(case), overrides)
-    if output_dir is not None:
-        config.output.directory = str(output_dir)
-    config.validate()
+    preset = preset_config(case)  # rejects an unknown case before any work
+    output = {} if output_dir is None else {"output": {"directory": str(output_dir)}}
+    config = merge_overrides(preset if config is None else config, output)
 
     out = Path(config.output.directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -443,15 +438,12 @@ def run_preset(case: str, overrides: Optional[dict] = None,
                     serialize.dump_json(serialize.density_to_dict(rho_true)))
         _write_text(out / "rho_hat.json",
                     serialize.dump_json(serialize.density_to_dict(recon.rho_hat)))
-        _write_text(out / "reconstruction_log.json", serialize.dump_json({
-            "iterations": recon.iterations,
-            "converged": recon.converged,
-            "final_log_likelihood_per_count": float(recon.log_likelihood[-1]),
-        }))
+        _write_text(out / "reconstruction_log.json",
+                    serialize.dump_json(serialize.reconstruction_log_to_dict(recon)))
     _write_text(out / "filter_analysis.json", serialize.dump_json(filter_analysis))
     _write_text(out / "summary.json", serialize.dump_json(summary))
     _write_text(out / "manifest.json", manifest_text(case, config))
-    return dict(summary, output_dir=str(out))
+    return dict(summary, output_dir=str(out), converged=recon.converged)
 
 
 def _filter_analysis(rho_true, efficiency: float) -> dict:
@@ -491,17 +483,23 @@ def manifest_text(case: str, config: ExperimentConfig) -> str:
     return json.dumps(manifest, sort_keys=True, indent=2) + "\n"
 
 
-def run_from_manifest(manifest_path: str,
-                      output_dir: Optional[str] = None) -> dict:
-    """Re-run a preset exactly as recorded in its manifest."""
+def load_manifest(manifest_path: str):
+    """The case and the validated configuration recorded in a manifest."""
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise InvalidArgumentError("manifest must be a JSON object")
     for key in ("case", "config"):
         if key not in manifest:
             raise InvalidArgumentError(f"manifest is missing the {key!r} entry")
-    config = config_from_dict(manifest["config"])
-    return run_preset(manifest["case"], overrides=config.to_dict(),
-                      output_dir=output_dir)
+    return manifest["case"], config_from_dict(manifest["config"])
+
+
+def run_from_manifest(manifest_path: str,
+                      output_dir: Optional[str] = None) -> dict:
+    """Re-run a preset exactly as recorded in its manifest."""
+    case, config = load_manifest(manifest_path)
+    return run_preset(case, config, output_dir=output_dir)
 
 
 def chirp_scan(chirp_values, config: Optional[ExperimentConfig] = None,
@@ -521,9 +519,7 @@ def chirp_scan(chirp_values, config: Optional[ExperimentConfig] = None,
             f"background fraction must lie in [0, 1), got {background_fraction}")
     rows = []
     for chirp in chirp_values:
-        run_cfg = merge_overrides(
-            config_from_dict(config.to_dict()),
-            {"pump": {"chirp_fs2": float(chirp)}})
+        run_cfg = merge_overrides(config, {"pump": {"chirp_fs2": float(chirp)}})
         jsa = build_state(run_cfg)
         weights = schmidt_weights(jsa)
         svd_purity = float(np.sum(weights**2))

@@ -14,7 +14,7 @@ from .errors import InvalidArgumentError
 from .pdc import JointSpectralAmplitude, ModalDensityMatrix, SchmidtDecomposition
 from .qpg import MappingFunction, ModeFilterResult, SelectivityReport
 from .spectral import ComplexSpectrum, FrequencyGrid
-from .tomography import CountRecord, ProjectorSet
+from .tomography import CountRecord, ProjectorSet, ReconstructionResult
 
 FLOAT_FORMAT = "%.12e"
 
@@ -137,13 +137,6 @@ def mapping_to_csv(xi: MappingFunction) -> str:
                           xi.values)
 
 
-def mapping_to_dict(xi: MappingFunction) -> dict:
-    return {"input_grid": grid_to_dict(xi.input_grid),
-            "output_grid": grid_to_dict(xi.output_grid),
-            "re": xi.values.real.tolist(),
-            "im": xi.values.imag.tolist()}
-
-
 def density_to_dict(rho: ModalDensityMatrix) -> dict:
     return {"d": rho.dimension,
             "re": rho.entries.real.tolist(),
@@ -161,6 +154,12 @@ def density_from_dict(data: dict) -> ModalDensityMatrix:
 def schmidt_to_dict(dec: SchmidtDecomposition) -> dict:
     return {"weights": dec.weights.tolist(),
             "residual_weight": dec.residual_weight}
+
+
+def reconstruction_log_to_dict(result: ReconstructionResult) -> dict:
+    return {"iterations": result.iterations,
+            "converged": result.converged,
+            "final_log_likelihood_per_count": float(result.log_likelihood[-1])}
 
 
 def projector_set_to_dict(pset: ProjectorSet) -> dict:
@@ -218,43 +217,3 @@ def filter_result_to_dict(result: ModeFilterResult) -> dict:
             "transmitted_fraction": result.transmitted_fraction,
             "upconverted_fraction": result.upconverted_fraction,
             "upconverted_empty": result.upconverted_empty}
-
-
-_JSON_RENDERERS = {
-    ComplexSpectrum: spectrum_to_dict,
-    JointSpectralAmplitude: jsa_to_dict,
-    MappingFunction: mapping_to_dict,
-    ModalDensityMatrix: density_to_dict,
-    SchmidtDecomposition: schmidt_to_dict,
-    ProjectorSet: projector_set_to_dict,
-    SelectivityReport: selectivity_report_to_dict,
-    ModeFilterResult: filter_result_to_dict,
-}
-
-_CSV_RENDERERS = {
-    ComplexSpectrum: spectrum_to_csv,
-    JointSpectralAmplitude: jsa_to_csv,
-    MappingFunction: mapping_to_csv,
-}
-
-
-def render(obj, fmt: str) -> str:
-    """Render any supported toolkit object to `json` or `csv` text."""
-    if fmt == "json":
-        if isinstance(obj, dict):
-            return dump_json(obj)
-        if isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], CountRecord):
-            return dump_json(count_records_to_dict(obj))
-        renderer = _JSON_RENDERERS.get(type(obj))
-        if renderer is not None:
-            return dump_json(renderer(obj))
-    elif fmt == "csv":
-        if isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], CountRecord):
-            return count_records_to_csv(obj)
-        renderer = _CSV_RENDERERS.get(type(obj))
-        if renderer is not None:
-            return renderer(obj)
-    else:
-        raise InvalidArgumentError(f"unsupported format {fmt!r}")
-    raise InvalidArgumentError(
-        f"cannot render {type(obj).__name__} as {fmt}")

@@ -7,6 +7,7 @@ import pytest
 from tmsim import presets
 from tmsim.cli import main
 from tmsim.errors import InvalidArgumentError
+from tmsim.tomography import MLEConfig
 
 FAST = ["--grid-count", "128", "--flux", "1000", "--resamples", "3"]
 
@@ -42,6 +43,36 @@ class TestConfigHandling:
         assert rc == 2
         assert "tomography.flux" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["rho"], ["preset", "a"]])
+    @pytest.mark.parametrize("content, flags", [
+        ([1], []),
+        ({"pump": 3}, ["--chirp-fs2", "1"]),
+        # a fixed width policy needs a width: the file is invalid on its own
+        # even though the flag would complete it
+        ({"basis": {"width_policy": "fixed"}}, ["--basis-width", "0.01"]),
+    ])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, command, content,
+                                     flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        rc = main([*command, "--config", str(cfg), *flags, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_merge_leaves_base_unchanged(self):
+        base = presets.preset_config("b")
+        merged = presets.merge_overrides(base, {"tomography": {"seed": 99}})
+        assert merged.tomography.seed == 99
+        assert base.tomography.seed == 7
+        assert merged.pump.fwhm_nm == base.pump.fwhm_nm == 0.54
+        assert presets.merge_overrides(base, {}) is not base
+
+    def test_non_object_override_rejected(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="configuration must be a JSON object"):
+            presets.merge_overrides(presets.ExperimentConfig(), None)
+
 
 class TestPresetRuns:
     def test_case_a_artifacts(self, tmp_path):
@@ -69,6 +100,46 @@ class TestPresetRuns:
         assert names == sorted(p.name for p in second.iterdir())
         for name in names:
             assert read(first / name) == read(second / name), name
+
+    def test_flags_apply_over_manifest(self, tmp_path):
+        first, second, replay = (tmp_path / n for n in ("first", "second", "replay"))
+        assert main(["preset", "a", *FAST, "--out", str(first)]) == 0
+        assert main(["preset", "--from-manifest", str(first / "manifest.json"),
+                     "--seed", "99", "--out", str(second)]) == 0
+        config = json.loads((second / "manifest.json").read_text())["config"]
+        assert config["tomography"]["seed"] == 99
+        assert config["grid"]["count"] == 128  # the recorded run is the base
+        assert read(first / "counts.csv") != read(second / "counts.csv")
+
+        assert main(["preset", "--from-manifest", str(second / "manifest.json"),
+                     "--out", str(replay)]) == 0
+        names = sorted(p.name for p in second.iterdir())
+        assert names == sorted(p.name for p in replay.iterdir())
+        for name in names:
+            assert read(second / name) == read(replay / name), name
+
+    @pytest.mark.parametrize("case, text", [
+        (["b"], presets.manifest_text("a", presets.preset_config("a"))),
+        ([], "5"),
+        ([], '{"case": "a"}'),
+        ([], '{"case": "z", "config": {}}'),
+    ])
+    def test_bad_manifest_run_exits_2(self, tmp_path, case, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        rc = main(["preset", *case, "--from-manifest", str(manifest),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert not (tmp_path / "run").exists()
+
+    def test_nonconvergence_exits_3_after_writing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(presets, "MLEConfig", lambda: MLEConfig(max_iterations=2))
+        rc = main(["preset", "a", *FAST, "--out", str(tmp_path)])
+        assert rc == 3
+        log = json.loads((tmp_path / "reconstruction_log.json").read_text())
+        assert (log["iterations"], log["converged"]) == (2, False)
+        assert (tmp_path / "summary.json").exists()
+        assert (tmp_path / "manifest.json").exists()
 
     def test_json_only_formats(self, tmp_path):
         rc = main(["preset", "a", *FAST, "--formats", "json",

@@ -11,7 +11,6 @@ from tmsim import (
     ModalDensityMatrix,
     hg_mode,
     make_grid,
-    mub_bases,
 )
 from tmsim import serialize
 
@@ -114,21 +113,3 @@ class TestCountRecordFormats:
     def test_bad_header_rejected(self):
         with pytest.raises(InvalidArgumentError):
             serialize.count_records_from_csv("a,b,c,d\n1,2,3,4\n")
-
-
-class TestRender:
-    def test_render_dispatch(self):
-        assert serialize.render(sample_spectrum(), "csv").startswith("omega_rad")
-        assert serialize.render(sample_density(), "json").startswith('{"d":3')
-        assert serialize.render(mub_bases(3), "json").startswith('{"dimension":3')
-
-    def test_same_input_same_bytes(self):
-        jsa = sample_jsa()
-        assert serialize.render(jsa, "csv") == serialize.render(jsa, "csv")
-        assert serialize.render(jsa, "json") == serialize.render(jsa, "json")
-
-    def test_unsupported_combinations(self):
-        with pytest.raises(InvalidArgumentError):
-            serialize.render(sample_density(), "csv")
-        with pytest.raises(InvalidArgumentError):
-            serialize.render(sample_density(), "yaml")
