@@ -12,7 +12,9 @@ reproduces all outputs byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -48,7 +50,6 @@ from .spectral import (
 )
 from .tomography import (
     MLEConfig,
-    mle_reconstruct,
     monte_carlo_errors,
     mub_bases,
     simulate_counts,
@@ -74,82 +75,103 @@ def _require(condition: bool, name: str, message: str) -> None:
         raise InvalidArgumentError(f"{name}: {message}")
 
 
-@dataclass
+def _admits(declared, value) -> bool:
+    if isinstance(value, bool):
+        return False
+    origin, args = typing.get_origin(declared), typing.get_args(declared)
+    if origin is typing.Union:  # Optional[T]
+        return value is None or _admits(args[0], value)
+    if origin is list:
+        return isinstance(value, list) and all(_admits(args[0], v) for v in value)
+    return isinstance(value, (int, float) if declared is float else declared)
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _check_types(record, prefix: str) -> None:
+    """Reject a field value its declared type does not admit: an int field
+    takes an int, a float field an int or a float, a list field a list of
+    its element type, None only an Optional field, and bool nothing."""
+    hints = _field_types(type(record))
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if not _admits(hints[f.name], value):
+            raise InvalidArgumentError(
+                f"{prefix}{f.name}: must be of type {f.type}, got {value!r}")
+
+
+@dataclass(frozen=True)
 class PumpConfig:
     shape_order: int = 0
     center_nm: float = REFERENCE_PUMP_CENTER_NM
     fwhm_nm: float = REFERENCE_PUMP_FWHM_NM
     chirp_fs2: float = 0.0
 
-    def validate(self, prefix: str = "pump") -> None:
-        _require(self.shape_order in (0, 1), f"{prefix}.shape_order",
+    def __post_init__(self):
+        _check_types(self, "pump.")
+        _require(self.shape_order in (0, 1), "pump.shape_order",
                  f"must be 0 or 1, got {self.shape_order}")
-        _require(self.center_nm > 0, f"{prefix}.center_nm",
+        _require(self.center_nm > 0, "pump.center_nm",
                  f"must be positive, got {self.center_nm}")
-        _require(self.fwhm_nm > 0, f"{prefix}.fwhm_nm",
+        _require(self.fwhm_nm > 0, "pump.fwhm_nm",
                  f"must be positive, got {self.fwhm_nm}")
-        _require(np.isfinite(self.chirp_fs2), f"{prefix}.chirp_fs2",
-                 "must be finite")
+        _require(np.isfinite(self.chirp_fs2), "pump.chirp_fs2", "must be finite")
 
     def amplitude_sigma(self) -> float:
         # intensity std -> amplitude width parameter of the field envelope
         return np.sqrt(2.0) * convert_bandwidth(self.center_nm, self.fwhm_nm).sigma_omega
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhasematchingConfig:
     angle_deg: float = 45.0
     width_rad_per_fs: Optional[float] = None  # None: matched to the reference pump
     shape: str = "gaussian"
 
-    def validate(self, prefix: str = "phasematching") -> None:
-        _require(0.0 < self.angle_deg < 90.0, f"{prefix}.angle_deg",
-                 f"must lie in (0, 90), got {self.angle_deg}")
-        if self.width_rad_per_fs is not None:
-            _require(self.width_rad_per_fs > 0, f"{prefix}.width_rad_per_fs",
-                     f"must be positive, got {self.width_rad_per_fs}")
-        _require(self.shape in ("gaussian", "sinc"), f"{prefix}.shape",
-                 f"must be 'gaussian' or 'sinc', got {self.shape!r}")
+    def __post_init__(self):
+        _check_types(self, "phasematching.")
+        self.model()
 
-    def resolved_width(self) -> float:
-        if self.width_rad_per_fs is not None:
-            return self.width_rad_per_fs
-        reference = PumpConfig()  # crystal fixed by the decorrelated source
-        return matched_phasematching_width(reference.amplitude_sigma())
+    def model(self) -> PhasematchingModel:
+        width = self.width_rad_per_fs
+        if width is None:
+            # crystal fixed by the decorrelated source
+            width = matched_phasematching_width(PumpConfig().amplitude_sigma())
+        return PhasematchingModel(angle_deg=self.angle_deg, width=width,
+                                  shape=self.shape)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasisConfig:
     dimension: int = 7
     width_policy: str = "fit-reference"  # or "fixed"
     width_rad_per_fs: Optional[float] = None
 
-    def validate(self, prefix: str = "basis") -> None:
-        _require(self.dimension >= 1, f"{prefix}.dimension",
+    def __post_init__(self):
+        _check_types(self, "basis.")
+        _require(self.dimension >= 1, "basis.dimension",
                  f"must be >= 1, got {self.dimension}")
-        _require(self.width_policy in ("fit-reference", "fixed"),
-                 f"{prefix}.width_policy",
+        _require(self.width_policy in ("fit-reference", "fixed"), "basis.width_policy",
                  f"must be 'fit-reference' or 'fixed', got {self.width_policy!r}")
         if self.width_policy == "fixed":
             _require(self.width_rad_per_fs is not None and self.width_rad_per_fs > 0,
-                     f"{prefix}.width_rad_per_fs",
+                     "basis.width_rad_per_fs",
                      "must be positive when width_policy is 'fixed'")
 
 
-@dataclass
+@dataclass(frozen=True)
 class QpgConfig:
     crosstalk: float = 0.0
-    per_order_falloff: Optional[list] = None
+    per_order_falloff: Optional[list[float]] = None
     filter_efficiency: float = 0.22
 
-    def validate(self, prefix: str = "qpg") -> None:
-        _require(0.0 <= self.crosstalk <= 1.0, f"{prefix}.crosstalk",
-                 f"must lie in [0, 1], got {self.crosstalk}")
-        if self.per_order_falloff is not None:
-            _require(all(0.0 < f <= 1.0 for f in self.per_order_falloff),
-                     f"{prefix}.per_order_falloff",
-                     "entries must lie in (0, 1]")
-        _require(0.0 <= self.filter_efficiency <= 1.0, f"{prefix}.filter_efficiency",
+    def __post_init__(self):
+        _check_types(self, "qpg.")
+        self.selectivity()
+        _require(0.0 <= self.filter_efficiency <= 1.0, "qpg.filter_efficiency",
                  f"must lie in [0, 1], got {self.filter_efficiency}")
 
     def selectivity(self) -> SelectivityModel:
@@ -158,47 +180,51 @@ class QpgConfig:
         return SelectivityModel(crosstalk=self.crosstalk, per_order_falloff=falloff)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TomographyConfig:
     flux: float = 1e5
     background: float = 0.0
     seed: int = 7
     resamples: int = 100
 
-    def validate(self, prefix: str = "tomography") -> None:
-        _require(self.flux > 0, f"{prefix}.flux", f"must be positive, got {self.flux}")
-        _require(self.background >= 0, f"{prefix}.background",
+    def __post_init__(self):
+        _check_types(self, "tomography.")
+        _require(self.flux > 0, "tomography.flux", f"must be positive, got {self.flux}")
+        _require(self.background >= 0, "tomography.background",
                  f"must be >= 0, got {self.background}")
-        _require(int(self.seed) == self.seed, f"{prefix}.seed", "must be an integer")
-        _require(self.resamples >= 2, f"{prefix}.resamples",
+        _require(self.resamples >= 2, "tomography.resamples",
                  f"must be >= 2, got {self.resamples}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridConfig:
     count: int = 512
     signal_center_nm: float = 1540.0
 
-    def validate(self, prefix: str = "grid") -> None:
-        _require(self.count >= 16, f"{prefix}.count",
-                 f"must be >= 16, got {self.count}")
-        _require(self.signal_center_nm > 0, f"{prefix}.signal_center_nm",
+    def __post_init__(self):
+        _check_types(self, "grid.")
+        _require(self.count >= 16, "grid.count", f"must be >= 16, got {self.count}")
+        _require(self.signal_center_nm > 0, "grid.signal_center_nm",
                  f"must be positive, got {self.signal_center_nm}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutputConfig:
     directory: str = "."
-    formats: list = field(default_factory=lambda: ["json", "csv"])
+    formats: list[str] = field(default_factory=lambda: ["json", "csv"])
 
-    def validate(self, prefix: str = "output") -> None:
-        _require(bool(self.formats), f"{prefix}.formats", "must not be empty")
+    def __post_init__(self):
+        _check_types(self, "output.")
+        _require(bool(self.formats), "output.formats", "must not be empty")
         _require(all(f in ("json", "csv") for f in self.formats),
-                 f"{prefix}.formats", "entries must be 'json' or 'csv'")
+                 "output.formats", "entries must be 'json' or 'csv'")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A complete run configuration; it and its sections are frozen, and
+    each section checks its values when it is built."""
+
     pump: PumpConfig = field(default_factory=PumpConfig)
     phasematching: PhasematchingConfig = field(default_factory=PhasematchingConfig)
     basis: BasisConfig = field(default_factory=BasisConfig)
@@ -207,36 +233,32 @@ class ExperimentConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
-    def validate(self) -> None:
-        self.pump.validate()
-        self.phasematching.validate()
-        self.basis.validate()
-        self.qpg.validate()
-        self.tomography.validate()
-        self.grid.validate()
-        self.output.validate()
+    def __post_init__(self):
+        _check_types(self, "")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
-_SECTIONS = {
-    "pump": PumpConfig,
-    "phasematching": PhasematchingConfig,
-    "basis": BasisConfig,
-    "qpg": QpgConfig,
-    "tomography": TomographyConfig,
-    "grid": GridConfig,
-    "output": OutputConfig,
+_SECTIONS = typing.get_type_hints(ExperimentConfig)
+
+#: the presets as overrides of the default (decorrelated reference) source
+_PRESET_OVERRIDES = {
+    "a": {},
+    "b": {"pump": {"fwhm_nm": 0.54}},
+    "c": {"pump": {"fwhm_nm": 1.49, "chirp_fs2": 0.38e6}},
+    "d": {"pump": {"shape_order": 1, "fwhm_nm": 1.31},
+          "phasematching": {"angle_deg": 41.0}},
 }
 
 
 def merge_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    """Validated copy of a configuration with a partial nested-dict override
-    applied; ``config`` itself is left unchanged.
+    """Copy of a configuration with a partial nested-dict override applied;
+    ``config`` itself is left unchanged.
 
     This is the only path from a dict to a configuration: it rejects a
-    non-object override, unknown sections and unknown fields.
+    non-object override, unknown sections and unknown fields, and the
+    sections check their values as they are built.
     """
     if not isinstance(overrides, dict):
         raise InvalidArgumentError("configuration must be a JSON object")
@@ -251,10 +273,8 @@ def merge_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConf
             raise InvalidArgumentError(
                 f"{section}: unknown field(s) {sorted(unknown)}")
         merged[section].update(value)
-    resolved = ExperimentConfig(**{section: cls(**merged[section])
-                                   for section, cls in _SECTIONS.items()})
-    resolved.validate()
-    return resolved
+    return ExperimentConfig(**{section: cls(**merged[section])
+                               for section, cls in _SECTIONS.items()})
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -269,19 +289,9 @@ def preset_config(case: str) -> ExperimentConfig:
     c: chirped pump (phase-correlated); d: first-order pump shape on a
     tilted ridge, favouring the odd mode.
     """
-    if case not in TABLE_REFERENCE:
+    if case not in _PRESET_OVERRIDES:
         raise InvalidArgumentError(f"preset case must be one of a-d, got {case!r}")
-    config = ExperimentConfig()
-    if case == "b":
-        config.pump.fwhm_nm = 0.54
-    elif case == "c":
-        config.pump.fwhm_nm = 1.49
-        config.pump.chirp_fs2 = 0.38e6
-    elif case == "d":
-        config.pump.shape_order = 1
-        config.pump.fwhm_nm = 1.31
-        config.phasematching.angle_deg = 41.0
-    return config
+    return merge_overrides(ExperimentConfig(), _PRESET_OVERRIDES[case])
 
 
 # --- building blocks -------------------------------------------------------
@@ -289,7 +299,7 @@ def preset_config(case: str) -> ExperimentConfig:
 def experiment_grids(config: ExperimentConfig):
     """Signal/idler grids sized for the state and the tomography basis."""
     sigma_pump = config.pump.amplitude_sigma()
-    sigma_pm = config.phasematching.resolved_width()
+    sigma_pm = config.phasematching.model().width
     # the frozen basis is matched to the reference source; its highest
     # order must still fit on the grid
     sigma_basis = matched_phasematching_width(PumpConfig().amplitude_sigma())
@@ -338,10 +348,7 @@ def build_state(config: ExperimentConfig) -> JointSpectralAmplitude:
     """Joint spectral amplitude of the configured source."""
     signal_grid, idler_grid = experiment_grids(config)
     pump = pump_spectrum(config, signal_grid, idler_grid)
-    pm = PhasematchingModel(angle_deg=config.phasematching.angle_deg,
-                            width=config.phasematching.resolved_width(),
-                            shape=config.phasematching.shape)
-    return build_jsa(pump, pm, signal_grid, idler_grid)
+    return build_jsa(pump, config.phasematching.model(), signal_grid, idler_grid)
 
 
 def tomography_basis(config: ExperimentConfig) -> HermiteGaussParams:
@@ -355,7 +362,7 @@ def tomography_basis(config: ExperimentConfig) -> HermiteGaussParams:
     if config.basis.width_policy == "fixed":
         return HermiteGaussParams(order=0, center=signal_grid.center,
                                   width=config.basis.width_rad_per_fs)
-    reference = ExperimentConfig(grid=dataclasses.replace(config.grid))
+    reference = ExperimentConfig(grid=config.grid)
     reference_dec = schmidt_decompose(build_state(reference), max_modes=1)
     width = fit_basis_width(reference_dec)
     return HermiteGaussParams(order=0, center=signal_grid.center, width=width)
@@ -405,11 +412,10 @@ def run_preset(case: str, config: Optional[ExperimentConfig] = None,
                               flux=config.tomography.flux,
                               background=config.tomography.background,
                               seed=config.tomography.seed)
-    mle_cfg = MLEConfig()
-    recon = mle_reconstruct(records, pset, mle_cfg)
-    errors = monte_carlo_errors(records, pset, mle_cfg,
+    errors = monte_carlo_errors(records, pset, MLEConfig(),
                                 resamples=config.tomography.resamples,
                                 seed=config.tomography.seed + 1)
+    recon = errors.baseline
 
     summary = {
         "case": case,

@@ -100,41 +100,34 @@ def jsa_to_dict(jsa: JointSpectralAmplitude) -> dict:
             "im": jsa.amplitudes.imag.tolist()}
 
 
-def _grid_pair_csv(row_name: str, col_name: str, row_grid: FrequencyGrid,
-                   col_grid: FrequencyGrid, values: np.ndarray) -> str:
-    rows = row_grid.points
-    cols = col_grid.points
-    lines = [f"{row_name},{col_name},real,imag"]
-    for j, w_row in enumerate(rows):
-        w_row_s = format_float(w_row)
-        for k, w_col in enumerate(cols):
-            v = values[j, k]
-            lines.append(f"{w_row_s},{format_float(w_col)},"
-                         f"{format_float(v.real)},{format_float(v.imag)}")
+def _grid_pair_csv(header: str, row_grid: FrequencyGrid, col_grid: FrequencyGrid,
+                   *columns: np.ndarray) -> str:
+    """One line per grid point: the row and column frequencies, then each
+    (row count, column count) array's value there."""
+    col_points = [format_float(w) for w in col_grid.points]
+    lines = [header]
+    for w_row, *rows in zip(row_grid.points, *columns):
+        prefix = format_float(w_row)
+        cells = zip(col_points, *([format_float(v) for v in row.tolist()]
+                                  for row in rows))
+        lines.extend(f"{prefix},{','.join(cell)}" for cell in cells)
     return "\n".join(lines) + "\n"
 
 
 def jsa_to_csv(jsa: JointSpectralAmplitude) -> str:
-    return _grid_pair_csv("omega_s", "omega_i", jsa.signal_grid, jsa.idler_grid,
-                          jsa.amplitudes)
+    return _grid_pair_csv("omega_s,omega_i,real,imag", jsa.signal_grid,
+                          jsa.idler_grid, jsa.amplitudes.real, jsa.amplitudes.imag)
 
 
 def jsi_to_csv(jsa: JointSpectralAmplitude) -> str:
     """Phase-blind |f|^2 view of a joint amplitude."""
-    intensity = jsa.intensity()
-    rows = jsa.signal_grid.points
-    cols = jsa.idler_grid.points
-    lines = ["omega_s,omega_i,intensity"]
-    for j, w_s in enumerate(rows):
-        w_s_s = format_float(w_s)
-        for k, w_i in enumerate(cols):
-            lines.append(f"{w_s_s},{format_float(w_i)},{format_float(intensity[j, k])}")
-    return "\n".join(lines) + "\n"
+    return _grid_pair_csv("omega_s,omega_i,intensity", jsa.signal_grid,
+                          jsa.idler_grid, jsa.intensity())
 
 
 def mapping_to_csv(xi: MappingFunction) -> str:
-    return _grid_pair_csv("omega_in", "omega_out", xi.input_grid, xi.output_grid,
-                          xi.values)
+    return _grid_pair_csv("omega_in,omega_out,real,imag", xi.input_grid,
+                          xi.output_grid, xi.values.real, xi.values.imag)
 
 
 def density_to_dict(rho: ModalDensityMatrix) -> dict:

@@ -205,14 +205,13 @@ class ReconstructionResult:
 def _hermitian_span_rank(kets: np.ndarray) -> int:
     """Rank of the projectors' span inside the real space of Hermitian
     matrices."""
-    n, d = kets.shape
-    vecs = np.empty((n, d * d))
-    for i in range(n):
-        outer = np.outer(kets[i], np.conj(kets[i]))
-        iu = np.triu_indices(d, k=1)
-        vecs[i] = np.concatenate([np.real(np.diag(outer)),
-                                  np.sqrt(2.0) * np.real(outer[iu]),
-                                  np.sqrt(2.0) * np.imag(outer[iu])])
+    d = kets.shape[1]
+    outers = kets[:, :, None] * np.conj(kets)[:, None, :]
+    rows, cols = np.triu_indices(d, k=1)
+    upper = outers[:, rows, cols]
+    vecs = np.concatenate([np.real(np.diagonal(outers, axis1=1, axis2=2)),
+                           np.sqrt(2.0) * np.real(upper),
+                           np.sqrt(2.0) * np.imag(upper)], axis=1)
     return int(np.linalg.matrix_rank(vecs, tol=1e-10))
 
 
@@ -335,6 +334,7 @@ class MonteCarloErrors:
     fidelity_std: float
     purities: np.ndarray
     fidelities: np.ndarray
+    baseline: ReconstructionResult  # the fit to the observed counts
 
 
 def monte_carlo_errors(records: Sequence, pset: ProjectorSet,
@@ -366,4 +366,4 @@ def monte_carlo_errors(records: Sequence, pset: ProjectorSet,
         purity_mean=float(purities.mean()),
         purity_std=float(purities.std(ddof=1)),
         fidelity_std=float(fidelities.std(ddof=1)),
-        purities=purities, fidelities=fidelities)
+        purities=purities, fidelities=fidelities, baseline=baseline)

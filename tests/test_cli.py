@@ -1,11 +1,14 @@
+import argparse
+import dataclasses
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tmsim import presets
-from tmsim.cli import main
+from tmsim.cli import _overrides_from_args, build_parser, main
 from tmsim.errors import InvalidArgumentError
 from tmsim.tomography import MLEConfig
 
@@ -14,6 +17,16 @@ FAST = ["--grid-count", "128", "--flux", "1000", "--resamples", "3"]
 
 def read(path: Path) -> bytes:
     return path.read_bytes()
+
+
+def _config_flags(parser, command=()):
+    """(subcommand path, action) for every flag that sets a config field."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _config_flags(sub, command + (name,))
+        elif "." in action.dest:
+            yield command, action
 
 
 class TestConfigHandling:
@@ -50,6 +63,15 @@ class TestConfigHandling:
         # a fixed width policy needs a width: the file is invalid on its own
         # even though the flag would complete it
         ({"basis": {"width_policy": "fixed"}}, ["--basis-width", "0.01"]),
+        # values of the wrong type
+        ({"pump": {"fwhm_nm": "x"}}, []),
+        ({"pump": {"fwhm_nm": None}}, []),
+        ({"basis": {"dimension": 7.5}}, []),
+        ({"qpg": {"per_order_falloff": 0.5}}, []),
+        ({"qpg": {"per_order_falloff": ["0.5"]}}, []),
+        ({"phasematching": {"angle_deg": "45"}}, []),
+        ({"tomography": {"resamples": 2.5}}, []),
+        ({"tomography": {"seed": True}}, []),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, command, content,
                                      flags):
@@ -67,6 +89,56 @@ class TestConfigHandling:
         assert base.tomography.seed == 7
         assert merged.pump.fwhm_nm == base.pump.fwhm_nm == 0.54
         assert presets.merge_overrides(base, {}) is not base
+
+    def test_sections_are_frozen(self):
+        config = presets.preset_config("a")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.pump.fwhm_nm = 0.54
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.pump = presets.PumpConfig(fwhm_nm=0.54)
+
+    @pytest.mark.parametrize("case, pump, angle_deg", [
+        ("a", {"shape_order": 0, "center_nm": 769.0, "fwhm_nm": 1.72,
+               "chirp_fs2": 0.0}, 45.0),
+        ("b", {"shape_order": 0, "center_nm": 769.0, "fwhm_nm": 0.54,
+               "chirp_fs2": 0.0}, 45.0),
+        ("c", {"shape_order": 0, "center_nm": 769.0, "fwhm_nm": 1.49,
+               "chirp_fs2": 380000.0}, 45.0),
+        ("d", {"shape_order": 1, "center_nm": 769.0, "fwhm_nm": 1.31,
+               "chirp_fs2": 0.0}, 41.0),
+    ])
+    def test_preset_config_values(self, case, pump, angle_deg):
+        expected = {
+            "pump": pump,
+            "phasematching": {"angle_deg": angle_deg, "width_rad_per_fs": None,
+                              "shape": "gaussian"},
+            "basis": {"dimension": 7, "width_policy": "fit-reference",
+                      "width_rad_per_fs": None},
+            "qpg": {"crosstalk": 0.0, "per_order_falloff": None,
+                    "filter_efficiency": 0.22},
+            "tomography": {"flux": 100000.0, "background": 0.0, "seed": 7,
+                           "resamples": 100},
+            "grid": {"count": 512, "signal_center_nm": 1540.0},
+            "output": {"directory": ".", "formats": ["json", "csv"]},
+        }
+        # compared as JSON so that 380000 and 380000.0 differ, as in a manifest
+        assert (json.dumps(presets.preset_config(case).to_dict(), sort_keys=True)
+                == json.dumps(expected, sort_keys=True))
+
+    def test_config_flags_name_typed_fields(self):
+        sections = typing.get_type_hints(presets.ExperimentConfig)
+        flags = list(_config_flags(build_parser()))
+        assert len(flags) == 5 * 19  # jsa, schmidt, rho, preset, chirp-scan
+        for command, action in flags:
+            section, name = action.dest.split(".")
+            fields = typing.get_type_hints(sections[section])
+            assert name in fields, (command, action.dest)
+            raw = action.choices[0] if action.choices else "1"
+            parsed = action.type(raw) if action.type else raw
+            value = _overrides_from_args(
+                argparse.Namespace(**{action.dest: parsed}))[section][name]
+            assert presets._admits(fields[name], value), \
+                (command, action.option_strings, value)
 
     def test_non_object_override_rejected(self):
         with pytest.raises(InvalidArgumentError,

@@ -18,6 +18,7 @@ from tmsim import (
     simulate_counts,
     state_metrics,
 )
+from tmsim.tomography import _hermitian_span_rank
 
 
 def random_rho(seed, d=7, k=14):
@@ -164,6 +165,20 @@ class TestMleReconstruct:
         with pytest.raises(IllPosedError):
             mle_reconstruct(partial, pset)
 
+    @pytest.mark.parametrize("count", [7, 48, 49, 56])
+    def test_span_rank_matches_per_projector_loop(self, count):
+        kets = np.array([p.coefficients for p in mub_bases(7).projectors])[:count]
+        d = kets.shape[1]
+        iu = np.triu_indices(d, k=1)
+        vecs = np.empty((count, d * d))
+        for i, ket in enumerate(kets):
+            outer = np.outer(ket, np.conj(ket))
+            vecs[i] = np.concatenate([np.real(np.diag(outer)),
+                                      np.sqrt(2.0) * np.real(outer[iu]),
+                                      np.sqrt(2.0) * np.imag(outer[iu])])
+        assert (_hermitian_span_rank(kets)
+                == np.linalg.matrix_rank(vecs, tol=1e-10))
+
     def test_zero_counts_rejected(self):
         pset = mub_bases(7)
         empty = [CountRecord(p.basis_index, p.element_index, 0)
@@ -247,6 +262,15 @@ class TestMonteCarloErrors:
         a = monte_carlo_errors(records, pset, resamples=5, seed=3)
         b = monte_carlo_errors(records, pset, resamples=5, seed=3)
         np.testing.assert_array_equal(a.purities, b.purities)
+
+    def test_baseline_is_the_plain_fit(self):
+        pset = mub_bases(7)
+        records = simulate_counts(random_rho(1), pset, flux=1e4, seed=2)
+        errors = monte_carlo_errors(records, pset, resamples=2, seed=3)
+        direct = mle_reconstruct(records, pset)
+        np.testing.assert_array_equal(errors.baseline.rho_hat.entries,
+                                      direct.rho_hat.entries)
+        assert errors.baseline.iterations == direct.iterations
 
     def test_zero_counts_propagates(self):
         pset = mub_bases(7)
