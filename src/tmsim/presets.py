@@ -49,6 +49,7 @@ from .spectral import (
     wavelength_to_omega,
 )
 from .tomography import (
+    MAX_POISSON_MEAN,
     MLEConfig,
     monte_carlo_errors,
     mub_bases,
@@ -81,8 +82,9 @@ def _admits(declared, value) -> bool:
     origin, args = typing.get_origin(declared), typing.get_args(declared)
     if origin is typing.Union:  # Optional[T]
         return value is None or _admits(args[0], value)
-    if origin is list:
-        return isinstance(value, list) and all(_admits(args[0], v) for v in value)
+    if origin is list:  # stored as a tuple once checked
+        return (isinstance(value, (list, tuple))
+                and all(_admits(args[0], v) for v in value))
     return isinstance(value, (int, float) if declared is float else declared)
 
 
@@ -94,7 +96,8 @@ def _field_types(cls) -> dict:
 def _check_types(record, prefix: str) -> None:
     """Reject a field value its declared type does not admit: an int field
     takes an int, a float field an int or a float, a list field a list of
-    its element type, None only an Optional field, and bool nothing."""
+    its element type (or a tuple of them), None only an Optional field,
+    and bool nothing."""
     hints = _field_types(type(record))
     for f in dataclasses.fields(record):
         value = getattr(record, f.name)
@@ -170,14 +173,16 @@ class QpgConfig:
 
     def __post_init__(self):
         _check_types(self, "qpg.")
+        if self.per_order_falloff is not None:
+            object.__setattr__(self, "per_order_falloff",
+                               tuple(self.per_order_falloff))
         self.selectivity()
         _require(0.0 <= self.filter_efficiency <= 1.0, "qpg.filter_efficiency",
                  f"must lie in [0, 1], got {self.filter_efficiency}")
 
     def selectivity(self) -> SelectivityModel:
-        falloff = None if self.per_order_falloff is None \
-            else tuple(self.per_order_falloff)
-        return SelectivityModel(crosstalk=self.crosstalk, per_order_falloff=falloff)
+        return SelectivityModel(crosstalk=self.crosstalk,
+                                per_order_falloff=self.per_order_falloff)
 
 
 @dataclass(frozen=True)
@@ -189,9 +194,11 @@ class TomographyConfig:
 
     def __post_init__(self):
         _check_types(self, "tomography.")
-        _require(self.flux > 0, "tomography.flux", f"must be positive, got {self.flux}")
-        _require(self.background >= 0, "tomography.background",
-                 f"must be >= 0, got {self.background}")
+        # the ranges also reject inf and nan: numpy cannot sample such means
+        _require(0 < self.flux <= MAX_POISSON_MEAN, "tomography.flux",
+                 f"must lie in (0, {MAX_POISSON_MEAN:.0e}], got {self.flux}")
+        _require(0 <= self.background <= MAX_POISSON_MEAN, "tomography.background",
+                 f"must lie in [0, {MAX_POISSON_MEAN:.0e}], got {self.background}")
         _require(self.resamples >= 2, "tomography.resamples",
                  f"must be >= 2, got {self.resamples}")
 
@@ -215,6 +222,7 @@ class OutputConfig:
 
     def __post_init__(self):
         _check_types(self, "output.")
+        object.__setattr__(self, "formats", tuple(self.formats))
         _require(bool(self.formats), "output.formats", "must not be empty")
         _require(all(f in ("json", "csv") for f in self.formats),
                  "output.formats", "entries must be 'json' or 'csv'")
@@ -237,7 +245,10 @@ class ExperimentConfig:
         _check_types(self, "")
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """Nested plain dict of the configuration, list fields as lists."""
+        return dataclasses.asdict(self, dict_factory=lambda items: {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in items})
 
 
 _SECTIONS = typing.get_type_hints(ExperimentConfig)

@@ -5,7 +5,7 @@ uncertainty estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -138,11 +138,19 @@ class CountRecord:
         object.__setattr__(self, "counts", int(self.counts))
 
 
+#: largest Poisson mean simulated; numpy's sampler stops near 9.2e18
+MAX_POISSON_MEAN = 1e18
+
+
 def expected_counts(rho: ModalDensityMatrix, pset: ProjectorSet,
                     sel: SelectivityModel = SelectivityModel(),
                     flux: float = 1.0, background: float = 0.0,
                     exposures: Optional[Sequence] = None) -> np.ndarray:
-    """Poisson means flux * exposure * p + background for every projector."""
+    """Poisson means flux * exposure * p + background for every projector.
+
+    Raises InvalidArgumentError if a mean is not finite or exceeds
+    MAX_POISSON_MEAN.
+    """
     if not flux > 0:
         raise InvalidArgumentError(f"flux must be positive, got {flux}")
     if background < 0:
@@ -154,7 +162,12 @@ def expected_counts(rho: ModalDensityMatrix, pset: ProjectorSet,
         raise InvalidArgumentError("need one exposure per projector")
     probs = np.array([project_probability(rho, p.coefficients, sel)
                       for p in pset.projectors])
-    return flux * exposures * probs + background
+    rates = flux * exposures * probs + background
+    if not np.all(rates <= MAX_POISSON_MEAN):
+        raise InvalidArgumentError(
+            f"Poisson means must be finite and at most {MAX_POISSON_MEAN:.0e}, "
+            f"got {float(rates.max())!r}")
+    return rates
 
 
 def simulate_counts(rho: ModalDensityMatrix, pset: ProjectorSet,
@@ -215,6 +228,103 @@ def _hermitian_span_rank(kets: np.ndarray) -> int:
     return int(np.linalg.matrix_rank(vecs, tol=1e-10))
 
 
+def _record_arrays(records: Sequence, pset: ProjectorSet,
+                   subtract_background: float = 0.0):
+    """Projector kets, background-floored counts and exposures of the
+    records, in record order."""
+    by_label = {(p.basis_index, p.element_index): p for p in pset.projectors}
+    kets = []
+    counts = []
+    weights = []
+    for rec in records:
+        key = (rec.basis_index, rec.element_index)
+        if key not in by_label:
+            raise InvalidArgumentError(f"record {key} has no matching projector")
+        kets.append(by_label[key].coefficients)
+        counts.append(max(rec.counts - subtract_background, 0.0))
+        weights.append(rec.exposure)
+    if not kets:
+        raise InvalidArgumentError("no count records supplied")
+    return (np.array(kets), np.array(counts, dtype=float),
+            np.array(weights, dtype=float))
+
+
+def _rrhor(kets: np.ndarray, counts: np.ndarray, weights: np.ndarray,
+           cfg: MLEConfig, history: Optional[list] = None):
+    """Diluted R rho R iteration for a stack of count vectors at once.
+
+    `kets` (n, d) are the measured projectors, `weights` (n,) their
+    exposures and each row of `counts` (B, n) one data set, normalized by
+    its own total.  Every row starts from the maximally mixed state and
+    stops on the iteration its mean log-likelihood changes by less than
+    `cfg.tolerance`; it then leaves the active set and later iterations do
+    not touch it.  When `history` is a list, the mean log-likelihoods of
+    the active rows are appended to it at the start and after every step.
+
+    Returns the Hermitian-symmetrized estimates (B, d, d), the iteration
+    count (B,), the convergence flag (B,) and the final mean
+    log-likelihood (B,) of every row.
+    """
+    n, d = kets.shape
+    size = counts.shape[0]
+    totals = counts.sum(axis=1)
+    if np.any(totals <= 0):
+        raise InvalidArgumentError("total counts must be positive")
+    # row i of `outer` is |m_i><m_i| flattened, so R = ratios @ outer and
+    # p = Re(rho_flat @ conj(outer).T).  Both products are taken row by row,
+    # as (B, 1, .) stacks: numpy sends a one-row product to gemv and a
+    # B-row one to gemm, whose rounding differs, and a row's stop iteration
+    # must not depend on the batch it is fitted in.
+    outer = (kets[:, :, None] * np.conj(kets)[:, None, :]).reshape(n, d * d)
+    outer_h = np.conj(outer).T
+    lam = cfg.dilution
+    damping = (1.0 - lam) * np.eye(d, dtype=complex)
+
+    def mean_log_likelihood(probs, counts, totals):
+        weighted = weights * probs
+        terms = np.where(counts > 0,
+                         counts * np.log(np.maximum(weighted, 1e-300)), 0.0)
+        return terms.sum(axis=1) / totals - np.log(weighted.sum(axis=1))
+
+    estimates = np.empty((size, d, d), dtype=complex)
+    iterations = np.full(size, cfg.max_iterations)
+    converged = np.zeros(size, dtype=bool)
+    log_likelihood = np.empty(size)
+
+    rows = np.arange(size)
+    rho = np.repeat(np.eye(d, dtype=complex)[None] / d, size, axis=0)
+    probs = np.real(rho.reshape(-1, 1, d * d) @ outer_h)[:, 0]
+    current = mean_log_likelihood(probs, counts, totals)
+    if history is not None:
+        history.append(current)
+    for step in range(1, cfg.max_iterations + 1):
+        ratios = counts / (totals[:, None] * np.maximum(probs, 1e-300))
+        growth = damping + lam * (ratios[:, None, :] @ outer).reshape(-1, d, d)
+        rho = growth @ rho @ np.conj(growth).transpose(0, 2, 1)
+        rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        probs = np.real(rho.reshape(-1, 1, d * d) @ outer_h)[:, 0]
+        previous, current = current, mean_log_likelihood(probs, counts, totals)
+        if history is not None:
+            history.append(current)
+        done = np.abs(current - previous) < cfg.tolerance
+        if done.any():
+            stopped = rows[done]
+            estimates[stopped] = rho[done]
+            iterations[stopped] = step
+            converged[stopped] = True
+            log_likelihood[stopped] = current[done]
+            keep = ~done
+            if not keep.any():
+                break
+            rows, rho, probs = rows[keep], rho[keep], probs[keep]
+            current, counts, totals = current[keep], counts[keep], totals[keep]
+    else:
+        estimates[rows] = rho
+        log_likelihood[rows] = current
+    estimates = 0.5 * (estimates + np.conj(estimates).transpose(0, 2, 1))
+    return estimates, iterations, converged, log_likelihood
+
+
 def mle_reconstruct(records: Sequence, pset: ProjectorSet,
                     cfg: MLEConfig = MLEConfig(),
                     subtract_background: float = 0.0) -> ReconstructionResult:
@@ -238,63 +348,20 @@ def mle_reconstruct(records: Sequence, pset: ProjectorSet,
     """
     if subtract_background < 0:
         raise InvalidArgumentError("subtract_background must be >= 0")
-    by_label = {(p.basis_index, p.element_index): p for p in pset.projectors}
-    kets = []
-    counts = []
-    weights = []
-    for rec in records:
-        key = (rec.basis_index, rec.element_index)
-        if key not in by_label:
-            raise InvalidArgumentError(f"record {key} has no matching projector")
-        kets.append(by_label[key].coefficients)
-        counts.append(max(rec.counts - subtract_background, 0.0))
-        weights.append(rec.exposure)
-    if not kets:
-        raise InvalidArgumentError("no count records supplied")
-    kets = np.array(kets)
-    counts = np.array(counts, dtype=float)
-    weights = np.array(weights, dtype=float)
+    kets, counts, weights = _record_arrays(records, pset, subtract_background)
     d = pset.dimension
-
     if _hermitian_span_rank(kets) < d * d:
         raise IllPosedError(
             "recorded projectors do not span the state space; "
             f"need {d * d} independent directions")
-    total = counts.sum()
-    if total <= 0:
-        raise InvalidArgumentError("total counts must be positive")
-
-    kets_conj = np.conj(kets)
-
-    def mean_log_likelihood(probs: np.ndarray) -> float:
-        weighted = weights * probs
-        terms = np.where(counts > 0, counts * np.log(np.maximum(weighted, 1e-300)), 0.0)
-        return float(terms.sum() / total - np.log(weighted.sum()))
-
-    rho = np.eye(d, dtype=complex) / d
-    identity = np.eye(d, dtype=complex)
-    lam = cfg.dilution
-    probs = np.real(np.einsum("ia,ab,ib->i", kets_conj, rho, kets))
-    trace = [mean_log_likelihood(probs)]
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        ratios = counts / (total * np.maximum(probs, 1e-300))
-        r_op = np.einsum("i,ia,ib->ab", ratios, kets, kets_conj)
-        growth = (1.0 - lam) * identity + lam * r_op
-        rho = growth @ rho @ growth.conj().T
-        rho = rho / np.trace(rho).real
-        probs = np.real(np.einsum("ia,ab,ib->i", kets_conj, rho, kets))
-        trace.append(mean_log_likelihood(probs))
-        if abs(trace[-1] - trace[-2]) < cfg.tolerance:
-            converged = True
-            break
-
-    rho = 0.5 * (rho + rho.conj().T)
-    result = ModalDensityMatrix(dimension=d, entries=rho)
+    trace = []
+    rho, iterations, converged, _ = _rrhor(kets, counts[None], weights, cfg,
+                                           history=trace)
+    result = ModalDensityMatrix(dimension=d, entries=rho[0])
     return ReconstructionResult(rho_hat=result,
-                                log_likelihood=np.array(trace),
-                                iterations=iterations, converged=converged)
+                                log_likelihood=np.concatenate(trace),
+                                iterations=int(iterations[0]),
+                                converged=bool(converged[0]))
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -335,6 +402,7 @@ class MonteCarloErrors:
     purities: np.ndarray
     fidelities: np.ndarray
     baseline: ReconstructionResult  # the fit to the observed counts
+    nonconverged: int  # resamples that hit max_iterations; still included
 
 
 def monte_carlo_errors(records: Sequence, pset: ProjectorSet,
@@ -345,25 +413,32 @@ def monte_carlo_errors(records: Sequence, pset: ProjectorSet,
     Each resample redraws every record as Poisson(n_i) and reconstructs;
     reported are the spread of the purity and of the fidelity against the
     baseline reconstruction.  All resample counts are drawn up front from
-    one seeded generator, so results do not depend on evaluation order.
+    one seeded generator and fitted together in one batched solve, each
+    under the same stop rule as a single fit, so results do not depend on
+    evaluation order.
+
+    Raises
+    ------
+    InvalidArgumentError
+        If fewer than two resamples are asked for, or a resample draws no
+        counts at all.
     """
     if resamples < 2:
         raise InvalidArgumentError(f"resamples must be >= 2, got {resamples}")
     baseline = mle_reconstruct(records, pset, cfg)
-    observed = np.array([rec.counts for rec in records], dtype=float)
+    kets, observed, weights = _record_arrays(records, pset)
     rng = np.random.default_rng(seed)
     resampled = rng.poisson(observed, size=(resamples, observed.size))
+    rhos, _, converged, _ = _rrhor(kets, resampled.astype(float), weights, cfg)
 
-    purities = np.empty(resamples)
-    fidelities = np.empty(resamples)
-    for r in range(resamples):
-        redrawn = [replace(rec, counts=int(n))
-                   for rec, n in zip(records, resampled[r])]
-        estimate = mle_reconstruct(redrawn, pset, cfg)
-        purities[r] = estimate.rho_hat.purity()
-        fidelities[r] = state_metrics(estimate.rho_hat, baseline.rho_hat).fidelity
+    purities = np.einsum("rab,rba->r", rhos, rhos).real
+    # F(estimate, baseline) = (tr sqrt(sqrt(b) r sqrt(b)))^2, symmetric in r, b
+    sqrt_base = _psd_sqrt(baseline.rho_hat.entries)
+    inner = np.linalg.eigvalsh(sqrt_base @ rhos @ sqrt_base)
+    fidelities = np.sum(np.sqrt(np.clip(inner, 0.0, None)), axis=1) ** 2
     return MonteCarloErrors(
         purity_mean=float(purities.mean()),
         purity_std=float(purities.std(ddof=1)),
         fidelity_std=float(fidelities.std(ddof=1)),
-        purities=purities, fidelities=fidelities, baseline=baseline)
+        purities=purities, fidelities=fidelities, baseline=baseline,
+        nonconverged=int(np.count_nonzero(~converged)))

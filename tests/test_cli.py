@@ -72,6 +72,10 @@ class TestConfigHandling:
         ({"phasematching": {"angle_deg": "45"}}, []),
         ({"tomography": {"resamples": 2.5}}, []),
         ({"tomography": {"seed": True}}, []),
+        # Poisson means numpy cannot sample (json writes inf as Infinity)
+        ({"tomography": {"flux": float("inf")}}, []),
+        ({"tomography": {"background": float("inf")}}, []),
+        ({"tomography": {"flux": 1e300}}, []),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, command, content,
                                      flags):
@@ -96,6 +100,19 @@ class TestConfigHandling:
             config.pump.fwhm_nm = 0.54
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.pump = presets.PumpConfig(fwhm_nm=0.54)
+
+    def test_list_fields_are_frozen(self):
+        config = presets.merge_overrides(
+            presets.preset_config("a"), {"qpg": {"per_order_falloff": [1.0, 0.5]}})
+        assert config.output.formats == ("json", "csv")
+        assert config.qpg.per_order_falloff == (1.0, 0.5)
+        with pytest.raises(AttributeError):
+            config.output.formats.clear()
+        with pytest.raises(TypeError):
+            config.qpg.per_order_falloff[0] = 0.0
+        assert config.to_dict()["output"]["formats"] == ["json", "csv"]
+        assert dataclasses.replace(config.output, directory="x").formats \
+            == ("json", "csv")
 
     @pytest.mark.parametrize("case, pump, angle_deg", [
         ("a", {"shape_order": 0, "center_nm": 769.0, "fwhm_nm": 1.72,
@@ -288,6 +305,16 @@ class TestPipelineSubcommands:
                      "--out", str(tmp_path)]) == 0
         boot = json.loads((tmp_path / "bootstrap.json").read_text())
         assert boot["purity_std"] >= 0.0
+
+    @pytest.mark.parametrize("flag", [["--flux", "inf"], ["--flux", "1e300"],
+                                      ["--background", "inf"]])
+    def test_unsampleable_counts_exit_2(self, tmp_path, capsys, flag):
+        main(["rho", "-d", "3", "--grid-count", "64", "--out", str(tmp_path)])
+        rc = main(["tomo", "simulate", "--rho", str(tmp_path / "rho.json"),
+                   *flag, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "Poisson means" in capsys.readouterr().err
+        assert not (tmp_path / "counts.csv").exists()
 
     def test_nonconvergence_exits_3(self, tmp_path):
         main(["rho", "--grid-count", "160", "--out", str(tmp_path)])

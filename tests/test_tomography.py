@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from tmsim import presets
 from tmsim import (
     CountRecord,
     IllPosedError,
@@ -18,7 +21,8 @@ from tmsim import (
     simulate_counts,
     state_metrics,
 )
-from tmsim.tomography import _hermitian_span_rank
+from tmsim.pdc import reduced_density_matrix, schmidt_decompose
+from tmsim.tomography import _hermitian_span_rank, _record_arrays, _rrhor
 
 
 def random_rho(seed, d=7, k=14):
@@ -295,3 +299,87 @@ class TestMonteCarloErrors:
         records = simulate_counts(random_rho(0), pset, flux=1e3, seed=1)
         with pytest.raises(InvalidArgumentError):
             monte_carlo_errors(records, pset, resamples=1, seed=0)
+
+
+@pytest.fixture(scope="module")
+def preset_records():
+    """Simulated counts of the preset a and b states, as `preset` draws them."""
+    records = {}
+    for case in "ab":
+        config = presets.preset_config(case)
+        dec = schmidt_decompose(presets.build_state(config), max_modes=20)
+        rho = reduced_density_matrix(dec, presets.tomography_basis(config),
+                                     config.basis.dimension)
+        records[case] = simulate_counts(rho, mub_bases(7),
+                                        flux=config.tomography.flux,
+                                        seed=config.tomography.seed)
+    return records
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("case", "ab")
+    def test_rows_match_one_fit_per_record_set(self, preset_records, case):
+        # the reference is the per-resample loop the bootstrap used to run
+        pset = mub_bases(7)
+        records = preset_records[case]
+        kets, observed, weights = _record_arrays(records, pset)
+        for seed in (1, 2, 3):
+            counts = np.random.default_rng(seed).poisson(
+                observed, size=(4, observed.size))
+            rhos, iterations, converged, _ = _rrhor(
+                kets, counts.astype(float), weights, MLEConfig())
+            assert converged.all()
+            for row, rho, count in zip(counts, rhos, iterations):
+                single = mle_reconstruct(
+                    [replace(rec, counts=int(n)) for rec, n in zip(records, row)],
+                    pset)
+                assert count == single.iterations
+                assert np.abs(rho - single.rho_hat.entries).max() <= 1e-13
+
+    def test_stopped_rows_are_left_unchanged(self):
+        pset = mub_bases(7)
+        records = simulate_counts(random_rho(3), pset, flux=1e4, seed=5)
+        kets, observed, weights = _record_arrays(records, pset)
+        counts = np.random.default_rng(0).poisson(
+            observed, size=(8, observed.size)).astype(float)
+        full = _rrhor(kets, counts, weights, MLEConfig())
+        first = int(full[1].argmin())
+        stop = int(full[1][first])
+        later = full[1] > stop
+        assert later.any()
+        # cut every row off at the first stop: up to there both runs did
+        # the same arithmetic, so the rest of the full run never touched it
+        cut = _rrhor(kets, counts, weights, MLEConfig(max_iterations=stop))
+        np.testing.assert_array_equal(cut[0][first], full[0][first])
+        assert cut[1][first] == stop and cut[2][first]
+        assert not cut[2][later].any()
+
+    def test_history_is_the_log_likelihood_trace(self):
+        pset = mub_bases(7)
+        records = simulate_counts(random_rho(2), pset, flux=1e4, seed=4)
+        result = mle_reconstruct(records, pset)
+        assert result.log_likelihood.shape == (result.iterations + 1,)
+        kets, counts, weights = _record_arrays(records, pset)
+        _, _, _, final = _rrhor(kets, counts[None], weights, MLEConfig())
+        assert final[0] == result.log_likelihood[-1]
+
+    def test_nonconverged_resamples_counted(self):
+        pset = mub_bases(7)
+        records = simulate_counts(random_rho(1), pset, flux=1e4, seed=2)
+        capped = monte_carlo_errors(records, pset, MLEConfig(max_iterations=5),
+                                    resamples=4, seed=3)
+        assert capped.nonconverged == 4
+        assert np.isfinite(capped.purities).all()  # still in the statistics
+        assert monte_carlo_errors(records, pset, resamples=4,
+                                  seed=3).nonconverged == 0
+
+    def test_zero_total_resample_raises(self):
+        pset = mub_bases(7)
+        records = [CountRecord(p.basis_index, p.element_index, int(i == 0))
+                   for i, p in enumerate(pset.projectors)]
+        # Poisson(1) draws nothing with probability 1/e
+        draws = np.random.default_rng(0).poisson([1.0] + [0.0] * 55, size=(20, 56))
+        assert (draws.sum(axis=1) == 0).any()
+        with pytest.raises(InvalidArgumentError, match="total counts"):
+            monte_carlo_errors(records, pset, MLEConfig(max_iterations=50),
+                               resamples=20, seed=0)
