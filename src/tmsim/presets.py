@@ -556,7 +556,5 @@ def chirp_scan(chirp_values, config: Optional[ExperimentConfig] = None,
 def chirp_scan_csv(rows) -> str:
     columns = ["chirp_fs2", "analytic_purity", "svd_purity", "g2",
                "g2_background_mixed"]
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(serialize.format_float(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+    return serialize.float_rows_to_csv(",".join(columns),
+                                       [[row[c] for c in columns] for row in rows])

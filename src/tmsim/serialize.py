@@ -1,7 +1,10 @@
 """Byte-stable serialization of toolkit objects to JSON and CSV.
 
 All floating-point data is rendered as %.12e with sorted JSON keys, so
-identical inputs always produce identical bytes.
+identical inputs always produce identical bytes.  Float arrays are filled
+in block-wise: one string ``%`` call fills a template of %.12e slots with
+every value of the array (``_fill``), which gives the same bytes as
+``format_float`` per value at a fraction of the Python calls.
 """
 
 from __future__ import annotations
@@ -21,6 +24,28 @@ FLOAT_FORMAT = "%.12e"
 
 def format_float(value: float) -> str:
     return FLOAT_FORMAT % float(value)
+
+
+def _fill(template: str, values) -> str:
+    """Fill the FLOAT_FORMAT slots of ``template`` with ``values`` in C
+    order, in one ``%`` call."""
+    return template % tuple(np.asarray(values, dtype=float).ravel().tolist())
+
+
+def _json_template(shape: tuple) -> str:
+    """A JSON array of FLOAT_FORMAT slots nested to ``shape``."""
+    template = FLOAT_FORMAT
+    for size in reversed(shape):
+        template = "[" + ",".join([template] * size) + "]"
+    return template
+
+
+def float_rows_to_csv(header: str, rows) -> str:
+    """``header``, then one line per row of ``rows``, one float per column
+    the header names."""
+    values = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
+    line = "\n" + ",".join([FLOAT_FORMAT] * values.shape[1])
+    return header + _fill(line * len(values), values) + "\n"
 
 
 def dump_json(obj) -> str:
@@ -52,7 +77,14 @@ def _render_json(obj, parts) -> None:
             parts.append(json.dumps(key) + ":")
             _render_json(obj[key], parts)
         parts.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            parts.append(_fill(_json_template(obj.shape), obj))
+        else:
+            # integers, booleans and non-finite floats (null) element-wise;
+            # a 0-d array becomes its scalar
+            _render_json(obj.tolist(), parts)
+    elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for i, item in enumerate(obj):
             if i:
@@ -76,8 +108,8 @@ def grid_from_dict(data: dict) -> FrequencyGrid:
 
 def spectrum_to_dict(spectrum: ComplexSpectrum) -> dict:
     return {"grid": grid_to_dict(spectrum.grid),
-            "re": spectrum.amplitudes.real.tolist(),
-            "im": spectrum.amplitudes.imag.tolist()}
+            "re": spectrum.amplitudes.real,
+            "im": spectrum.amplitudes.imag}
 
 
 def spectrum_from_dict(data: dict) -> ComplexSpectrum:
@@ -87,30 +119,30 @@ def spectrum_from_dict(data: dict) -> ComplexSpectrum:
 
 
 def spectrum_to_csv(spectrum: ComplexSpectrum) -> str:
-    lines = ["omega_rad_per_fs,real,imag"]
-    for w, a in zip(spectrum.grid.points, spectrum.amplitudes):
-        lines.append(f"{format_float(w)},{format_float(a.real)},{format_float(a.imag)}")
-    return "\n".join(lines) + "\n"
+    amp = spectrum.amplitudes
+    return float_rows_to_csv("omega_rad_per_fs,real,imag",
+                             np.column_stack([spectrum.grid.points, amp.real, amp.imag]))
 
 
 def jsa_to_dict(jsa: JointSpectralAmplitude) -> dict:
     return {"signal_grid": grid_to_dict(jsa.signal_grid),
             "idler_grid": grid_to_dict(jsa.idler_grid),
-            "re": jsa.amplitudes.real.tolist(),
-            "im": jsa.amplitudes.imag.tolist()}
+            "re": jsa.amplitudes.real,
+            "im": jsa.amplitudes.imag}
 
 
 def _grid_pair_csv(header: str, row_grid: FrequencyGrid, col_grid: FrequencyGrid,
                    *columns: np.ndarray) -> str:
     """One line per grid point: the row and column frequencies, then each
-    (row count, column count) array's value there."""
-    col_points = [format_float(w) for w in col_grid.points]
+    (row count, column count) array's value there.  A grid row is one fill
+    of a template that holds its frequencies already formatted."""
+    slots = ("," + FLOAT_FORMAT) * len(columns)
+    cells = [f",{format_float(w)}{slots}" for w in col_grid.points]
+    values = np.stack(columns, axis=-1)  # one grid row's cells, interleaved
     lines = [header]
-    for w_row, *rows in zip(row_grid.points, *columns):
+    for w_row, row in zip(row_grid.points, values):
         prefix = format_float(w_row)
-        cells = zip(col_points, *([format_float(v) for v in row.tolist()]
-                                  for row in rows))
-        lines.extend(f"{prefix},{','.join(cell)}" for cell in cells)
+        lines.append(_fill(prefix + ("\n" + prefix).join(cells), row))
     return "\n".join(lines) + "\n"
 
 
@@ -132,8 +164,8 @@ def mapping_to_csv(xi: MappingFunction) -> str:
 
 def density_to_dict(rho: ModalDensityMatrix) -> dict:
     return {"d": rho.dimension,
-            "re": rho.entries.real.tolist(),
-            "im": rho.entries.imag.tolist(),
+            "re": rho.entries.real,
+            "im": rho.entries.imag,
             "leakage": rho.leakage}
 
 
@@ -145,7 +177,7 @@ def density_from_dict(data: dict) -> ModalDensityMatrix:
 
 
 def schmidt_to_dict(dec: SchmidtDecomposition) -> dict:
-    return {"weights": dec.weights.tolist(),
+    return {"weights": dec.weights,
             "residual_weight": dec.residual_weight}
 
 
@@ -159,8 +191,8 @@ def projector_set_to_dict(pset: ProjectorSet) -> dict:
     return {"dimension": pset.dimension,
             "projectors": [{"basis_index": p.basis_index,
                             "element_index": p.element_index,
-                            "re": p.coefficients.real.tolist(),
-                            "im": p.coefficients.imag.tolist()}
+                            "re": p.coefficients.real,
+                            "im": p.coefficients.imag}
                            for p in pset.projectors]}
 
 
@@ -198,13 +230,13 @@ def count_records_to_dict(records) -> dict:
 
 
 def selectivity_report_to_dict(report: SelectivityReport) -> dict:
-    return {"schmidt_weights": report.schmidt_weights.tolist(),
+    return {"schmidt_weights": report.schmidt_weights,
             "separability": report.separability}
 
 
 def filter_result_to_dict(result: ModeFilterResult) -> dict:
-    return {"transmitted_weights": result.transmitted_weights.tolist(),
-            "upconverted_weights": result.upconverted_weights.tolist(),
+    return {"transmitted_weights": result.transmitted_weights,
+            "upconverted_weights": result.upconverted_weights,
             "transmitted_g2": result.transmitted_g2,
             "upconverted_g2": result.upconverted_g2,
             "transmitted_fraction": result.transmitted_fraction,
