@@ -31,6 +31,7 @@ from .pdc import (
     purity_from_schmidt,
     reduced_density_matrix,
     schmidt_decompose,
+    schmidt_purity,
     schmidt_weights,
 )
 from .qpg import (

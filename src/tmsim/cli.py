@@ -22,9 +22,9 @@ from . import presets, serialize
 from .errors import IllPosedError, InvalidArgumentError, ToolkitError
 from .pdc import (
     g2_from_purity,
-    purity_from_schmidt,
     reduced_density_matrix,
     schmidt_decompose,
+    schmidt_purity,
 )
 from .qpg import (
     FilterSpec,
@@ -178,7 +178,7 @@ def _cmd_schmidt(args) -> int:
     config = _resolve_config(args)
     jsa = presets.build_state(config)
     dec = schmidt_decompose(jsa, max_modes=args.max_modes)
-    purity = purity_from_schmidt(dec)
+    purity = schmidt_purity(jsa)
     payload = dict(serialize.schmidt_to_dict(dec),
                    purity=purity, g2=g2_from_purity(purity))
     _write(Path(args.out) / "schmidt.json", serialize.dump_json(payload))

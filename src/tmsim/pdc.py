@@ -82,7 +82,7 @@ class JointSpectralAmplitude:
             raise InvalidArgumentError(
                 f"amplitude array shape {amp.shape} does not match grids {expected}")
         total = np.sum(np.abs(amp) ** 2) * self.cell_area
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise InvalidArgumentError(
                 f"joint amplitude not normalized: weight {total!r}")
         amp.flags.writeable = False
@@ -181,7 +181,7 @@ class SchmidtDecomposition:
             raise InvalidArgumentError("weights must be non-negative")
         if np.any(np.diff(w) > 1e-12):
             raise InvalidArgumentError("weights must be sorted in descending order")
-        if abs(w.sum() - 1.0) > 1e-8:
+        if not abs(w.sum() - 1.0) <= 1e-8:
             raise InvalidArgumentError(f"weights must sum to 1, got {w.sum()!r}")
         if not (len(self.signal_modes) == len(self.idler_modes) == w.size):
             raise InvalidArgumentError("one signal and one idler mode per weight")
@@ -240,11 +240,25 @@ def schmidt_weights(jsa: JointSpectralAmplitude) -> np.ndarray:
     """All normalized Schmidt weights, without building mode functions.
 
     Cheaper than :func:`schmidt_decompose` when only the weight spectrum
-    (purity, effective mode number) is needed; nothing is truncated.
+    is needed; nothing is truncated.  For the purity alone use
+    :func:`schmidt_purity`, which needs no SVD.
     """
     svals = np.linalg.svd(jsa.amplitudes, compute_uv=False)
     gamma = svals**2 * jsa.cell_area
     return gamma / gamma.sum()
+
+
+def schmidt_purity(jsa: JointSpectralAmplitude) -> float:
+    """Purity sum_k gamma_k^2 over all Schmidt weights, without an SVD.
+
+    With G the Gram matrix of the sampled amplitude over its shorter axis,
+    the squared singular values are the eigenvalues of G, so
+    sum s^4 = ||G||_F^2 and sum s^2 = tr G.  Their ratio is the purity of
+    the untruncated, normalized weights; the cell area cancels.
+    """
+    a = jsa.amplitudes
+    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
+    return float(np.vdot(gram, gram).real / np.trace(gram).real ** 2)
 
 
 def jsi_marginal_sigmas(jsa: JointSpectralAmplitude) -> tuple:
@@ -265,6 +279,7 @@ def purity_from_schmidt(dec: SchmidtDecomposition) -> float:
 
     Truncation biases this upward by at most ~2 x residual_weight; the
     residual is available on the decomposition for error bookkeeping.
+    :func:`schmidt_purity` gives the untruncated value.
     """
     return float(np.sum(dec.weights**2))
 
@@ -298,14 +313,14 @@ class ModalDensityMatrix:
         if mat.shape != (d, d):
             raise InvalidArgumentError(
                 f"expected a {d}x{d} matrix, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
+        if not np.max(np.abs(mat - mat.conj().T)) <= 1e-10:
             raise InvalidArgumentError("density matrix must be Hermitian")
         eigenvalues = np.linalg.eigvalsh(mat)
         if eigenvalues.min() < -1e-8:
             raise InvalidArgumentError(
                 f"density matrix must be positive semidefinite; "
                 f"smallest eigenvalue {eigenvalues.min():.3e}")
-        if abs(np.trace(mat).real - 1.0) > 1e-8:
+        if not abs(np.trace(mat).real - 1.0) <= 1e-8:
             raise InvalidArgumentError(
                 f"density matrix trace must be 1, got {np.trace(mat).real!r}")
         mat.flags.writeable = False

@@ -35,7 +35,7 @@ from .pdc import (
     background_mixed_g2,
     reduced_density_matrix,
     schmidt_decompose,
-    schmidt_weights,
+    schmidt_purity,
 )
 from .qpg import FilterSpec, SelectivityModel, apply_mode_filter
 from .spectral import (
@@ -408,8 +408,7 @@ def run_preset(case: str, config: Optional[ExperimentConfig] = None,
 
     jsa = build_state(config)
     dec = schmidt_decompose(jsa, max_modes=20)
-    all_weights = schmidt_weights(jsa)
-    svd_purity = float(np.sum(all_weights**2))
+    svd_purity = schmidt_purity(jsa)
     sigma_s, sigma_i = jsi_marginal_sigmas(jsa)
     analytic_purity = chirp_purity_analytic(config.pump.chirp_fs2, sigma_s, sigma_i)
     g2 = g2_from_purity(svd_purity)
@@ -524,7 +523,7 @@ def chirp_scan(chirp_values, config: Optional[ExperimentConfig] = None,
     """Purity and g2 versus pump chirp for the configured source.
 
     Each row carries the closed-form purity evaluated at the state's
-    marginal widths, the purity from the weight spectrum, the implied g2
+    marginal widths, the purity of the full Schmidt spectrum, the implied g2
     and the g2 after admixing a Poissonian background of the given count
     fraction.  The spectral intensity (hence the marginals) is chirp
     independent; only the phase changes.
@@ -538,8 +537,7 @@ def chirp_scan(chirp_values, config: Optional[ExperimentConfig] = None,
     for chirp in chirp_values:
         run_cfg = merge_overrides(config, {"pump": {"chirp_fs2": float(chirp)}})
         jsa = build_state(run_cfg)
-        weights = schmidt_weights(jsa)
-        svd_purity = float(np.sum(weights**2))
+        svd_purity = schmidt_purity(jsa)
         sigma_s, sigma_i = jsi_marginal_sigmas(jsa)
         analytic = chirp_purity_analytic(float(chirp), sigma_s, sigma_i)
         g2 = g2_from_purity(svd_purity)

@@ -31,7 +31,7 @@ class MappingFunction:
                 f"values shape {vals.shape} does not match grids {expected}")
         weight = (np.sum(np.abs(vals) ** 2)
                   * self.input_grid.spacing * self.output_grid.spacing)
-        if abs(weight - 1.0) > 1e-10:
+        if not abs(weight - 1.0) <= 1e-10:
             raise InvalidArgumentError(
                 f"mapping function not normalized: weight {weight!r}")
         vals.flags.writeable = False
@@ -139,7 +139,7 @@ def _as_unit_mode(mode: Sequence, dimension: int) -> np.ndarray:
         raise InvalidArgumentError(
             f"mode has shape {vec.shape}, expected ({dimension},)")
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise InvalidArgumentError(f"mode must be unit norm, got |mode| = {norm!r}")
     return vec
 
@@ -193,7 +193,7 @@ class FilterSpec:
     def __post_init__(self):
         vec = np.array(self.mode, dtype=complex)
         norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise InvalidArgumentError(
                 f"filter mode must be unit norm, got |mode| = {norm!r}")
         if not 0.0 <= self.efficiency <= 1.0:
@@ -233,8 +233,9 @@ def apply_mode_filter(weights: Sequence, mode_coefficients: np.ndarray,
         If any mode loses more than 1e-3 of its norm in the truncated basis.
     """
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0 or np.any(w < 0) or w.sum() <= 0:
-        raise InvalidArgumentError("weights must be non-negative with positive sum")
+    if w.ndim != 1 or w.size == 0 or not (np.all(w >= 0) and 0 < w.sum() < np.inf):
+        raise InvalidArgumentError(
+            "weights must be finite and non-negative with positive sum")
     coeffs = np.asarray(mode_coefficients, dtype=complex)
     if coeffs.shape[0] != w.size:
         raise InvalidArgumentError(

@@ -31,7 +31,7 @@ class Projector:
         vec = np.array(self.coefficients, dtype=complex)
         if vec.ndim != 1:
             raise InvalidArgumentError("projector coefficients must be 1-D")
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(vec) - 1.0) <= 1e-12:
             raise InvalidArgumentError(
                 f"projector ({self.basis_index}, {self.element_index}) is not "
                 f"unit norm: {np.linalg.norm(vec)!r}")
@@ -153,7 +153,7 @@ def expected_counts(rho: ModalDensityMatrix, pset: ProjectorSet,
     """
     if not flux > 0:
         raise InvalidArgumentError(f"flux must be positive, got {flux}")
-    if background < 0:
+    if not background >= 0:
         raise InvalidArgumentError(f"background must be >= 0, got {background}")
     if exposures is None:
         exposures = np.ones(len(pset.projectors))
@@ -346,7 +346,7 @@ def mle_reconstruct(records: Sequence, pset: ProjectorSet,
     InvalidArgumentError
         If the records carry no counts at all.
     """
-    if subtract_background < 0:
+    if not subtract_background >= 0:
         raise InvalidArgumentError("subtract_background must be >= 0")
     kets, counts, weights = _record_arrays(records, pset, subtract_background)
     d = pset.dimension

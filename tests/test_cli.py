@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tmsim import presets
+from tmsim import presets, schmidt_purity
 from tmsim.cli import _overrides_from_args, build_parser, main
 from tmsim.errors import InvalidArgumentError
 from tmsim.tomography import MLEConfig
@@ -253,6 +253,21 @@ class TestPipelineSubcommands:
         rho = json.loads((tmp_path / "rho.json").read_text())
         assert rho["d"] == 7
         assert rho["re"][0][0] == pytest.approx(1.0, abs=0.01)
+
+    def test_schmidt_reports_untruncated_purity(self, tmp_path):
+        flags = ["--pump-fwhm-nm", "0.54", "--grid-count", "96"]
+        assert main(["schmidt", *flags, "--max-modes", "2",
+                     "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "schmidt.json").read_text())
+        assert data["residual_weight"] > 1e-3
+        config = presets.merge_overrides(
+            presets.ExperimentConfig(),
+            {"pump": {"fwhm_nm": 0.54}, "grid": {"count": 96}})
+        purity = schmidt_purity(presets.build_state(config))
+        truncated = float(np.sum(np.array(data["weights"]) ** 2))
+        assert data["purity"] == pytest.approx(purity, rel=1e-12)
+        assert truncated > purity + 1e-3
+        assert data["g2"] == pytest.approx(1.0 + purity, rel=1e-12)
 
     def test_same_input_twice_byte_identical(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

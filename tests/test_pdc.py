@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tmsim import (
     BasisMismatchError,
@@ -8,7 +12,9 @@ from tmsim import (
     HermiteGaussParams,
     InvalidArgumentError,
     JointSpectralAmplitude,
+    ModalDensityMatrix,
     PhasematchingModel,
+    SchmidtDecomposition,
     apply_chirp,
     background_mixed_g2,
     build_jsa,
@@ -25,8 +31,10 @@ from tmsim import (
     purity_from_schmidt,
     reduced_density_matrix,
     schmidt_decompose,
+    schmidt_purity,
     schmidt_weights,
 )
+from tmsim import presets
 
 # decorrelated-source parameters: 1.72 nm pump at 769 nm
 PUMP_SIGMA = np.sqrt(2.0) * convert_bandwidth(769.0, 1.72).sigma_omega
@@ -115,6 +123,38 @@ class TestBuildJsa:
         assert overlap > 0.9
 
 
+NAN_ARRAY = np.full((3, 4), np.nan)
+NAN_NEXT_TO_INF = np.array([[np.nan, np.inf, 0.0, 0.0],
+                            [0.0, 0.0, 0.0, 0.0],
+                            [0.0, 0.0, 0.0, 0.0]])
+
+
+class TestNonFiniteRejected:
+    """NaN compares False against any tolerance, so every check must be
+    written to pass only on a finite value within it."""
+
+    @pytest.mark.parametrize("values", [NAN_ARRAY, NAN_NEXT_TO_INF])
+    def test_joint_amplitude(self, values):
+        grids = make_grid(0.0, 1.0, 3), make_grid(0.0, 1.0, 4)
+        with pytest.raises(InvalidArgumentError, match="not normalized"):
+            JointSpectralAmplitude(*grids, values)
+
+    @pytest.mark.parametrize("weights", [[np.nan], [np.inf, np.nan]])
+    def test_schmidt_weights(self, weights):
+        grid = make_grid(0.0, 16.0, 64)
+        modes = [hg_mode(HermiteGaussParams(0, 0.0, 1.0), grid)] * len(weights)
+        with pytest.raises(InvalidArgumentError):
+            SchmidtDecomposition(weights=weights, signal_modes=modes,
+                                 idler_modes=modes)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("entries", [np.full((2, 2), np.nan),
+                                         np.array([[np.nan, 0.0], [0.0, np.inf]])])
+    def test_density_matrix(self, entries):
+        with pytest.raises(InvalidArgumentError):
+            ModalDensityMatrix(dimension=2, entries=entries)
+
+
 class TestSchmidtDecompose:
     def test_rank_one_input(self):
         dec = schmidt_decompose(product_jsa(), max_modes=5)
@@ -177,12 +217,134 @@ class TestPurityAndG2:
             g2_from_purity(-0.1)
 
 
+def _normalized(values, cell_area):
+    """A normalized kernel carrying the two attributes the weight and purity
+    functions read; it also takes 1 x n and n x 1 shapes, which no frequency
+    grid pair can (a grid needs two points)."""
+    return SimpleNamespace(
+        amplitudes=values / (np.linalg.norm(values) * np.sqrt(cell_area)),
+        cell_area=cell_area)
+
+
+_ENTRY = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def kernels(draw):
+    """Random complex kernels: full-rank, rank-one or rank-one plus a 1e-7
+    perturbation, in square, tall, wide and single-row/column shapes."""
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["full", "rank-one", "near-rank-one"]))
+    if kind == "full":
+        values = draw(hnp.arrays(np.complex128, (rows, cols), elements=_ENTRY))
+    else:
+        u = draw(hnp.arrays(np.complex128, rows, elements=_ENTRY))
+        v = draw(hnp.arrays(np.complex128, cols, elements=_ENTRY))
+        values = np.outer(u, v)
+        if kind == "near-rank-one":
+            values = values + 1e-7 * draw(
+                hnp.arrays(np.complex128, (rows, cols), elements=_ENTRY))
+    assume(np.linalg.norm(values) > 0)
+    return _normalized(values, draw(st.floats(1e-6, 1e3)))
+
+
+def _spectrum_purity(jsa) -> float:
+    return float(np.sum(schmidt_weights(jsa) ** 2))
+
+
+class TestSchmidtPurity:
+    @settings(max_examples=200, deadline=None)
+    @given(kernels())
+    @example(_normalized(np.ones((1, 7), dtype=complex), 1.0))
+    @example(_normalized(np.ones((7, 1), dtype=complex), 0.3))
+    @example(_normalized(np.eye(5, dtype=complex), 2.0))
+    @example(_normalized(np.arange(12, dtype=complex).reshape(3, 4) ** 2, 1e-4))
+    def test_matches_weight_spectrum(self, jsa):
+        assert schmidt_purity(jsa) == pytest.approx(_spectrum_purity(jsa), rel=1e-12)
+
+    @pytest.mark.parametrize("case", "abcd")
+    def test_presets(self, case):
+        jsa = presets.build_state(presets.preset_config(case))
+        assert jsa.amplitudes.shape == (512, 512)
+        assert schmidt_purity(jsa) == pytest.approx(_spectrum_purity(jsa), rel=1e-12)
+
+
+# the chirp values of the chirp-scan-1024 benchmark workload
+SCAN_A_VALUES = (0.0, 1e5, 2e5, 3.8e5, 6e5, 1e6)
+
+
+def reference_chirp_scan(chirp_values, config, background_fraction=0.04):
+    """The scan loop as written before ``schmidt_purity``: purity from the
+    full SVD weight spectrum."""
+    rows = []
+    for chirp in chirp_values:
+        run_cfg = presets.merge_overrides(config, {"pump": {"chirp_fs2": float(chirp)}})
+        jsa = presets.build_state(run_cfg)
+        weights = schmidt_weights(jsa)
+        svd_purity = float(np.sum(weights**2))
+        sigma_s, sigma_i = jsi_marginal_sigmas(jsa)
+        analytic = chirp_purity_analytic(float(chirp), sigma_s, sigma_i)
+        g2 = g2_from_purity(svd_purity)
+        mixed = background_mixed_g2(g2, 1.0 - background_fraction,
+                                    background_fraction)
+        rows.append({"chirp_fs2": float(chirp),
+                     "analytic_purity": analytic,
+                     "svd_purity": svd_purity,
+                     "g2": g2,
+                     "g2_background_mixed": mixed})
+    return rows
+
+
+class TestChirpScanRows:
+    """The 1024 x 1024 scan of the benchmark, against the SVD loop."""
+
+    config = presets.merge_overrides(presets.preset_config("a"),
+                                     {"grid": {"count": 1024}})
+
+    @pytest.fixture(scope="class")
+    def scans(self):
+        return (presets.chirp_scan(SCAN_A_VALUES, self.config),
+                reference_chirp_scan(SCAN_A_VALUES, self.config))
+
+    def test_purity_matches_weight_spectrum(self, scans):
+        rows, reference = scans
+        assert [r["svd_purity"] for r in rows] == pytest.approx(
+            [r["svd_purity"] for r in reference], rel=1e-12)
+
+    def test_rows_match_reference_loop(self, scans):
+        rows, reference = scans
+        assert [list(r) for r in rows] == [list(r) for r in reference]
+        for row, ref in zip(rows, reference):
+            assert row["chirp_fs2"] == ref["chirp_fs2"]
+            assert row["analytic_purity"] == ref["analytic_purity"]
+            for key in ("svd_purity", "g2", "g2_background_mixed"):
+                assert row[key] == pytest.approx(ref[key], rel=1e-12)
+
+
+class TestPurityBenchmarks:
+    """Purity from the Gram identity against the full weight spectrum on a
+    512 x 512 joint amplitude; pytest-benchmark prints both with
+    ``pytest --benchmark-only -k purity``."""
+
+    jsa = presets.build_state(presets.preset_config("b"))
+
+    def test_schmidt_purity(self, benchmark):
+        purity = benchmark.pedantic(schmidt_purity, args=(self.jsa,),
+                                    rounds=3, iterations=1)
+        assert 0.0 < purity < 1.0
+
+    def test_schmidt_weights(self, benchmark):
+        weights = benchmark.pedantic(schmidt_weights, args=(self.jsa,),
+                                     rounds=3, iterations=1)
+        assert weights.size == 512
+
+
 def _dec(weights):
     """Minimal decomposition carrying only weights (modes unused)."""
     grid = make_grid(0.0, 16.0, 64)
     modes = [hg_mode(HermiteGaussParams(order=k, center=0.0, width=1.0), grid)
              for k in range(len(weights))]
-    from tmsim import SchmidtDecomposition
     return SchmidtDecomposition(weights=np.array(sorted(weights, reverse=True),
                                                  dtype=float),
                                 signal_modes=modes, idler_modes=modes)

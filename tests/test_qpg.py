@@ -277,3 +277,34 @@ class TestApplyModeFilter:
             FilterSpec(mode=[1.0, 1.0], efficiency=0.2)
         with pytest.raises(InvalidArgumentError):
             FilterSpec(mode=[1.0, 0.0], efficiency=1.2)
+
+
+NAN_ARRAY = np.full((3, 4), np.nan)
+NAN_NEXT_TO_INF = np.array([[np.nan, np.inf, 0.0, 0.0],
+                            [0.0, 0.0, 0.0, 0.0],
+                            [0.0, 0.0, 0.0, 0.0]])
+
+
+class TestNonFiniteRejected:
+    """NaN compares False against any tolerance, so every check must be
+    written to pass only on a finite value within it."""
+
+    @pytest.mark.parametrize("values", [NAN_ARRAY, NAN_NEXT_TO_INF])
+    def test_mapping_function(self, values):
+        grids = make_grid(0.0, 1.0, 3), make_grid(0.0, 1.0, 4)
+        with pytest.raises(InvalidArgumentError, match="not normalized"):
+            MappingFunction(*grids, values)
+
+    @pytest.mark.parametrize("mode", [[np.nan, np.nan], [np.nan, np.inf]])
+    def test_modes(self, mode):
+        with pytest.raises(InvalidArgumentError, match="unit norm"):
+            FilterSpec(mode=mode, efficiency=0.2)
+        rho = ModalDensityMatrix(dimension=2, entries=np.eye(2) / 2.0)
+        with pytest.raises(InvalidArgumentError, match="unit norm"):
+            project_probability(rho, mode)
+
+    @pytest.mark.parametrize("weights", [[np.nan, 0.2], [np.inf, 0.2]])
+    def test_filter_weights(self, weights):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            apply_mode_filter(weights, np.eye(2),
+                              FilterSpec(mode=[1.0, 0.0], efficiency=0.2))

@@ -93,6 +93,11 @@ class TestMubBases:
                 Projector(0, 0, good[0]),
                 Projector(0, 1, np.array([1, 1]) / np.sqrt(2))))
 
+    @pytest.mark.parametrize("vector", [[np.nan, np.nan], [np.nan, np.inf]])
+    def test_non_finite_projector_rejected(self, vector):
+        with pytest.raises(InvalidArgumentError, match="unit norm"):
+            Projector(0, 0, np.array(vector))
+
 
 class TestSimulateCounts:
     def test_deterministic_per_seed(self):
@@ -197,6 +202,14 @@ class TestMleReconstruct:
         plain = mle_reconstruct(records, pset)
         cleaned = mle_reconstruct(records, pset, subtract_background=50.0)
         assert cleaned.rho_hat.purity() > plain.rho_hat.purity()
+
+    def test_nan_background_rejected(self):
+        pset = mub_bases(3)
+        records = simulate_counts(pure_state(0, d=3), pset, flux=1e3, seed=7)
+        with pytest.raises(InvalidArgumentError, match="background"):
+            simulate_counts(pure_state(0, d=3), pset, flux=1e3, background=np.nan)
+        with pytest.raises(InvalidArgumentError, match="subtract_background"):
+            mle_reconstruct(records, pset, subtract_background=np.nan)
 
     def test_crosstalk_bias_direction(self):
         # simulating with crosstalk but fitting without it caps the purity
