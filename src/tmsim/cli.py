@@ -243,8 +243,8 @@ def _cmd_qpg_project(args) -> int:
 
 
 def _cmd_qpg_filter(args) -> int:
+    # apply_mode_filter rejects negative weights and renormalizes both arms
     weights = np.array(_parse_float_list(args.weights))
-    weights = weights / weights.sum()
     dimension = weights.size
     mode = _mode_vector(args.filter_order, args.filter_coeffs, dimension)
     result = apply_mode_filter(weights, np.eye(dimension, dtype=complex),

@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
 import json
+import runpy
+import sys
 import typing
 from pathlib import Path
 
@@ -331,6 +333,28 @@ class TestPipelineSubcommands:
         assert "Poisson means" in capsys.readouterr().err
         assert not (tmp_path / "counts.csv").exists()
 
+    @pytest.mark.parametrize("command", [["reconstruct"], ["bootstrap", "--resamples", "2"]])
+    @pytest.mark.parametrize("line, message", [
+        ("0,0,5", "line 3: expected 4 fields, got 3"),
+        ("0,0,x,1.0", "line 3: invalid literal for int"),
+    ])
+    def test_malformed_counts_exit_2(self, tmp_path, capsys, command, line, message):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(f"basis_index,element_index,counts,exposure\n"
+                          f"0,1,4,1.0\n{line}\n")
+        rc = main(["tomo", *command, "--counts", str(counts), "-d", "3",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights", ["-0.8,-0.2", "0.5,-0.1", "0,0"])
+    def test_qpg_filter_rejects_bad_weights(self, tmp_path, capsys, weights):
+        rc = main(["qpg", "filter", f"--weights={weights}", "--filter-order", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "filter.json").exists()
+
     def test_nonconvergence_exits_3(self, tmp_path):
         main(["rho", "--grid-count", "160", "--out", str(tmp_path)])
         main(["tomo", "simulate", "--rho", str(tmp_path / "rho.json"),
@@ -371,3 +395,23 @@ class TestChirpScanLibrary:
         rows = presets.chirp_scan([0.0, 0.38e6], config)
         for row in rows:
             assert abs(row["svd_purity"] - row["analytic_purity"]) < 1e-3
+
+
+class TestModuleEntryPoint:
+    """``python -m tmsim`` runs the same ``main`` as the console script."""
+
+    def run(self, monkeypatch, *argv):
+        monkeypatch.setattr(sys, "argv", ["tmsim", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("tmsim", run_name="__main__", alter_sys=True)
+        return exit_info.value.code
+
+    def test_help(self, monkeypatch, capsys):
+        assert self.run(monkeypatch, "--help") == 0
+        assert capsys.readouterr().out.startswith("usage: tmsim")
+
+    def test_subcommand(self, monkeypatch, tmp_path):
+        assert self.run(monkeypatch, "tomo", "mubs", "-d", "3",
+                        "--out", str(tmp_path)) == 0
+        pset = json.loads((tmp_path / "projectors.json").read_text())
+        assert len(pset["projectors"]) == 12
