@@ -91,14 +91,18 @@ class SelectivityReport:
 
 
 def separability_report(xi: MappingFunction, max_modes: int = 20) -> SelectivityReport:
-    """Decompose a mapping function; separability is its largest normalized
-    squared singular value (1 for a rank-one, perfectly mode-selective gate)."""
-    weights, input_modes, output_modes, _ = _kernel_schmidt(
+    """Decompose a mapping function into its `max_modes` leading modes.
+
+    Separability is the largest squared singular value as a share of the
+    full spectrum, s_0^2 / ||xi||_F^2 (1 for a rank-one, perfectly
+    mode-selective gate), not renormalized over the kept modes;
+    `schmidt_weights` are renormalized over the kept modes."""
+    weights, input_modes, output_modes, residual = _kernel_schmidt(
         xi.values, xi.input_grid, xi.output_grid, max_modes)
     return SelectivityReport(schmidt_weights=weights,
                              dominant_input_mode=input_modes[0],
                              dominant_output_mode=output_modes[0],
-                             separability=float(weights[0]))
+                             separability=float(weights[0] * (1.0 - residual)))
 
 
 @dataclass(frozen=True)

@@ -271,6 +271,28 @@ class TestPipelineSubcommands:
         assert truncated > purity + 1e-3
         assert data["g2"] == pytest.approx(1.0 + purity, rel=1e-12)
 
+    def test_schmidt_prints_full_spectrum_dominant_weight(self, tmp_path, capsys):
+        # one kept mode renormalizes to weight 1; the printed value is its
+        # share of the whole spectrum (~0.382 here)
+        assert main(["schmidt", "--chirp-fs2", "3.8e5", "--max-modes", "1",
+                     "--out", str(tmp_path)]) == 0
+        printed = float(capsys.readouterr().out.split("dominant weight ")[1])
+        config = presets.merge_overrides(presets.ExperimentConfig(),
+                                         {"pump": {"chirp_fs2": 3.8e5}})
+        svals = np.linalg.svd(presets.build_state(config).amplitudes,
+                              compute_uv=False)
+        assert printed == pytest.approx(svals[0] ** 2 / np.sum(svals**2), abs=5e-7)
+        assert printed < 0.5
+
+    def test_schmidt_max_modes_beyond_grid_keeps_every_mode(self, tmp_path):
+        assert main(["schmidt", "--grid-count", "64", "--max-modes", "10000",
+                     "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "schmidt.json").read_text())
+        assert len(data["weights"]) == 64
+        assert 0.0 <= data["residual_weight"] <= 1e-12
+        assert main(["schmidt", "--grid-count", "64", "--max-modes", "0",
+                     "--out", str(tmp_path / "zero")]) == 2
+
     def test_same_input_twice_byte_identical(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         main(["jsa", "--grid-count", "64", "--out", str(a_dir)])

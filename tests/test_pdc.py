@@ -33,8 +33,10 @@ from tmsim import (
     schmidt_decompose,
     schmidt_purity,
     schmidt_weights,
+    separability_report,
 )
-from tmsim import presets
+from tmsim import cli, pdc, presets
+from tmsim.cli import main
 
 # decorrelated-source parameters: 1.72 nm pump at 769 nm
 PUMP_SIGMA = np.sqrt(2.0) * convert_bandwidth(769.0, 1.72).sigma_omega
@@ -199,6 +201,117 @@ class TestSchmidtDecompose:
         assert abs(dec.weights.sum() - 1.0) < 1e-12
 
 
+def _assert_matches_svd(values, max_modes, reference=None):
+    """The truncated decomposition of `values` against its full SVD.
+
+    Kept weights taken as shares of the full spectrum, and the residual,
+    must match to 1e-12.  Every mode of weight >= 1e-8 whose relative gap
+    to its neighbours is >= 1e-3 must match to 1e-8 in norm, with the
+    reference phase-fixed on the sample the kernel anchored on (its largest,
+    real positive one).  Mirror-symmetric modes tie in |u| at two samples
+    up to rounding, so the anchor is checked to be a largest sample of the
+    reference mode rather than its argmax."""
+    rows, cols = values.shape
+    row_grid = make_grid(0.0, 2.0, rows)
+    col_grid = make_grid(0.0, 3.0, cols)
+    u_ref, s_ref, vh_ref = (np.linalg.svd(values, full_matrices=False)
+                            if reference is None else reference)
+    full = s_ref**2 / np.sum(s_ref**2)
+    weights, row_modes, col_modes, residual = pdc._kernel_schmidt(
+        values, row_grid, col_grid, max_modes)
+    keep = min(max_modes, rows, cols)
+    assert weights.size == len(row_modes) == len(col_modes) == keep
+    assert np.max(np.abs(weights * (1.0 - residual) - full[:keep])) <= 1e-12
+    assert abs(residual - full[keep:].sum()) <= 1e-12
+    for j in range(keep):
+        neighbours = [full[i] for i in (j - 1, j + 1) if 0 <= i < full.size]
+        gap = min((abs(full[j] - w) for w in neighbours), default=np.inf) / full[j]
+        if full[j] < 1e-8 or gap < 1e-3:
+            continue
+        u = row_modes[j].amplitudes * np.sqrt(row_grid.spacing)
+        v = col_modes[j].amplitudes * np.sqrt(col_grid.spacing)
+        anchor = np.argmax(u.real)
+        assert u[anchor].real >= np.max(np.abs(u)) * (1.0 - 1e-12)
+        assert abs(u_ref[anchor, j]) >= np.max(np.abs(u_ref[:, j])) - 2e-8
+        phase = u_ref[anchor, j] / abs(u_ref[anchor, j])
+        assert np.linalg.norm(u - u_ref[:, j] * np.conj(phase)) <= 1e-8
+        assert np.linalg.norm(v - vh_ref[j] * phase) <= 1e-8
+
+
+@st.composite
+def spectral_kernels(draw):
+    """Complex 16-96 x 16-96 kernels of random rank whose singular values
+    fall as exp(-decay k), with a max_modes from 1 to min(m, n) + 5."""
+    rows = draw(st.integers(16, 96))
+    cols = draw(st.integers(16, 96))
+    rank = draw(st.integers(1, min(rows, cols)))
+    decay = draw(st.floats(0.0, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left, right = (np.linalg.qr(rng.standard_normal((size, rank))
+                                + 1j * rng.standard_normal((size, rank)))[0]
+                   for size in (rows, cols))
+    values = (left * np.exp(-decay * np.arange(rank))) @ right.conj().T
+    return values, draw(st.integers(1, min(rows, cols) + 5))
+
+
+@pytest.fixture(scope="module")
+def qpg_map_kernel(tmp_path_factory):
+    """The 512 x 512 mapping function `tmsim qpg map --count 512` decomposes."""
+    captured = []
+
+    def capture(xi, *args, **kwargs):
+        captured.append(xi)
+        return separability_report(xi, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "separability_report", capture)
+        out = tmp_path_factory.mktemp("qpg-map")
+        assert main(["qpg", "map", "--count", "512", "--out", str(out)]) == 0
+    (xi,) = captured
+    assert xi.values.shape == (512, 512)
+    return xi
+
+
+class TestTruncatedSchmidt:
+    """The range-finder decomposition against ``np.linalg.svd``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spectral_kernels())
+    def test_matches_svd(self, kernel):
+        _assert_matches_svd(*kernel)
+
+    @pytest.fixture(scope="class")
+    def preset_svds(self):
+        cache = {}
+
+        def get(case):
+            if case not in cache:
+                values = presets.build_state(presets.preset_config(case)).amplitudes
+                cache[case] = values, np.linalg.svd(values, full_matrices=False)
+            return cache[case]
+        return get
+
+    @pytest.mark.parametrize("max_modes", (1, 8, 20))
+    @pytest.mark.parametrize("case", "abcd")
+    def test_presets(self, preset_svds, case, max_modes):
+        values, reference = preset_svds(case)
+        assert values.shape == (512, 512)
+        _assert_matches_svd(values, max_modes, reference)
+
+    @pytest.mark.parametrize("max_modes", (1, 8, 20))
+    def test_qpg_map_kernel(self, qpg_map_kernel, max_modes):
+        _assert_matches_svd(qpg_map_kernel.values, max_modes)
+
+    def test_repeat_is_bit_identical(self):
+        jsa = presets.build_state(presets.preset_config("c"))
+        first, second = (schmidt_decompose(jsa, max_modes=20) for _ in range(2))
+        assert first.weights.tobytes() == second.weights.tobytes()
+        assert first.residual_weight == second.residual_weight
+        for modes in ("signal_modes", "idler_modes"):
+            for a, b in zip(getattr(first, modes), getattr(second, modes)):
+                assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+
+
 class TestPurityAndG2:
     def test_purity_trivials(self):
         assert purity_from_schmidt(_dec([1.0])) == pytest.approx(1.0)
@@ -323,9 +436,9 @@ class TestChirpScanRows:
 
 
 class TestPurityBenchmarks:
-    """Purity from the Gram identity against the full weight spectrum on a
-    512 x 512 joint amplitude; pytest-benchmark prints both with
-    ``pytest --benchmark-only -k purity``."""
+    """Purity from the Gram identity against the full weight spectrum, and
+    the truncated decompositions, on 512 x 512 kernels; pytest-benchmark
+    prints them with ``pytest --benchmark-only -k Benchmarks``."""
 
     jsa = presets.build_state(presets.preset_config("b"))
 
@@ -338,6 +451,17 @@ class TestPurityBenchmarks:
         weights = benchmark.pedantic(schmidt_weights, args=(self.jsa,),
                                      rounds=3, iterations=1)
         assert weights.size == 512
+
+    @pytest.mark.parametrize("max_modes", (20, 1))
+    def test_schmidt_decompose(self, benchmark, max_modes):
+        dec = benchmark.pedantic(schmidt_decompose, args=(self.jsa, max_modes),
+                                 rounds=3, iterations=1)
+        assert dec.weights.size == max_modes
+
+    def test_separability_report(self, benchmark, qpg_map_kernel):
+        report = benchmark.pedantic(separability_report, args=(qpg_map_kernel,),
+                                    rounds=3, iterations=1)
+        assert 0.99 < report.separability <= 1.0
 
 
 def _dec(weights):

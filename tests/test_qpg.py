@@ -46,6 +46,16 @@ def make_qpg_mapping(pump_order=0, skew=0.0, count=256,
         input_grid, sigma_pump
 
 
+def correlated_ridge_mapping():
+    """Flat phasematching and a near-delta pump: the output tracks the input."""
+    input_grid = make_grid(OMEGA_IN, 0.02, 192)
+    output_grid = make_grid(OMEGA_OUT, 0.02, 192)
+    pm = ComplexSpectrum(output_grid, np.ones(192, dtype=complex)).normalized()
+    pump_grid = make_grid(OMEGA_PUMP, 0.048, 4096)
+    pump = hg_mode(HermiteGaussParams(0, OMEGA_PUMP, 4e-4), pump_grid)
+    return build_mapping(pump, pm, input_grid)
+
+
 def pure_state(order, dimension=7):
     entries = np.zeros((dimension, dimension), dtype=complex)
     entries[order, order] = 1.0
@@ -64,15 +74,7 @@ class TestBuildMapping:
         assert separability_report(xi).separability > 0.99
 
     def test_correlated_ridge_is_inseparable(self):
-        # flat phasematching, near-delta pump: output tracks input
-        input_grid = make_grid(OMEGA_IN, 0.02, 192)
-        output_grid = make_grid(OMEGA_OUT, 0.02, 192)
-        pm = ComplexSpectrum(output_grid,
-                             np.ones(192, dtype=complex)).normalized()
-        pump_grid = make_grid(OMEGA_PUMP, 0.048, 4096)
-        pump = hg_mode(HermiteGaussParams(0, OMEGA_PUMP, 4e-4), pump_grid)
-        xi = build_mapping(pump, pm, input_grid)
-        assert separability_report(xi).separability < 0.2
+        assert separability_report(correlated_ridge_mapping()).separability < 0.2
 
     def test_shaped_pump_selects_matching_mode(self):
         xi, input_grid, sigma_pump = make_qpg_mapping(pump_order=1)
@@ -121,6 +123,16 @@ class TestSeparabilityReport:
         xi = MappingFunction(input_grid, output_grid, values)
         report = separability_report(xi)
         assert report.separability == pytest.approx(0.5, abs=1e-10)
+
+    def test_separability_is_a_share_of_the_full_spectrum(self):
+        # 20 kept modes hold ~92% of this kernel; renormalizing over them
+        # would read 0.0772 against the true 0.0711
+        xi = correlated_ridge_mapping()
+        svals = np.linalg.svd(xi.values, compute_uv=False)
+        report = separability_report(xi)
+        assert report.separability == pytest.approx(
+            svals[0] ** 2 / np.sum(svals**2), abs=1e-12)
+        assert report.schmidt_weights[0] > report.separability + 1e-3
 
 
 class TestProjectProbability:
