@@ -43,6 +43,7 @@ from .qpg import (
     SuppressionRatio,
     apply_mode_filter,
     build_mapping,
+    gate_operators,
     project_probability,
     separability_report,
     suppression_ratio,

@@ -313,6 +313,7 @@ def _cmd_tomo_bootstrap(args) -> int:
         "purity_mean": errors.purity_mean,
         "purity_std": errors.purity_std,
         "fidelity_std": errors.fidelity_std,
+        "nonconverged_resamples": errors.nonconverged,
     }))
     print(f"purity {errors.purity_mean:.6f} +- {errors.purity_std:.6f}")
     return EXIT_OK

@@ -209,13 +209,16 @@ def _leading_triplets(values: np.ndarray, k: int):
     two QR-stabilized subspace iterations into an orthonormal basis Q of
     the dominant range; the SVD of the small l x n matrix Q^H A gives the
     triplets.  They are accepted once every kept pair satisfies
-    ||A v_j - s_j u_j|| <= 1e-10 s_0; otherwise l doubles.  At l = min(m, n)
-    the projection is exact, so the loop always ends.
+    ||A v_j - s_j u_j|| <= 1e-10 s_0 and the energy the sketch misses,
+    ||A||_F^2 - ||Q^H A||_F^2, is at most s_(k-1)^2 + 1e-10 ||A||_F^2 (a
+    flat spectrum passes the first test with any vectors); otherwise l
+    doubles.  At l = min(m, n) the projection is exact, so the loop ends.
     """
     rows, cols = values.shape
     full = min(rows, cols)
     width = min(max(2 * k, k + 10), full)
     adjoint = values.conj().T
+    total = np.vdot(values, values).real
     while True:
         rng = np.random.default_rng(_SKETCH_SEED)
         sketch = (rng.standard_normal((cols, width))
@@ -224,12 +227,14 @@ def _leading_triplets(values: np.ndarray, k: int):
         for _ in range(_POWER_ITERATIONS):
             basis = np.linalg.qr(adjoint @ basis)[0]
             basis = np.linalg.qr(values @ basis)[0]
-        u_small, svals, vh_mat = np.linalg.svd(basis.conj().T @ values,
-                                               full_matrices=False)
+        small = basis.conj().T @ values
+        u_small, svals, vh_mat = np.linalg.svd(small, full_matrices=False)
         u_mat = basis @ u_small[:, :k]
         svals, vh_mat = svals[:k], vh_mat[:k]
         misfit = np.linalg.norm(values @ vh_mat.conj().T - u_mat * svals, axis=0)
-        if width == full or np.all(misfit <= _TRIPLET_TOL * svals[0]):
+        missed = total - np.vdot(small, small).real
+        if width == full or (np.all(misfit <= _TRIPLET_TOL * svals[0]) and
+                             missed <= svals[-1] ** 2 + _TRIPLET_TOL * total):
             return u_mat, svals, vh_mat
         width = min(2 * width, full)
 
@@ -275,8 +280,9 @@ def schmidt_decompose(jsa: JointSpectralAmplitude,
 
     The singular triplets of the sampled matrix come from a seeded
     randomized range finder that stops once every kept triplet satisfies
-    ||A v_j - s_j u_j|| <= 1e-10 s_0, so only the kept modes are computed
-    and a repeated call gives identical bits.  Weights are the squared
+    ||A v_j - s_j u_j|| <= 1e-10 s_0 and the sketch misses less energy
+    than the smallest kept weight, so only the kept modes are computed and
+    a repeated call gives identical bits.  Weights are the squared
     singular values renormalized over the kept modes; the discarded
     fraction of the full spectrum is reported in ``residual_weight``, so
     ``weights * (1 - residual_weight)`` are the full-spectrum shares.  Mode

@@ -199,6 +199,8 @@ class TomographyConfig:
                  f"must lie in (0, {MAX_POISSON_MEAN:.0e}], got {self.flux}")
         _require(0 <= self.background <= MAX_POISSON_MEAN, "tomography.background",
                  f"must lie in [0, {MAX_POISSON_MEAN:.0e}], got {self.background}")
+        _require(self.seed >= 0, "tomography.seed",
+                 f"must be >= 0, got {self.seed}")
         _require(self.resamples >= 2, "tomography.resamples",
                  f"must be >= 2, got {self.resamples}")
 
@@ -434,6 +436,7 @@ def run_preset(case: str, config: Optional[ExperimentConfig] = None,
         "g2": g2,
         "reconstructed_purity": recon.rho_hat.purity(),
         "purity_std": errors.purity_std,
+        "nonconverged_resamples": errors.nonconverged,
         "basis_width_rad_per_fs": basis.width,
         "reference": TABLE_REFERENCE[case],
     }

@@ -148,20 +148,27 @@ def _as_unit_mode(mode: Sequence, dimension: int) -> np.ndarray:
     return vec
 
 
+def gate_operators(kets: np.ndarray,
+                   sel: SelectivityModel = SelectivityModel()) -> np.ndarray:
+    """Effective POVM elements E_i = (1 - eps)|m~_i><m~_i| + eps I/d, shape
+    (n, d, d), of the gate set to each row of the (n, d) unit `kets`, where
+    m~ = m sqrt(falloff) carries the per-order amplitude falloff."""
+    kets = np.asarray(kets, dtype=complex)
+    d = kets.shape[1]
+    if sel.per_order_falloff is not None:
+        kets = kets * np.sqrt(sel.order_efficiencies(d))
+    ops = kets[:, :, None] * np.conj(kets)[:, None, :]
+    if sel.crosstalk:
+        ops = (1.0 - sel.crosstalk) * ops + sel.crosstalk / d * np.eye(d)
+    return ops
+
+
 def project_probability(rho: ModalDensityMatrix, mode: Sequence,
                         sel: SelectivityModel = SelectivityModel()) -> float:
-    """Probability of the gate registering the state in the given mode.
-
-    p = (1 - eps) <m~|rho|m~> + eps Tr(rho)/d, where m~ carries the
-    per-order amplitude falloff (for a pure basis element this reduces to
-    falloff_k <k|rho|k>).
-    """
-    vec = _as_unit_mode(mode, rho.dimension)
-    weighted = vec * np.sqrt(sel.order_efficiencies(rho.dimension))
-    overlap = float(np.real(np.conj(weighted) @ rho.entries @ weighted))
-    trace = float(np.trace(rho.entries).real)
-    p = (1.0 - sel.crosstalk) * overlap + sel.crosstalk * trace / rho.dimension
-    return min(max(p, 0.0), 1.0)
+    """Probability Tr(rho E), clipped to [0, 1], of the gate registering the
+    state in the given mode; E is the mode's `gate_operators` element."""
+    op = gate_operators(_as_unit_mode(mode, rho.dimension)[None], sel)[0]
+    return float(np.clip(np.einsum("ab,ba->", op, rho.entries).real, 0.0, 1.0))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ uncertainty estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -16,7 +16,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .pdc import ModalDensityMatrix
-from .qpg import SelectivityModel, project_probability
+from .qpg import SelectivityModel, gate_operators
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,42 +45,38 @@ class ProjectorSet:
 
     dimension: int
     projectors: tuple
+    _coefficients: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "projectors", tuple(self.projectors))
-        by_basis = {}
         for proj in self.projectors:
             if proj.coefficients.size != self.dimension:
                 raise InvalidArgumentError(
                     f"projector ({proj.basis_index}, {proj.element_index}) has "
                     f"length {proj.coefficients.size}, expected {self.dimension}")
-            by_basis.setdefault(proj.basis_index, []).append(proj)
-        for basis_index, group in by_basis.items():
-            for i, p in enumerate(group):
-                for q in group[i + 1:]:
-                    overlap = abs(np.vdot(p.coefficients, q.coefficients))
-                    if overlap > 1e-10:
-                        raise InvalidArgumentError(
-                            f"projectors {p.element_index} and {q.element_index} of "
-                            f"basis {basis_index} overlap by {overlap:.3e}")
+        coeffs = np.array([p.coefficients for p in self.projectors],
+                          dtype=complex).reshape(-1, self.dimension)
+        bases = np.array([p.basis_index for p in self.projectors])
+        for basis_index in dict.fromkeys(bases.tolist()):
+            members = np.flatnonzero(bases == basis_index)
+            overlaps = np.triu(np.abs(np.conj(coeffs[members]) @ coeffs[members].T), 1)
+            pairs = np.argwhere(overlaps > 1e-10)
+            if pairs.size:
+                i, j = pairs[0]
+                raise InvalidArgumentError(
+                    f"projectors {self.projectors[members[i]].element_index} and "
+                    f"{self.projectors[members[j]].element_index} of basis "
+                    f"{basis_index} overlap by {overlaps[i, j]:.3e}")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "_coefficients", coeffs)
 
     def coefficient_matrix(self) -> np.ndarray:
-        return np.array([p.coefficients for p in self.projectors])
+        """Read-only (n, d) stack of the projector kets, in projector order."""
+        return self._coefficients
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    k = 3
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 2
-    return True
+    return n >= 2 and all(n % k for k in range(2, int(n**0.5) + 1))
 
 
 def mub_bases(dimension: int) -> ProjectorSet:
@@ -96,27 +92,16 @@ def mub_bases(dimension: int) -> ProjectorSet:
             f"mutually unbiased basis construction needs a prime dimension, "
             f"got {dimension}")
     d = dimension
-    projectors = []
-    eye = np.eye(d, dtype=complex)
-    for j in range(d):
-        projectors.append(Projector(0, j, eye[j]))
     if d == 2:
         inv = 1.0 / np.sqrt(2.0)
-        extra = [
-            [np.array([inv, inv]), np.array([inv, -inv])],
-            [np.array([inv, 1j * inv]), np.array([inv, -1j * inv])],
-        ]
-        for a, basis in enumerate(extra):
-            for j, vec in enumerate(basis):
-                projectors.append(Projector(a + 1, j, vec))
-        return ProjectorSet(dimension=d, projectors=tuple(projectors))
-    roots = np.exp(2j * np.pi * np.arange(d) / d)
-    k = np.arange(d)
-    for a in range(d):
-        for j in range(d):
-            phases = roots[(a * k * k + j * k) % d]
-            projectors.append(Projector(a + 1, j, phases / np.sqrt(d)))
-    return ProjectorSet(dimension=d, projectors=tuple(projectors))
+        extra = np.array([[inv, inv], [inv, -inv], [inv, 1j * inv], [inv, -1j * inv]])
+    else:
+        roots = np.exp(2j * np.pi * np.arange(d) / d)
+        a, j, k = np.ix_(np.arange(d), np.arange(d), np.arange(d))
+        extra = (roots[(a * k * k + j * k) % d] / np.sqrt(d)).reshape(d * d, d)
+    rows = np.concatenate([np.eye(d, dtype=complex), extra])
+    return ProjectorSet(dimension=d, projectors=tuple(
+        Projector(i // d, i % d, row) for i, row in enumerate(rows)))
 
 
 @dataclass(frozen=True)
@@ -132,9 +117,9 @@ class CountRecord:
         if int(self.counts) != self.counts or self.counts < 0:
             raise InvalidArgumentError(
                 f"counts must be a non-negative integer, got {self.counts}")
-        if not self.exposure > 0:
+        if not 0 < self.exposure < np.inf:
             raise InvalidArgumentError(
-                f"exposure must be positive, got {self.exposure}")
+                f"exposure must be finite and positive, got {self.exposure}")
         object.__setattr__(self, "counts", int(self.counts))
 
 
@@ -155,13 +140,16 @@ def expected_counts(rho: ModalDensityMatrix, pset: ProjectorSet,
         raise InvalidArgumentError(f"flux must be positive, got {flux}")
     if not background >= 0:
         raise InvalidArgumentError(f"background must be >= 0, got {background}")
+    if pset.dimension != rho.dimension:
+        raise InvalidArgumentError(
+            f"projectors have dimension {pset.dimension}, state {rho.dimension}")
     if exposures is None:
         exposures = np.ones(len(pset.projectors))
     exposures = np.asarray(exposures, dtype=float)
     if exposures.shape != (len(pset.projectors),):
         raise InvalidArgumentError("need one exposure per projector")
-    probs = np.array([project_probability(rho, p.coefficients, sel)
-                      for p in pset.projectors])
+    ops = gate_operators(pset.coefficient_matrix(), sel)
+    probs = np.clip(np.einsum("nab,ba->n", ops, rho.entries).real, 0.0, 1.0)
     rates = flux * exposures * probs + background
     if not np.all(rates <= MAX_POISSON_MEAN):
         raise InvalidArgumentError(
@@ -180,11 +168,11 @@ def simulate_counts(rho: ModalDensityMatrix, pset: ProjectorSet,
     `flux` is the mean total count budget of one complete basis.  Records
     come out in projector order and are reproducible for a fixed seed.
     """
+    if not seed >= 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
+    exposures = np.ones(len(pset.projectors)) if exposures is None else exposures
     rates = expected_counts(rho, pset, sel, flux, background, exposures)
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(rates)
-    if exposures is None:
-        exposures = np.ones(len(pset.projectors))
+    counts = np.random.default_rng(seed).poisson(rates)
     return [CountRecord(p.basis_index, p.element_index, int(n), float(w))
             for p, n, w in zip(pset.projectors, counts, exposures)]
 
@@ -217,36 +205,27 @@ class ReconstructionResult:
 
 def _hermitian_span_rank(kets: np.ndarray) -> int:
     """Rank of the projectors' span inside the real space of Hermitian
-    matrices."""
-    d = kets.shape[1]
-    outers = kets[:, :, None] * np.conj(kets)[:, None, :]
-    rows, cols = np.triu_indices(d, k=1)
-    upper = outers[:, rows, cols]
-    vecs = np.concatenate([np.real(np.diagonal(outers, axis1=1, axis2=2)),
-                           np.sqrt(2.0) * np.real(upper),
-                           np.sqrt(2.0) * np.imag(upper)], axis=1)
-    return int(np.linalg.matrix_rank(vecs, tol=1e-10))
+    matrices, each taken as the real and imaginary parts of its entries."""
+    outers = gate_operators(kets).reshape(len(kets), -1)
+    return int(np.linalg.matrix_rank(np.concatenate([outers.real, outers.imag], axis=1),
+                                     tol=1e-10))
 
 
 def _record_arrays(records: Sequence, pset: ProjectorSet,
                    subtract_background: float = 0.0):
     """Projector kets, background-floored counts and exposures of the
     records, in record order."""
-    by_label = {(p.basis_index, p.element_index): p for p in pset.projectors}
-    kets = []
-    counts = []
-    weights = []
-    for rec in records:
-        key = (rec.basis_index, rec.element_index)
-        if key not in by_label:
-            raise InvalidArgumentError(f"record {key} has no matching projector")
-        kets.append(by_label[key].coefficients)
-        counts.append(max(rec.counts - subtract_background, 0.0))
-        weights.append(rec.exposure)
-    if not kets:
+    if not records:
         raise InvalidArgumentError("no count records supplied")
-    return (np.array(kets), np.array(counts, dtype=float),
-            np.array(weights, dtype=float))
+    index = {(p.basis_index, p.element_index): i for i, p in enumerate(pset.projectors)}
+    labels = [(rec.basis_index, rec.element_index) for rec in records]
+    for key in labels:
+        if key not in index:
+            raise InvalidArgumentError(f"record {key} has no matching projector")
+    counts = [max(rec.counts - subtract_background, 0.0) for rec in records]
+    return (pset.coefficient_matrix()[[index[key] for key in labels]],
+            np.array(counts, dtype=float),
+            np.array([rec.exposure for rec in records], dtype=float))
 
 
 def _rrhor(kets: np.ndarray, counts: np.ndarray, weights: np.ndarray,
@@ -275,7 +254,7 @@ def _rrhor(kets: np.ndarray, counts: np.ndarray, weights: np.ndarray,
     # as (B, 1, .) stacks: numpy sends a one-row product to gemv and a
     # B-row one to gemm, whose rounding differs, and a row's stop iteration
     # must not depend on the batch it is fitted in.
-    outer = (kets[:, :, None] * np.conj(kets)[:, None, :]).reshape(n, d * d)
+    outer = gate_operators(kets).reshape(n, d * d)
     outer_h = np.conj(outer).T
     lam = cfg.dilution
     damping = (1.0 - lam) * np.eye(d, dtype=complex)
@@ -420,11 +399,13 @@ def monte_carlo_errors(records: Sequence, pset: ProjectorSet,
     Raises
     ------
     InvalidArgumentError
-        If fewer than two resamples are asked for, or a resample draws no
-        counts at all.
+        If fewer than two resamples are asked for, the seed is negative, or
+        a resample draws no counts at all.
     """
     if resamples < 2:
         raise InvalidArgumentError(f"resamples must be >= 2, got {resamples}")
+    if not seed >= 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     baseline = mle_reconstruct(records, pset, cfg)
     kets, observed, weights = _record_arrays(records, pset)
     rng = np.random.default_rng(seed)

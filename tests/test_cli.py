@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tmsim import presets, schmidt_purity
+from tmsim import cli, presets, schmidt_purity
 from tmsim.cli import _overrides_from_args, build_parser, main
 from tmsim.errors import InvalidArgumentError
 from tmsim.tomography import MLEConfig
@@ -78,6 +78,8 @@ class TestConfigHandling:
         ({"tomography": {"flux": float("inf")}}, []),
         ({"tomography": {"background": float("inf")}}, []),
         ({"tomography": {"flux": 1e300}}, []),
+        # numpy's generators take no negative seed
+        ({"tomography": {"seed": -2}}, []),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, command, content,
                                      flags):
@@ -232,6 +234,12 @@ class TestPresetRuns:
         assert (tmp_path / "summary.json").exists()
         assert (tmp_path / "manifest.json").exists()
 
+    def test_nonconverged_resamples_in_summary(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(presets, "MLEConfig", lambda: MLEConfig(max_iterations=5))
+        assert main(["preset", "a", *FAST, "--out", str(tmp_path)]) == 3
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["nonconverged_resamples"] == 3
+
     def test_json_only_formats(self, tmp_path):
         rc = main(["preset", "a", *FAST, "--formats", "json",
                    "--out", str(tmp_path)])
@@ -359,6 +367,7 @@ class TestPipelineSubcommands:
     @pytest.mark.parametrize("line, message", [
         ("0,0,5", "line 3: expected 4 fields, got 3"),
         ("0,0,x,1.0", "line 3: invalid literal for int"),
+        ("0,0,5,inf", "line 3: exposure must be finite and positive, got inf"),
     ])
     def test_malformed_counts_exit_2(self, tmp_path, capsys, command, line, message):
         counts = tmp_path / "counts.csv"
@@ -368,6 +377,38 @@ class TestPipelineSubcommands:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--rho", "{out}/rho.json", "--seed", "-1"],
+        ["bootstrap", "--counts", "{out}/counts.csv", "-d", "3",
+         "--resamples", "2", "--seed", "-3"],
+    ])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        main(["rho", "-d", "3", "--grid-count", "64", "--out", str(tmp_path)])
+        main(["tomo", "simulate", "--rho", str(tmp_path / "rho.json"),
+              "--out", str(tmp_path)])
+        capsys.readouterr()
+        out = tmp_path / "run"
+        rc = main(["tomo", *(arg.format(out=tmp_path) for arg in command),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bootstrap_counts_nonconverged_resamples(self, tmp_path, monkeypatch):
+        main(["rho", "-d", "3", "--grid-count", "64", "--out", str(tmp_path)])
+        main(["tomo", "simulate", "--rho", str(tmp_path / "rho.json"),
+              "--flux", "10000", "--out", str(tmp_path)])
+        bootstrap = ["tomo", "bootstrap", "--counts", str(tmp_path / "counts.csv"),
+                     "-d", "3", "--resamples", "4", "--out", str(tmp_path)]
+        assert main(bootstrap) == 0
+        boot = json.loads((tmp_path / "bootstrap.json").read_text())
+        assert boot["nonconverged_resamples"] == 0
+        monkeypatch.setattr(cli, "_mle_config_from_args",
+                            lambda args: MLEConfig(max_iterations=5))
+        assert main(bootstrap) == 0
+        boot = json.loads((tmp_path / "bootstrap.json").read_text())
+        assert boot["nonconverged_resamples"] == 4
 
     @pytest.mark.parametrize("weights", ["-0.8,-0.2", "0.5,-0.1", "0,0"])
     def test_qpg_filter_rejects_bad_weights(self, tmp_path, capsys, weights):

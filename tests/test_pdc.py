@@ -302,6 +302,15 @@ class TestTruncatedSchmidt:
     def test_qpg_map_kernel(self, qpg_map_kernel, max_modes):
         _assert_matches_svd(qpg_map_kernel.values, max_modes)
 
+    def test_flat_spectrum(self):
+        # singular values within 2e-10 of each other: any vector passes the
+        # triplet misfit test, so only the missed-energy test widens the sketch
+        rng = np.random.default_rng(0)
+        left, right = (np.linalg.qr(rng.standard_normal((21, 21))
+                                    + 1j * rng.standard_normal((21, 21)))[0]
+                       for _ in range(2))
+        _assert_matches_svd((left * np.exp(-1e-11 * np.arange(21))) @ right.conj().T, 4)
+
     def test_repeat_is_bit_identical(self):
         jsa = presets.build_state(presets.preset_config("c"))
         first, second = (schmidt_decompose(jsa, max_modes=20) for _ in range(2))

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmsim import presets
 from tmsim import (
@@ -15,6 +16,7 @@ from tmsim import (
     SelectivityModel,
     UnsupportedDimensionError,
     expected_counts,
+    gate_operators,
     mle_reconstruct,
     monte_carlo_errors,
     mub_bases,
@@ -93,6 +95,26 @@ class TestMubBases:
                 Projector(0, 0, good[0]),
                 Projector(0, 1, np.array([1, 1]) / np.sqrt(2))))
 
+    def test_overlap_error_names_the_pair(self):
+        eye = np.eye(3, dtype=complex)
+        # pairs (0, 3), (1, 2) and (2, 3) overlap; the first one is named
+        with pytest.raises(InvalidArgumentError,
+                           match="projectors 0 and 3 of basis 4 overlap by 7.071e-01"):
+            ProjectorSet(dimension=3, projectors=(
+                Projector(5, 0, eye[0]),
+                Projector(4, 0, eye[0]),
+                Projector(4, 1, eye[1]),
+                Projector(4, 2, np.array([0, 1, 1]) / np.sqrt(2)),
+                Projector(4, 3, np.array([1, 0, 1]) / np.sqrt(2))))
+
+    def test_coefficient_matrix_is_built_once_read_only(self):
+        pset = mub_bases(5)
+        coeffs = pset.coefficient_matrix()
+        assert coeffs is pset.coefficient_matrix()
+        assert coeffs.shape == (30, 5) and not coeffs.flags.writeable
+        for row, proj in zip(coeffs, pset.projectors):
+            np.testing.assert_array_equal(row, proj.coefficients)
+
     @pytest.mark.parametrize("vector", [[np.nan, np.nan], [np.nan, np.inf]])
     def test_non_finite_projector_rejected(self, vector):
         with pytest.raises(InvalidArgumentError, match="unit norm"):
@@ -131,8 +153,17 @@ class TestSimulateCounts:
     def test_record_validation(self):
         with pytest.raises(InvalidArgumentError):
             CountRecord(0, 0, counts=-1)
-        with pytest.raises(InvalidArgumentError):
-            CountRecord(0, 0, counts=3, exposure=0.0)
+        for exposure in (0.0, np.inf, np.nan):
+            with pytest.raises(InvalidArgumentError, match="finite and positive"):
+                CountRecord(0, 0, counts=3, exposure=exposure)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="seed must be >= 0"):
+            simulate_counts(random_rho(1), mub_bases(7), seed=-1)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="dimension"):
+            expected_counts(random_rho(1, d=5), mub_bases(7))
 
 
 class TestMleReconstruct:
@@ -313,6 +344,12 @@ class TestMonteCarloErrors:
         with pytest.raises(InvalidArgumentError):
             monte_carlo_errors(records, pset, resamples=1, seed=0)
 
+    def test_negative_seed_rejected(self):
+        pset = mub_bases(7)
+        records = simulate_counts(random_rho(0), pset, flux=1e3, seed=1)
+        with pytest.raises(InvalidArgumentError, match="seed must be >= 0"):
+            monte_carlo_errors(records, pset, resamples=2, seed=-3)
+
 
 @pytest.fixture(scope="module")
 def preset_records():
@@ -396,3 +433,80 @@ class TestBatchedKernel:
         with pytest.raises(InvalidArgumentError, match="total counts"):
             monte_carlo_errors(records, pset, MLEConfig(max_iterations=50),
                                resamples=20, seed=0)
+
+
+def _old_project_probability(rho, mode, sel):
+    """The per-projector formula of the pulse gate before the POVM builder:
+    (1 - eps) <m~|rho|m~> + eps Tr(rho)/d with m~ = m sqrt(falloff),
+    clipped to [0, 1]."""
+    weighted = mode * np.sqrt(sel.order_efficiencies(rho.dimension))
+    overlap = float(np.real(np.conj(weighted) @ rho.entries @ weighted))
+    trace = float(np.trace(rho.entries).real)
+    p = (1.0 - sel.crosstalk) * overlap + sel.crosstalk * trace / rho.dimension
+    return min(max(p, 0.0), 1.0)
+
+
+crosstalks = st.floats(0.0, 1.0)
+falloffs = st.one_of(st.none(), st.lists(
+    st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=15).map(tuple))
+
+
+class TestMeasurementModel:
+    """`gate_operators` against the per-projector formula and the algebra
+    of the complete mutually unbiased set."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.sampled_from([2, 3, 5, 7]), rank=st.integers(1, 7),
+           seed=st.integers(0, 2**32 - 1), crosstalk=crosstalks, falloff=falloffs,
+           flux=st.floats(1.0, 1e6), background=st.floats(0.0, 100.0))
+    def test_expected_counts_match_per_projector_loop(self, d, rank, seed,
+                                                      crosstalk, falloff, flux,
+                                                      background):
+        rho = random_rho(seed, d=d, k=min(rank, d))
+        pset = mub_bases(d)
+        sel = SelectivityModel(crosstalk=crosstalk, per_order_falloff=falloff)
+        probs = np.array([_old_project_probability(rho, p.coefficients, sel)
+                          for p in pset.projectors])
+        rates = expected_counts(rho, pset, sel, flux=flux, background=background)
+        # the absolute floor covers probabilities that cancel to ~0
+        np.testing.assert_allclose(rates, flux * probs + background,
+                                   rtol=1e-13, atol=1e-15 * flux)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), d=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1), crosstalk=crosstalks, falloff=falloffs)
+    def test_elements_are_psd(self, n, d, seed, crosstalk, falloff):
+        rng = np.random.default_rng(seed)
+        kets = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        ops = gate_operators(kets, SelectivityModel(crosstalk, falloff))
+        assert ops.shape == (n, d, d)
+        np.testing.assert_allclose(ops, np.conj(ops).transpose(0, 2, 1),
+                                   rtol=0, atol=1e-15)
+        assert np.linalg.eigvalsh(ops).min() >= -1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.sampled_from([2, 3, 5, 7, 11, 13]), crosstalk=crosstalks,
+           falloff=falloffs)
+    def test_mub_elements_sum_to_the_falloff_diagonal(self, d, crosstalk,
+                                                      falloff):
+        pset = mub_bases(d)
+        coeffs = pset.coefficient_matrix()
+        overlaps = np.abs(np.conj(coeffs) @ coeffs.T) ** 2
+        bases = np.array([p.basis_index for p in pset.projectors])
+        same = bases[:, None] == bases[None, :]
+        expected = np.where(same, np.eye(len(bases)), 1.0 / d)
+        np.testing.assert_allclose(overlaps, expected, rtol=0, atol=1e-12)
+
+        sel = SelectivityModel(crosstalk, falloff)
+        total = gate_operators(coeffs, sel).sum(axis=0)
+        target = (d + 1) * ((1.0 - crosstalk) * np.diag(sel.order_efficiencies(d))
+                            + crosstalk * np.eye(d))
+        np.testing.assert_allclose(total, target, rtol=0, atol=1e-12)
+
+    def test_ideal_elements_are_the_plain_outer_products(self):
+        # the MLE kernel reads these; bit-for-bit equality keeps its
+        # iteration counts
+        kets = mub_bases(7).coefficient_matrix()
+        np.testing.assert_array_equal(
+            gate_operators(kets), kets[:, :, None] * np.conj(kets)[:, None, :])
