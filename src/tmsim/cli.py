@@ -280,6 +280,16 @@ def _cmd_tomo_simulate(args) -> int:
     return EXIT_OK
 
 
+def _exit_code(converged: bool) -> int:
+    """EXIT_OK after a converged maximum-likelihood fit, else a note on
+    stderr and EXIT_NUMERICAL; the caller has written its outputs."""
+    if converged:
+        return EXIT_OK
+    print("numerical failure: the maximum-likelihood estimate did not converge",
+          file=sys.stderr)
+    return EXIT_NUMERICAL
+
+
 def _mle_config_from_args(args) -> MLEConfig:
     return MLEConfig(max_iterations=args.max_iterations,
                      tolerance=args.tolerance, dilution=args.dilution)
@@ -298,9 +308,7 @@ def _cmd_tomo_reconstruct(args) -> int:
            serialize.dump_json(serialize.reconstruction_log_to_dict(result)))
     print(f"purity {result.rho_hat.purity():.6f} after {result.iterations} "
           f"iterations (converged: {result.converged})")
-    if not result.converged:
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return _exit_code(result.converged)
 
 
 def _cmd_tomo_bootstrap(args) -> int:
@@ -316,7 +324,7 @@ def _cmd_tomo_bootstrap(args) -> int:
         "nonconverged_resamples": errors.nonconverged,
     }))
     print(f"purity {errors.purity_mean:.6f} +- {errors.purity_std:.6f}")
-    return EXIT_OK
+    return _exit_code(errors.baseline.converged)
 
 
 def _cmd_preset(args) -> int:
@@ -334,11 +342,7 @@ def _cmd_preset(args) -> int:
     print(f"case {summary['case']}: SVD purity {summary['svd_purity']:.4f}, "
           f"reconstructed {summary['reconstructed_purity']:.4f} "
           f"+- {summary['purity_std']:.4f}")
-    if not summary["converged"]:
-        print("numerical failure: the maximum-likelihood estimate did not converge",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return _exit_code(summary["converged"])
 
 
 def _cmd_chirp_scan(args) -> int:

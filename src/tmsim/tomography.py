@@ -133,8 +133,8 @@ def expected_counts(rho: ModalDensityMatrix, pset: ProjectorSet,
                     exposures: Optional[Sequence] = None) -> np.ndarray:
     """Poisson means flux * exposure * p + background for every projector.
 
-    Raises InvalidArgumentError if a mean is not finite or exceeds
-    MAX_POISSON_MEAN.
+    Raises InvalidArgumentError if an exposure is not finite and positive,
+    or a mean is not finite or exceeds MAX_POISSON_MEAN.
     """
     if not flux > 0:
         raise InvalidArgumentError(f"flux must be positive, got {flux}")
@@ -148,6 +148,10 @@ def expected_counts(rho: ModalDensityMatrix, pset: ProjectorSet,
     exposures = np.asarray(exposures, dtype=float)
     if exposures.shape != (len(pset.projectors),):
         raise InvalidArgumentError("need one exposure per projector")
+    bad = exposures[~((exposures > 0) & (exposures < np.inf))]
+    if bad.size:
+        raise InvalidArgumentError(
+            f"exposure must be finite and positive, got {bad[0]}")
     ops = gate_operators(pset.coefficient_matrix(), sel)
     probs = np.clip(np.einsum("nab,ba->n", ops, rho.entries).real, 0.0, 1.0)
     rates = flux * exposures * probs + background
@@ -214,7 +218,10 @@ def _hermitian_span_rank(kets: np.ndarray) -> int:
 def _record_arrays(records: Sequence, pset: ProjectorSet,
                    subtract_background: float = 0.0):
     """Projector kets, background-floored counts and exposures of the
-    records, in record order."""
+    records, in record order: the front end of every fit.  Raises
+    IllPosedError unless the projectors span the Hermitian matrices."""
+    if not subtract_background >= 0:
+        raise InvalidArgumentError("subtract_background must be >= 0")
     if not records:
         raise InvalidArgumentError("no count records supplied")
     index = {(p.basis_index, p.element_index): i for i, p in enumerate(pset.projectors)}
@@ -222,14 +229,18 @@ def _record_arrays(records: Sequence, pset: ProjectorSet,
     for key in labels:
         if key not in index:
             raise InvalidArgumentError(f"record {key} has no matching projector")
+    kets = pset.coefficient_matrix()[[index[key] for key in labels]]
+    if _hermitian_span_rank(kets) < pset.dimension ** 2:
+        raise IllPosedError(
+            "recorded projectors do not span the state space; "
+            f"need {pset.dimension ** 2} independent directions")
     counts = [max(rec.counts - subtract_background, 0.0) for rec in records]
-    return (pset.coefficient_matrix()[[index[key] for key in labels]],
-            np.array(counts, dtype=float),
+    return (kets, np.array(counts, dtype=float),
             np.array([rec.exposure for rec in records], dtype=float))
 
 
 def _rrhor(kets: np.ndarray, counts: np.ndarray, weights: np.ndarray,
-           cfg: MLEConfig, history: Optional[list] = None):
+           cfg: MLEConfig):
     """Diluted R rho R iteration for a stack of count vectors at once.
 
     `kets` (n, d) are the measured projectors, `weights` (n,) their
@@ -237,12 +248,11 @@ def _rrhor(kets: np.ndarray, counts: np.ndarray, weights: np.ndarray,
     its own total.  Every row starts from the maximally mixed state and
     stops on the iteration its mean log-likelihood changes by less than
     `cfg.tolerance`; it then leaves the active set and later iterations do
-    not touch it.  When `history` is a list, the mean log-likelihoods of
-    the active rows are appended to it at the start and after every step.
+    not touch it.
 
     Returns the Hermitian-symmetrized estimates (B, d, d), the iteration
-    count (B,), the convergence flag (B,) and the final mean
-    log-likelihood (B,) of every row.
+    count (B,), the convergence flag (B,) and row 0's mean log-likelihood
+    at the start and after every step it took.
     """
     n, d = kets.shape
     size = counts.shape[0]
@@ -268,14 +278,12 @@ def _rrhor(kets: np.ndarray, counts: np.ndarray, weights: np.ndarray,
     estimates = np.empty((size, d, d), dtype=complex)
     iterations = np.full(size, cfg.max_iterations)
     converged = np.zeros(size, dtype=bool)
-    log_likelihood = np.empty(size)
 
     rows = np.arange(size)
     rho = np.repeat(np.eye(d, dtype=complex)[None] / d, size, axis=0)
     probs = np.real(rho.reshape(-1, 1, d * d) @ outer_h)[:, 0]
     current = mean_log_likelihood(probs, counts, totals)
-    if history is not None:
-        history.append(current)
+    trace = [current[0]]
     for step in range(1, cfg.max_iterations + 1):
         ratios = counts / (totals[:, None] * np.maximum(probs, 1e-300))
         growth = damping + lam * (ratios[:, None, :] @ outer).reshape(-1, d, d)
@@ -283,15 +291,14 @@ def _rrhor(kets: np.ndarray, counts: np.ndarray, weights: np.ndarray,
         rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
         probs = np.real(rho.reshape(-1, 1, d * d) @ outer_h)[:, 0]
         previous, current = current, mean_log_likelihood(probs, counts, totals)
-        if history is not None:
-            history.append(current)
+        if rows[0] == 0:
+            trace.append(current[0])
         done = np.abs(current - previous) < cfg.tolerance
         if done.any():
             stopped = rows[done]
             estimates[stopped] = rho[done]
             iterations[stopped] = step
             converged[stopped] = True
-            log_likelihood[stopped] = current[done]
             keep = ~done
             if not keep.any():
                 break
@@ -299,9 +306,24 @@ def _rrhor(kets: np.ndarray, counts: np.ndarray, weights: np.ndarray,
             current, counts, totals = current[keep], counts[keep], totals[keep]
     else:
         estimates[rows] = rho
-        log_likelihood[rows] = current
     estimates = 0.5 * (estimates + np.conj(estimates).transpose(0, 2, 1))
-    return estimates, iterations, converged, log_likelihood
+    return estimates, iterations, converged, np.array(trace)
+
+
+def _fit(records: Sequence, pset: ProjectorSet, cfg: MLEConfig,
+         subtract_background: float = 0.0, resamples: int = 0, seed: int = 0):
+    """Fit the records' counts as row 0 of one batched solve, above their
+    `resamples` Poisson redraws from one generator seeded with `seed`.
+    Returns row 0's reconstruction and the other rows' estimates and flags."""
+    kets, observed, weights = _record_arrays(records, pset, subtract_background)
+    draws = np.random.default_rng(seed).poisson(observed, (resamples, len(observed)))
+    rhos, iterations, converged, trace = _rrhor(
+        kets, np.concatenate([observed[None], draws]), weights, cfg)
+    baseline = ReconstructionResult(
+        rho_hat=ModalDensityMatrix(dimension=pset.dimension, entries=rhos[0]),
+        log_likelihood=trace, iterations=int(iterations[0]),
+        converged=bool(converged[0]))
+    return baseline, rhos[1:], converged[1:]
 
 
 def mle_reconstruct(records: Sequence, pset: ProjectorSet,
@@ -325,28 +347,16 @@ def mle_reconstruct(records: Sequence, pset: ProjectorSet,
     InvalidArgumentError
         If the records carry no counts at all.
     """
-    if not subtract_background >= 0:
-        raise InvalidArgumentError("subtract_background must be >= 0")
-    kets, counts, weights = _record_arrays(records, pset, subtract_background)
-    d = pset.dimension
-    if _hermitian_span_rank(kets) < d * d:
-        raise IllPosedError(
-            "recorded projectors do not span the state space; "
-            f"need {d * d} independent directions")
-    trace = []
-    rho, iterations, converged, _ = _rrhor(kets, counts[None], weights, cfg,
-                                           history=trace)
-    result = ModalDensityMatrix(dimension=d, entries=rho[0])
-    return ReconstructionResult(rho_hat=result,
-                                log_likelihood=np.concatenate(trace),
-                                iterations=int(iterations[0]),
-                                converged=bool(converged[0]))
+    return _fit(records, pset, cfg, subtract_background)[0]
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(mat)
-    evals = np.clip(evals, 0.0, None)
-    return (evecs * np.sqrt(evals)) @ evecs.conj().T
+def _fidelities(reference: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Uhlmann fidelity (tr sqrt(sqrt(a) b sqrt(a)))^2 of the reference
+    state a with every state b of the (B, d, d) stack; symmetric in a, b."""
+    evals, evecs = np.linalg.eigh(reference)
+    sqrt_ref = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
+    inner = np.linalg.eigvalsh(sqrt_ref @ stack @ sqrt_ref)
+    return np.sum(np.sqrt(np.clip(inner, 0.0, None)), axis=1) ** 2
 
 
 @dataclass(frozen=True)
@@ -363,11 +373,8 @@ def state_metrics(rho_a: ModalDensityMatrix,
     if rho_a.dimension != rho_b.dimension:
         raise InvalidArgumentError(
             f"dimension mismatch: {rho_a.dimension} vs {rho_b.dimension}")
-    a = rho_a.entries
-    b = rho_b.entries
-    sqrt_a = _psd_sqrt(a)
-    inner = np.linalg.eigvalsh(sqrt_a @ b @ sqrt_a)
-    fidelity = float(np.sum(np.sqrt(np.clip(inner, 0.0, None))) ** 2)
+    a, b = rho_a.entries, rho_b.entries
+    fidelity = float(_fidelities(a, b[None])[0])
     distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
     return StateMetrics(purity_a=rho_a.purity(), fidelity=fidelity,
                         trace_distance=distance)
@@ -391,10 +398,9 @@ def monte_carlo_errors(records: Sequence, pset: ProjectorSet,
 
     Each resample redraws every record as Poisson(n_i) and reconstructs;
     reported are the spread of the purity and of the fidelity against the
-    baseline reconstruction.  All resample counts are drawn up front from
-    one seeded generator and fitted together in one batched solve, each
-    under the same stop rule as a single fit, so results do not depend on
-    evaluation order.
+    baseline reconstruction, which is row 0 of the same batched solve.
+    Every row stops under the rule of a single fit, so results do not
+    depend on evaluation order.
 
     Raises
     ------
@@ -406,17 +412,10 @@ def monte_carlo_errors(records: Sequence, pset: ProjectorSet,
         raise InvalidArgumentError(f"resamples must be >= 2, got {resamples}")
     if not seed >= 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
-    baseline = mle_reconstruct(records, pset, cfg)
-    kets, observed, weights = _record_arrays(records, pset)
-    rng = np.random.default_rng(seed)
-    resampled = rng.poisson(observed, size=(resamples, observed.size))
-    rhos, _, converged, _ = _rrhor(kets, resampled.astype(float), weights, cfg)
-
+    baseline, rhos, converged = _fit(records, pset, cfg,
+                                     resamples=resamples, seed=seed)
     purities = np.einsum("rab,rba->r", rhos, rhos).real
-    # F(estimate, baseline) = (tr sqrt(sqrt(b) r sqrt(b)))^2, symmetric in r, b
-    sqrt_base = _psd_sqrt(baseline.rho_hat.entries)
-    inner = np.linalg.eigvalsh(sqrt_base @ rhos @ sqrt_base)
-    fidelities = np.sum(np.sqrt(np.clip(inner, 0.0, None)), axis=1) ** 2
+    fidelities = _fidelities(baseline.rho_hat.entries, rhos)
     return MonteCarloErrors(
         purity_mean=float(purities.mean()),
         purity_std=float(purities.std(ddof=1)),

@@ -395,7 +395,8 @@ class TestPipelineSubcommands:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bootstrap_counts_nonconverged_resamples(self, tmp_path, monkeypatch):
+    def test_bootstrap_counts_nonconverged_resamples(self, tmp_path, monkeypatch,
+                                                     capsys):
         main(["rho", "-d", "3", "--grid-count", "64", "--out", str(tmp_path)])
         main(["tomo", "simulate", "--rho", str(tmp_path / "rho.json"),
               "--flux", "10000", "--out", str(tmp_path)])
@@ -404,9 +405,12 @@ class TestPipelineSubcommands:
         assert main(bootstrap) == 0
         boot = json.loads((tmp_path / "bootstrap.json").read_text())
         assert boot["nonconverged_resamples"] == 0
+        capsys.readouterr()
         monkeypatch.setattr(cli, "_mle_config_from_args",
                             lambda args: MLEConfig(max_iterations=5))
-        assert main(bootstrap) == 0
+        # a baseline fit that hit the cap: bootstrap.json is written, exit 3
+        assert main(bootstrap) == 3
+        assert "did not converge" in capsys.readouterr().err
         boot = json.loads((tmp_path / "bootstrap.json").read_text())
         assert boot["nonconverged_resamples"] == 4
 

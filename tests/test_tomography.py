@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmsim import presets
+from tmsim import presets, tomography
 from tmsim import (
     CountRecord,
     IllPosedError,
@@ -161,6 +161,16 @@ class TestSimulateCounts:
         with pytest.raises(InvalidArgumentError, match="seed must be >= 0"):
             simulate_counts(random_rho(1), mub_bases(7), seed=-1)
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.inf, np.nan])
+    def test_exposures_must_be_finite_and_positive(self, bad):
+        # the rule CountRecord applies, checked before any mean is formed
+        rho, pset = random_rho(1, d=3), mub_bases(3)
+        exposures = [1.0] * 5 + [bad] + [1.0] * 6
+        for call in (expected_counts, simulate_counts):
+            with pytest.raises(InvalidArgumentError,
+                               match=f"exposure must be finite and positive, got {bad}"):
+                call(rho, pset, exposures=exposures)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError, match="dimension"):
             expected_counts(random_rho(1, d=5), mub_bases(7))
@@ -295,6 +305,27 @@ class TestStateMetrics:
         with pytest.raises(InvalidArgumentError):
             state_metrics(pure_state(0, d=7), pure_state(0, d=5))
 
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.integers(2, 7).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(1, d), st.integers(1, d))),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fidelity_properties(self, shape, seed):
+        # 1e-6 covers the sqrt(eps) error of the square root of a
+        # rank-deficient state; 3000 random pairs stayed below 6.1e-8
+        d, rank_a, rank_b = shape
+        rho = random_rho(seed, d=d, k=rank_a)
+        sigma = random_rho(seed + 1, d=d, k=rank_b)
+        fidelity = state_metrics(rho, sigma).fidelity
+        assert 0.0 <= fidelity <= 1.0 + 1e-6
+        assert abs(fidelity - state_metrics(sigma, rho).fidelity) <= 1e-6
+        assert abs(state_metrics(rho, rho).fidelity - 1.0) <= 1e-6
+        kets = np.random.default_rng(seed).normal(size=(2, d, 2)) @ [1, 1j]
+        psi, phi = kets / np.linalg.norm(kets, axis=1, keepdims=True)
+        pure = [ModalDensityMatrix(dimension=d, entries=np.outer(v, v.conj()))
+                for v in (psi, phi)]
+        overlap = abs(np.vdot(psi, phi)) ** 2
+        assert abs(state_metrics(*pure).fidelity - overlap) <= 1e-6
+
 
 class TestMonteCarloErrors:
     def test_high_flux_spread_is_small(self):
@@ -311,14 +342,36 @@ class TestMonteCarloErrors:
         b = monte_carlo_errors(records, pset, resamples=5, seed=3)
         np.testing.assert_array_equal(a.purities, b.purities)
 
-    def test_baseline_is_the_plain_fit(self):
+    def test_baseline_is_the_plain_fit(self, preset_records):
         pset = mub_bases(7)
-        records = simulate_counts(random_rho(1), pset, flux=1e4, seed=2)
-        errors = monte_carlo_errors(records, pset, resamples=2, seed=3)
-        direct = mle_reconstruct(records, pset)
-        np.testing.assert_array_equal(errors.baseline.rho_hat.entries,
-                                      direct.rho_hat.entries)
-        assert errors.baseline.iterations == direct.iterations
+        for records in (simulate_counts(random_rho(1), pset, flux=1e4, seed=2),
+                        preset_records["a"], preset_records["b"]):
+            errors = monte_carlo_errors(records, pset, resamples=2, seed=3)
+            direct = mle_reconstruct(records, pset)
+            np.testing.assert_array_equal(errors.baseline.rho_hat.entries,
+                                          direct.rho_hat.entries)
+            np.testing.assert_array_equal(errors.baseline.log_likelihood,
+                                          direct.log_likelihood)
+            assert errors.baseline.iterations == direct.iterations
+            assert errors.baseline.converged == direct.converged
+
+    def test_fidelities_are_state_metrics_of_each_resample(self, monkeypatch):
+        pset = mub_bases(7)
+        records = simulate_counts(random_rho(4), pset, flux=1e4, seed=6)
+        solves = []
+
+        def recording_rrhor(*args):
+            solves.append(_rrhor(*args))
+            return solves[-1]
+
+        monkeypatch.setattr(tomography, "_rrhor", recording_rrhor)
+        errors = monte_carlo_errors(records, pset, resamples=8, seed=5)
+        assert len(solves) == 1  # the baseline is row 0 of the one solve
+        resampled = solves[0][0][1:]
+        assert len(resampled) == len(errors.fidelities) == 8
+        for rho, fidelity in zip(resampled, errors.fidelities):
+            state = ModalDensityMatrix(dimension=7, entries=rho)
+            assert state_metrics(errors.baseline.rho_hat, state).fidelity == fidelity
 
     def test_zero_counts_propagates(self):
         pset = mub_bases(7)
@@ -405,13 +458,20 @@ class TestBatchedKernel:
         assert not cut[2][later].any()
 
     def test_history_is_the_log_likelihood_trace(self):
+        # row 0's trace does not depend on the rows fitted alongside it
         pset = mub_bases(7)
         records = simulate_counts(random_rho(2), pset, flux=1e4, seed=4)
         result = mle_reconstruct(records, pset)
         assert result.log_likelihood.shape == (result.iterations + 1,)
-        kets, counts, weights = _record_arrays(records, pset)
-        _, _, _, final = _rrhor(kets, counts[None], weights, MLEConfig())
-        assert final[0] == result.log_likelihood[-1]
+        kets, observed, weights = _record_arrays(records, pset)
+        draws = np.random.default_rng(0).poisson(observed, size=(8, observed.size))
+        counts = np.concatenate([observed[None], draws])
+        _, iterations, _, trace = _rrhor(kets, counts, weights, MLEConfig())
+        assert (iterations[1:] < iterations[0]).any()
+        assert (iterations[1:] > iterations[0]).any()
+        np.testing.assert_array_equal(trace, result.log_likelihood)
+        capped = _rrhor(kets, counts, weights, MLEConfig(max_iterations=5))
+        np.testing.assert_array_equal(capped[3], result.log_likelihood[:6])
 
     def test_nonconverged_resamples_counted(self):
         pset = mub_bases(7)
@@ -510,3 +570,15 @@ class TestMeasurementModel:
         kets = mub_bases(7).coefficient_matrix()
         np.testing.assert_array_equal(
             gate_operators(kets), kets[:, :, None] * np.conj(kets)[:, None, :])
+
+
+class TestBootstrapBenchmarks:
+    """Timing of the batched bootstrap (the baseline and 20 resamples in one
+    solve) on the preset-a counts; pytest-benchmark prints it with
+    ``pytest --benchmark-only -k bootstrap``."""
+
+    def test_monte_carlo_errors(self, benchmark, preset_records):
+        errors = benchmark.pedantic(
+            monte_carlo_errors, args=(preset_records["a"], mub_bases(7)),
+            kwargs={"resamples": 20, "seed": 8}, rounds=3, iterations=1)
+        assert errors.baseline.converged and errors.nonconverged == 0
