@@ -118,18 +118,11 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _parse_complex_list(text: str) -> np.ndarray:
+def _parse_list(text: str, kind=float) -> list:
     try:
-        return np.array([complex(part) for part in text.split(",")])
+        return [kind(part) for part in text.split(",")]
     except ValueError as exc:
-        raise InvalidArgumentError(f"cannot parse complex list {text!r}: {exc}")
-
-
-def _parse_float_list(text: str) -> list:
-    try:
-        return [float(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise InvalidArgumentError(f"cannot parse number list {text!r}: {exc}")
+        raise InvalidArgumentError(f"cannot parse {kind.__name__} list {text!r}: {exc}")
 
 
 def _mode_vector(order, coeffs, dimension: int) -> np.ndarray:
@@ -143,15 +136,13 @@ def _mode_vector(order, coeffs, dimension: int) -> np.ndarray:
         vec = np.zeros(dimension, dtype=complex)
         vec[order] = 1.0
         return vec
-    return _parse_complex_list(coeffs)
+    return np.array(_parse_list(coeffs, complex))
 
 
 def _selectivity_from_args(args: argparse.Namespace) -> SelectivityModel:
-    falloff = None
-    if getattr(args, "falloff", None):
-        falloff = tuple(_parse_float_list(args.falloff))
-    crosstalk = getattr(args, "crosstalk_value", None)
-    return SelectivityModel(crosstalk=crosstalk or 0.0, per_order_falloff=falloff)
+    falloff = _parse_list(args.falloff) if args.falloff else None
+    return SelectivityModel(crosstalk=args.crosstalk_value or 0.0,
+                            per_order_falloff=falloff)
 
 
 def _load_density(path: str):
@@ -245,7 +236,7 @@ def _cmd_qpg_project(args) -> int:
 
 def _cmd_qpg_filter(args) -> int:
     # apply_mode_filter rejects negative weights and renormalizes both arms
-    weights = np.array(_parse_float_list(args.weights))
+    weights = np.array(_parse_list(args.weights))
     dimension = weights.size
     mode = _mode_vector(args.filter_order, args.filter_coeffs, dimension)
     result = apply_mode_filter(weights, np.eye(dimension, dtype=complex),
@@ -347,7 +338,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_chirp_scan(args) -> int:
     config = _resolve_config(args)
-    values = _parse_float_list(args.a_values)
+    values = _parse_list(args.a_values)
     rows = presets.chirp_scan(values, config,
                               background_fraction=args.background_fraction)
     _write(Path(args.out) / "chirp_scan.csv", presets.chirp_scan_csv(rows))
@@ -478,7 +469,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (InvalidArgumentError, ToolkitError, json.JSONDecodeError,
-            KeyError) as exc:
+            UnicodeDecodeError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

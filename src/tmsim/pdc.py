@@ -437,20 +437,16 @@ def reduced_density_matrix(dec: SchmidtDecomposition, basis: HermiteGaussParams,
                               leakage=max(leakage, 0.0))
 
 
-def fit_basis_width(dec: SchmidtDecomposition,
-                    center: Optional[float] = None) -> float:
-    """Basis width maximizing the overlap of HG0 with the dominant mode.
-
-    Used to freeze one tomography basis from a reference (decorrelated)
-    state.  The search is bracketed around the dominant mode's measured
-    amplitude width.
-    """
+def fit_basis_width(dec: SchmidtDecomposition) -> float:
+    """Width of the grid-centred HG0 that maximizes the overlap with the
+    dominant mode, bracketed around that mode's measured amplitude width:
+    the check of the closed-form `presets.REFERENCE_WIDTH`, and the only
+    function that needs scipy."""
     from scipy.optimize import minimize_scalar
 
     psi0 = dec.signal_modes[0]
     grid = psi0.grid
-    if center is None:
-        center = grid.center
+    center = grid.center
     density = np.abs(psi0.amplitudes) ** 2 * grid.spacing
     density = density / density.sum()
     mean = float(np.sum(grid.points * density))

@@ -28,7 +28,6 @@ from .pdc import (
     PhasematchingModel,
     build_jsa,
     chirp_purity_analytic,
-    fit_basis_width,
     g2_from_purity,
     jsi_marginal_sigmas,
     matched_phasematching_width,
@@ -117,15 +116,21 @@ class PumpConfig:
         _check_types(self, "pump.")
         _require(self.shape_order in (0, 1), "pump.shape_order",
                  f"must be 0 or 1, got {self.shape_order}")
-        _require(self.center_nm > 0, "pump.center_nm",
-                 f"must be positive, got {self.center_nm}")
-        _require(self.fwhm_nm > 0, "pump.fwhm_nm",
-                 f"must be positive, got {self.fwhm_nm}")
+        _require(0 < self.center_nm < np.inf, "pump.center_nm",
+                 f"must be positive and finite, got {self.center_nm}")
+        _require(0 < self.fwhm_nm < np.inf, "pump.fwhm_nm",
+                 f"must be positive and finite, got {self.fwhm_nm}")
         _require(np.isfinite(self.chirp_fs2), "pump.chirp_fs2", "must be finite")
 
     def amplitude_sigma(self) -> float:
         # intensity std -> amplitude width parameter of the field envelope
         return np.sqrt(2.0) * convert_bandwidth(self.center_nm, self.fwhm_nm).sigma_omega
+
+
+#: the reference source (default pump, matched 45-degree Gaussian ridge) is
+#: exactly exp(-ds^2/sp^2) * exp(-di^2/sp^2), sp the pump's amplitude width:
+#: one Schmidt mode, HG0 of this width, which the crystal and basis share
+REFERENCE_WIDTH = matched_phasematching_width(PumpConfig().amplitude_sigma())
 
 
 @dataclass(frozen=True)
@@ -140,9 +145,8 @@ class PhasematchingConfig:
 
     def model(self) -> PhasematchingModel:
         width = self.width_rad_per_fs
-        if width is None:
-            # crystal fixed by the decorrelated source
-            width = matched_phasematching_width(PumpConfig().amplitude_sigma())
+        if width is None:  # crystal fixed by the decorrelated source
+            width = REFERENCE_WIDTH
         return PhasematchingModel(angle_deg=self.angle_deg, width=width,
                                   shape=self.shape)
 
@@ -160,9 +164,8 @@ class BasisConfig:
         _require(self.width_policy in ("fit-reference", "fixed"), "basis.width_policy",
                  f"must be 'fit-reference' or 'fixed', got {self.width_policy!r}")
         if self.width_policy == "fixed":
-            _require(self.width_rad_per_fs is not None and self.width_rad_per_fs > 0,
-                     "basis.width_rad_per_fs",
-                     "must be positive when width_policy is 'fixed'")
+            _require(0 < (self.width_rad_per_fs or 0) < np.inf, "basis.width_rad_per_fs",
+                     "must be positive and finite when width_policy is 'fixed'")
 
 
 @dataclass(frozen=True)
@@ -213,8 +216,8 @@ class GridConfig:
     def __post_init__(self):
         _check_types(self, "grid.")
         _require(self.count >= 16, "grid.count", f"must be >= 16, got {self.count}")
-        _require(self.signal_center_nm > 0, "grid.signal_center_nm",
-                 f"must be positive, got {self.signal_center_nm}")
+        _require(0 < self.signal_center_nm < np.inf, "grid.signal_center_nm",
+                 f"must be positive and finite, got {self.signal_center_nm}")
 
 
 @dataclass(frozen=True)
@@ -302,7 +305,7 @@ def preset_config(case: str) -> ExperimentConfig:
     c: chirped pump (phase-correlated); d: first-order pump shape on a
     tilted ridge, favouring the odd mode.
     """
-    if case not in _PRESET_OVERRIDES:
+    if not isinstance(case, str) or case not in _PRESET_OVERRIDES:
         raise InvalidArgumentError(f"preset case must be one of a-d, got {case!r}")
     return merge_overrides(ExperimentConfig(), _PRESET_OVERRIDES[case])
 
@@ -313,17 +316,15 @@ def experiment_grids(config: ExperimentConfig):
     """Signal/idler grids sized for the state and the tomography basis."""
     sigma_pump = config.pump.amplitude_sigma()
     sigma_pm = config.phasematching.model().width
-    # the frozen basis is matched to the reference source; its highest
-    # order must still fit on the grid
-    sigma_basis = matched_phasematching_width(PumpConfig().amplitude_sigma())
-    half_span = max(4.3 * np.sqrt(config.basis.dimension) * sigma_basis,
+    # the frozen basis's highest order must still fit on the grid
+    half_span = max(4.3 * np.sqrt(config.basis.dimension) * REFERENCE_WIDTH,
                     7.0 * max(sigma_pump, sigma_pm))
     omega_signal = wavelength_to_omega(config.grid.signal_center_nm)
     omega_pump = wavelength_to_omega(config.pump.center_nm)
     omega_idler = omega_pump - omega_signal
-    if omega_idler <= 0:
-        raise InvalidArgumentError(
-            "pump.center_nm/grid.signal_center_nm: idler frequency is not positive")
+    if min(omega_signal, omega_idler) <= half_span:
+        raise InvalidArgumentError("pump.center_nm/grid.signal_center_nm: the signal "
+                                   "or idler grid reaches a non-positive frequency")
     signal_grid = make_grid(omega_signal, 2 * half_span, config.grid.count)
     idler_grid = make_grid(omega_idler, 2 * half_span, config.grid.count)
     return signal_grid, idler_grid
@@ -367,17 +368,12 @@ def build_state(config: ExperimentConfig) -> JointSpectralAmplitude:
 def tomography_basis(config: ExperimentConfig) -> HermiteGaussParams:
     """The frozen Hermite-Gauss tomography basis.
 
-    Under the default policy the width maximizes the overlap of HG0 with
-    the dominant mode of the decorrelated reference source; that one basis
-    then serves every preset, mirroring a single gate configuration.
+    Its width is `REFERENCE_WIDTH` unless the policy is "fixed"; that one
+    basis serves every preset, mirroring a single gate configuration.
     """
     signal_grid, _ = experiment_grids(config)
-    if config.basis.width_policy == "fixed":
-        return HermiteGaussParams(order=0, center=signal_grid.center,
-                                  width=config.basis.width_rad_per_fs)
-    reference = ExperimentConfig(grid=config.grid)
-    reference_dec = schmidt_decompose(build_state(reference), max_modes=1)
-    width = fit_basis_width(reference_dec)
+    width = (config.basis.width_rad_per_fs if config.basis.width_policy == "fixed"
+             else REFERENCE_WIDTH)
     return HermiteGaussParams(order=0, center=signal_grid.center, width=width)
 
 

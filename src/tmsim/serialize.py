@@ -315,10 +315,22 @@ def density_to_dict(rho: ModalDensityMatrix) -> dict:
 
 
 def density_from_dict(data: dict) -> ModalDensityMatrix:
-    entries = (np.asarray(data["re"], dtype=float)
-               + 1j * np.asarray(data["im"], dtype=float))
-    return ModalDensityMatrix(dimension=int(data["d"]), entries=entries,
-                              leakage=float(data.get("leakage", 0.0)))
+    """Parse ``density_to_dict`` output, naming any malformed entry."""
+    if not isinstance(data, dict):
+        raise InvalidArgumentError("density matrix must be a JSON object")
+    d, leakage = data["d"], data.get("leakage", 0.0)
+    if type(d) is not int:
+        raise InvalidArgumentError(f"density matrix 'd': must be an integer, got {d!r}")
+    if type(leakage) not in (int, float):
+        raise InvalidArgumentError("density matrix 'leakage': must be a number")
+    parts = {}
+    for key in ("re", "im"):
+        try:
+            parts[key] = np.asarray(data[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"density matrix {key!r}: {exc}") from exc
+    return ModalDensityMatrix(dimension=d, entries=parts["re"] + 1j * parts["im"],
+                              leakage=float(leakage))
 
 
 def schmidt_to_dict(dec: SchmidtDecomposition) -> dict:

@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
 import json
+import os
 import runpy
+import subprocess
 import sys
 import typing
 from pathlib import Path
@@ -80,6 +82,15 @@ class TestConfigHandling:
         ({"tomography": {"flux": 1e300}}, []),
         # numpy's generators take no negative seed
         ({"tomography": {"seed": -2}}, []),
+        # wavelengths and widths must be finite
+        ({"pump": {"center_nm": float("inf")}}, []),
+        ({"pump": {"fwhm_nm": float("inf")}}, []),
+        ({"grid": {"signal_center_nm": float("inf")}}, []),
+        ({"basis": {"width_policy": "fixed", "width_rad_per_fs": float("inf")}}, []),
+        # finite, but the signal grid (centred at ~2e-300 rad/fs) or the
+        # idler grid (centred at ~8e-4 rad/fs) reaches a non-positive frequency
+        ({"grid": {"signal_center_nm": 1e300}}, []),
+        ({"pump": {"center_nm": 1539.0}}, []),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, command, content,
                                      flags):
@@ -89,6 +100,17 @@ class TestConfigHandling:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("flag, field", [
+        (["--signal-center-nm", "inf"], "grid.signal_center_nm"),
+        (["--pump-fwhm-nm", "inf"], "pump.fwhm_nm"),
+    ])
+    def test_infinite_flag_names_field(self, tmp_path, capsys, flag, field):
+        rc = main(["rho", "-d", "3", "--grid-count", "64", *flag,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "rho.json").exists()
 
     def test_merge_leaves_base_unchanged(self):
         base = presets.preset_config("b")
@@ -216,6 +238,8 @@ class TestPresetRuns:
         ([], "5"),
         ([], '{"case": "a"}'),
         ([], '{"case": "z", "config": {}}'),
+        ([], '{"case": ["a"], "config": {}}'),
+        ([], '{"case": {"x": 1}, "config": {}}'),
     ])
     def test_bad_manifest_run_exits_2(self, tmp_path, case, text):
         manifest = tmp_path / "manifest.json"
@@ -395,6 +419,42 @@ class TestPipelineSubcommands:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["qpg", "project", "--mode-order", "0", "--rho"],
+        ["tomo", "simulate", "--rho"],
+    ])
+    @pytest.mark.parametrize("content, message", [
+        ('{"d": "x", "re": [[1]], "im": [[0]]}', "'d': must be an integer"),
+        ('{"d": 2.7, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}',
+         "'d': must be an integer"),
+        ('[1]', "must be a JSON object"),
+        ('{"d": 1, "re": [["a"]], "im": [[0]]}', "'re': could not convert"),
+        ('{"d": 1, "re": [[1]], "im": [[0]], "leakage": "x"}',
+         "'leakage': must be a number"),
+    ])
+    def test_malformed_density_exits_2(self, tmp_path, capsys, command, content,
+                                       message):
+        rho = tmp_path / "rho.json"
+        rho.write_text(content)
+        rc = main([*command, str(rho), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["rho", "--config"],
+        ["tomo", "reconstruct", "-d", "3", "--counts"],
+        ["tomo", "simulate", "--rho"],
+        ["qpg", "project", "--mode-order", "0", "--rho"],
+    ])
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "input"
+        path.write_bytes(b'{"pump": "\xff\xfe"}')
+        rc = main([*command, str(path), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_bootstrap_counts_nonconverged_resamples(self, tmp_path, monkeypatch,
                                                      capsys):
         main(["rho", "-d", "3", "--grid-count", "64", "--out", str(tmp_path)])
@@ -462,6 +522,25 @@ class TestChirpScanLibrary:
         rows = presets.chirp_scan([0.0, 0.38e6], config)
         for row in rows:
             assert abs(row["svd_purity"] - row["analytic_purity"]) < 1e-3
+
+
+class TestImports:
+    def test_pipeline_imports_no_optimizer(self, tmp_path):
+        # the benchmark's warm-up call, in a fresh interpreter
+        script = (
+            "import contextlib, io, sys\n"
+            "import tmsim.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = tmsim.cli.main(['rho', '-d', '3', '--grid-count', '64',"
+            f" '--out', {str(tmp_path)!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "[]"]
 
 
 class TestModuleEntryPoint:

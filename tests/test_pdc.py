@@ -542,6 +542,16 @@ class TestFitBasisWidth:
         width = fit_basis_width(dec)
         assert width == pytest.approx(PUMP_SIGMA / np.sqrt(2.0), rel=1e-4)
 
+    @pytest.mark.parametrize("count", [64, 512, 1024])
+    @pytest.mark.parametrize("signal_center_nm", [1540.0, 1530.0])
+    def test_reference_width_is_the_fitted_width(self, count, signal_center_nm):
+        # the frozen basis's closed form against a fit to the reference
+        # source's dominant mode; the gap is the sampled pump's error
+        grid = presets.GridConfig(count=count, signal_center_nm=signal_center_nm)
+        reference = presets.build_state(presets.ExperimentConfig(grid=grid))
+        width = fit_basis_width(schmidt_decompose(reference, max_modes=1))
+        assert presets.REFERENCE_WIDTH == pytest.approx(width, rel=1e-5)
+
 
 class TestChirpPurityAnalytic:
     def test_unchirped(self):
