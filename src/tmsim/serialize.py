@@ -239,9 +239,17 @@ def grid_to_dict(grid: FrequencyGrid) -> dict:
 
 
 def grid_from_dict(data: dict) -> FrequencyGrid:
+    """Parse ``grid_to_dict`` output, naming any malformed entry."""
+    if not isinstance(data, dict):
+        raise InvalidArgumentError("grid must be a JSON object")
+    count = data["count"]
+    if type(count) is not int:
+        raise InvalidArgumentError(f"grid 'count': must be an integer, got {count!r}")
+    for key in ("center", "spacing"):  # FrequencyGrid checks the ranges
+        if type(data[key]) not in (int, float):
+            raise InvalidArgumentError(f"grid {key!r}: must be a number, got {data[key]!r}")
     return FrequencyGrid(center=float(data["center"]),
-                         spacing=float(data["spacing"]),
-                         count=int(data["count"]))
+                         spacing=float(data["spacing"]), count=count)
 
 
 def spectrum_to_dict(spectrum: ComplexSpectrum) -> dict:

@@ -207,9 +207,9 @@ def convert_bandwidth(center_wavelength_nm: float,
     standard deviation of angular frequency in rad/fs
     (FWHM = 2 sqrt(2 ln 2) sigma).
     """
-    if not (center_wavelength_nm > 0 and fwhm_wavelength_nm > 0):
+    if not (0 < center_wavelength_nm < np.inf and 0 < fwhm_wavelength_nm < np.inf):
         raise InvalidArgumentError(
-            "center and FWHM wavelengths must both be positive, got "
+            "center and FWHM wavelengths must both be finite and positive, got "
             f"{center_wavelength_nm} nm and {fwhm_wavelength_nm} nm")
     fwhm_hz = (SPEED_OF_LIGHT_M_PER_S * fwhm_wavelength_nm * 1e-9
                / (center_wavelength_nm * 1e-9) ** 2)
@@ -221,17 +221,19 @@ def convert_bandwidth(center_wavelength_nm: float,
 def invert_bandwidth(center_wavelength_nm: float,
                      fwhm_frequency_ghz: float) -> float:
     """Inverse of :func:`convert_bandwidth`: FWHM in GHz back to nm."""
-    if not (center_wavelength_nm > 0 and fwhm_frequency_ghz > 0):
+    if not (0 < center_wavelength_nm < np.inf and 0 < fwhm_frequency_ghz < np.inf):
         raise InvalidArgumentError(
-            "center wavelength and FWHM frequency must both be positive")
+            "center wavelength and FWHM frequency must both be finite and "
+            f"positive, got {center_wavelength_nm} nm and {fwhm_frequency_ghz} GHz")
     return (fwhm_frequency_ghz * 1e9 * (center_wavelength_nm * 1e-9) ** 2
             / SPEED_OF_LIGHT_M_PER_S) * 1e9
 
 
 def wavelength_to_omega(wavelength_nm: float) -> float:
     """Vacuum wavelength in nm to angular frequency in rad/fs."""
-    if wavelength_nm <= 0:
-        raise InvalidArgumentError(f"wavelength must be positive, got {wavelength_nm}")
+    if not 0 < wavelength_nm < np.inf:
+        raise InvalidArgumentError(
+            f"wavelength must be finite and positive, got {wavelength_nm}")
     return 2.0 * np.pi * SPEED_OF_LIGHT_M_PER_S * 1e-6 / wavelength_nm
 
 

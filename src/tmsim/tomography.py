@@ -207,19 +207,74 @@ class ReconstructionResult:
     converged: bool
 
 
-def _hermitian_span_rank(kets: np.ndarray) -> int:
+def _hermitian_packing(d: int):
+    """Index maps between the float view of a complex (d, d) matrix and
+    its d^2 real Hermitian coordinates: Re of the diagonal, then Re and Im
+    of the strict upper triangle, row-major.
+
+    `gather` picks the coordinates out of the 2 d^2 floats of the view.
+    `scatter` rebuilds the view from [x, -x, 0], 2 d^2 + 1 floats: the
+    lower triangle reads the upper one with its imaginary part negated,
+    and the diagonal's imaginary part reads the trailing zero.
+    """
+    diag, upper = np.diag_indices(d), np.triu_indices(d, 1)
+    lower, m = upper[::-1], len(upper[0])
+    view = np.arange(2 * d * d).reshape(d, d, 2)
+    gather = np.concatenate([view[diag][:, 0], view[upper][:, 0], view[upper][:, 1]])
+    scatter = np.full((d, d, 2), 2 * d * d)
+    scatter[diag + (0,)] = np.arange(d)
+    scatter[upper + (0,)] = scatter[lower + (0,)] = d + np.arange(m)
+    scatter[upper + (1,)] = d + m + np.arange(m)
+    scatter[lower + (1,)] = d * d + d + m + np.arange(m)
+    return gather, scatter.reshape(-1)
+
+
+def _hermitian_coordinates(kets: np.ndarray) -> np.ndarray:
+    """(n, d^2) real coordinates of the ideal gate operators of the (n, d)
+    `kets`, in `_hermitian_packing` order with the off-diagonal columns
+    doubled, so that Tr(rho E_i) is x . C[i] for rho's coordinates x."""
+    d = kets.shape[1]
+    ops = gate_operators(kets)
+    coords = ops.reshape(len(ops), -1).view(float).take(_hermitian_packing(d)[0], axis=1)
+    coords[:, d:] *= 2.0
+    return coords
+
+
+def _probabilities(rho: np.ndarray, coords: np.ndarray, gather: np.ndarray):
+    """Tr(rho E_i), shape (B, n), for the Hermitian (B, d, d) stack `rho`
+    and the operators' `_hermitian_coordinates`, from rho's upper triangle."""
+    x = rho.reshape(len(rho), -1).view(float).take(gather, axis=1)
+    return (x[:, None, :] @ coords.T)[:, 0]
+
+
+def _hermitian(x: np.ndarray, scatter: np.ndarray) -> np.ndarray:
+    """The (B, d, d) Hermitian matrices of the (B, d^2) coordinates `x`."""
+    d = int(np.sqrt(x.shape[1]))
+    full = np.concatenate([x, -x, np.zeros((len(x), 1))], axis=1).take(scatter, axis=1)
+    return full.view(complex).reshape(len(x), d, d)
+
+
+def _hermitian_span_rank(coords: np.ndarray) -> int:
     """Rank of the projectors' span inside the real space of Hermitian
-    matrices, each taken as the real and imaginary parts of its entries."""
-    outers = gate_operators(kets).reshape(len(kets), -1)
-    return int(np.linalg.matrix_rank(np.concatenate([outers.real, outers.imag], axis=1),
-                                     tol=1e-10))
+    matrices, read from their `_hermitian_coordinates`."""
+    return int(np.linalg.matrix_rank(coords, tol=1e-10))
+
+
+#: largest relative deviation of sum_i w_i E_i from a multiple of I that a
+#: fit accepts
+IDENTITY_TOLERANCE = 1e-9
 
 
 def _record_arrays(records: Sequence, pset: ProjectorSet,
                    subtract_background: float = 0.0):
-    """Projector kets, background-floored counts and exposures of the
-    records, in record order: the front end of every fit.  Raises
-    IllPosedError unless the projectors span the Hermitian matrices."""
+    """Hermitian coordinates of the recorded projectors, background-floored
+    counts and exposures of the records, in record order: the front end of
+    every fit.
+
+    Raises IllPosedError unless the projectors span the Hermitian matrices,
+    and InvalidArgumentError unless the exposure-weighted measurement
+    operators sum to a multiple of the identity, which the R rho R fixed
+    point assumes."""
     if not subtract_background >= 0:
         raise InvalidArgumentError("subtract_background must be >= 0")
     if not records:
@@ -229,51 +284,69 @@ def _record_arrays(records: Sequence, pset: ProjectorSet,
     for key in labels:
         if key not in index:
             raise InvalidArgumentError(f"record {key} has no matching projector")
-    kets = pset.coefficient_matrix()[[index[key] for key in labels]]
-    if _hermitian_span_rank(kets) < pset.dimension ** 2:
+    d = pset.dimension
+    coords = _hermitian_coordinates(
+        pset.coefficient_matrix()[[index[key] for key in labels]])
+    if _hermitian_span_rank(coords) < d ** 2:
         raise IllPosedError(
             "recorded projectors do not span the state space; "
-            f"need {pset.dimension ** 2} independent directions")
+            f"need {d ** 2} independent directions")
+    weights = np.array([rec.exposure for rec in records], dtype=float)
+    h = weights @ coords  # sum_i w_i E_i, its off-diagonal entries doubled
+    scale = h[:d].mean()
+    deviation = max(np.abs(h[:d] - scale).max(),
+                    0.5 * np.abs(h[d:]).max(initial=0.0)) / scale
+    if not deviation <= IDENTITY_TOLERANCE:
+        raise InvalidArgumentError(
+            "the exposure-weighted measurement operators do not sum to a "
+            f"multiple of the identity (relative deviation {deviation:.3e}); "
+            "R rho R fits only such record sets: record every projector of a "
+            "basis with one exposure (the H-normalised iteration of ROADMAP "
+            "item 2 would lift this)")
     counts = [max(rec.counts - subtract_background, 0.0) for rec in records]
-    return (kets, np.array(counts, dtype=float),
-            np.array([rec.exposure for rec in records], dtype=float))
+    return coords, np.array(counts, dtype=float), weights
 
 
-def _rrhor(kets: np.ndarray, counts: np.ndarray, weights: np.ndarray,
+def _rrhor(coords: np.ndarray, counts: np.ndarray, weights: np.ndarray,
            cfg: MLEConfig):
     """Diluted R rho R iteration for a stack of count vectors at once.
 
-    `kets` (n, d) are the measured projectors, `weights` (n,) their
-    exposures and each row of `counts` (B, n) one data set, normalized by
-    its own total.  Every row starts from the maximally mixed state and
-    stops on the iteration its mean log-likelihood changes by less than
-    `cfg.tolerance`; it then leaves the active set and later iterations do
-    not touch it.
+    `coords` (n, d^2) are the measured operators' `_hermitian_coordinates`,
+    `weights` (n,) their exposures and each row of `counts` (B, n) one data
+    set, normalized by its own total.  Every row starts from the maximally
+    mixed state and stops on the iteration its mean log-likelihood changes
+    by less than `cfg.tolerance`; it then leaves the active set and later
+    iterations do not touch it.
 
     Returns the Hermitian-symmetrized estimates (B, d, d), the iteration
     count (B,), the convergence flag (B,) and row 0's mean log-likelihood
     at the start and after every step it took.
     """
-    n, d = kets.shape
     size = counts.shape[0]
+    d = int(np.sqrt(coords.shape[1]))
     totals = counts.sum(axis=1)
     if np.any(totals <= 0):
         raise InvalidArgumentError("total counts must be positive")
-    # row i of `outer` is |m_i><m_i| flattened, so R = ratios @ outer and
-    # p = Re(rho_flat @ conj(outer).T).  Both products are taken row by row,
-    # as (B, 1, .) stacks: numpy sends a one-row product to gemv and a
-    # B-row one to gemm, whose rounding differs, and a row's stop iteration
-    # must not depend on the batch it is fitted in.
-    outer = gate_operators(kets).reshape(n, d * d)
-    outer_h = np.conj(outer).T
+    # p = x @ coords.T for rho's coordinates x, and R's coordinates are
+    # ratios @ coords with the off-diagonal ones doubled.  Both products
+    # are taken row by row, as (B, 1, .) stacks: numpy sends a one-row
+    # product to gemv and a B-row one to gemm, whose rounding differs, and
+    # a row's stop iteration must not depend on the batch it is fitted in.
+    gather, scatter = _hermitian_packing(d)
     lam = cfg.dilution
-    damping = (1.0 - lam) * np.eye(d, dtype=complex)
+    # G = (1 - lam) I + lam R in coordinates; the 0.5 undoes the doubled
+    # off-diagonal columns of `coords`
+    scale = np.full(d * d, 0.5 * lam)
+    scale[:d] = lam
+    shift = np.zeros(d * d)
+    shift[:d] = 1.0 - lam
+    freqs = counts / totals[:, None]
 
-    def mean_log_likelihood(probs, counts, totals):
+    def mean_log_likelihood(probs, freqs):
+        # a zero frequency times the floored, finite log adds nothing
         weighted = weights * probs
-        terms = np.where(counts > 0,
-                         counts * np.log(np.maximum(weighted, 1e-300)), 0.0)
-        return terms.sum(axis=1) / totals - np.log(weighted.sum(axis=1))
+        return ((freqs * np.log(np.maximum(weighted, 1e-300))).sum(axis=1)
+                - np.log(weighted.sum(axis=1)))
 
     estimates = np.empty((size, d, d), dtype=complex)
     iterations = np.full(size, cfg.max_iterations)
@@ -281,16 +354,17 @@ def _rrhor(kets: np.ndarray, counts: np.ndarray, weights: np.ndarray,
 
     rows = np.arange(size)
     rho = np.repeat(np.eye(d, dtype=complex)[None] / d, size, axis=0)
-    probs = np.real(rho.reshape(-1, 1, d * d) @ outer_h)[:, 0]
-    current = mean_log_likelihood(probs, counts, totals)
+    probs = _probabilities(rho, coords, gather)
+    current = mean_log_likelihood(probs, freqs)
     trace = [current[0]]
     for step in range(1, cfg.max_iterations + 1):
-        ratios = counts / (totals[:, None] * np.maximum(probs, 1e-300))
-        growth = damping + lam * (ratios[:, None, :] @ outer).reshape(-1, d, d)
-        rho = growth @ rho @ np.conj(growth).transpose(0, 2, 1)
-        rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-        probs = np.real(rho.reshape(-1, 1, d * d) @ outer_h)[:, 0]
-        previous, current = current, mean_log_likelihood(probs, counts, totals)
+        ratios = freqs / np.maximum(probs, 1e-300)
+        growth = _hermitian((ratios[:, None, :] @ coords)[:, 0] * scale + shift,
+                            scatter)
+        rho = growth @ rho @ growth  # G is Hermitian by construction
+        rho *= (1.0 / np.einsum("bii->b", rho).real)[:, None, None]
+        probs = _probabilities(rho, coords, gather)
+        previous, current = current, mean_log_likelihood(probs, freqs)
         if rows[0] == 0:
             trace.append(current[0])
         done = np.abs(current - previous) < cfg.tolerance
@@ -303,7 +377,7 @@ def _rrhor(kets: np.ndarray, counts: np.ndarray, weights: np.ndarray,
             if not keep.any():
                 break
             rows, rho, probs = rows[keep], rho[keep], probs[keep]
-            current, counts, totals = current[keep], counts[keep], totals[keep]
+            current, freqs = current[keep], freqs[keep]
     else:
         estimates[rows] = rho
     estimates = 0.5 * (estimates + np.conj(estimates).transpose(0, 2, 1))
@@ -315,10 +389,10 @@ def _fit(records: Sequence, pset: ProjectorSet, cfg: MLEConfig,
     """Fit the records' counts as row 0 of one batched solve, above their
     `resamples` Poisson redraws from one generator seeded with `seed`.
     Returns row 0's reconstruction and the other rows' estimates and flags."""
-    kets, observed, weights = _record_arrays(records, pset, subtract_background)
+    coords, observed, weights = _record_arrays(records, pset, subtract_background)
     draws = np.random.default_rng(seed).poisson(observed, (resamples, len(observed)))
     rhos, iterations, converged, trace = _rrhor(
-        kets, np.concatenate([observed[None], draws]), weights, cfg)
+        coords, np.concatenate([observed[None], draws]), weights, cfg)
     baseline = ReconstructionResult(
         rho_hat=ModalDensityMatrix(dimension=pset.dimension, entries=rhos[0]),
         log_likelihood=trace, iterations=int(iterations[0]),
@@ -345,7 +419,8 @@ def mle_reconstruct(records: Sequence, pset: ProjectorSet,
         If the recorded projectors do not span the space of Hermitian
         matrices, so no unique estimate exists.
     InvalidArgumentError
-        If the records carry no counts at all.
+        If the records carry no counts at all, or their exposure-weighted
+        projectors do not sum to a multiple of the identity.
     """
     return _fit(records, pset, cfg, subtract_background)[0]
 
@@ -405,8 +480,9 @@ def monte_carlo_errors(records: Sequence, pset: ProjectorSet,
     Raises
     ------
     InvalidArgumentError
-        If fewer than two resamples are asked for, the seed is negative, or
-        a resample draws no counts at all.
+        If fewer than two resamples are asked for, the seed is negative,
+        the records fail the checks of `mle_reconstruct`, or a resample
+        draws no counts at all.
     """
     if resamples < 2:
         raise InvalidArgumentError(f"resamples must be >= 2, got {resamples}")

@@ -402,6 +402,24 @@ class TestPipelineSubcommands:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["reconstruct"], ["bootstrap", "--resamples", "2"]])
+    def test_unmodelled_record_set_exits_2(self, tmp_path, capsys, command):
+        # the 11 remaining records still span, but no longer sum to a
+        # multiple of the identity, which the fit assumes
+        main(["rho", "-d", "3", "--grid-count", "64", "--out", str(tmp_path)])
+        main(["tomo", "simulate", "--rho", str(tmp_path / "rho.json"),
+              "--out", str(tmp_path)])
+        counts = tmp_path / "counts.csv"
+        lines = counts.read_text().splitlines()
+        counts.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "run"
+        rc = main(["tomo", *command, "--counts", str(counts), "-d", "3",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "multiple of the identity" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["simulate", "--rho", "{out}/rho.json", "--seed", "-1"],
         ["bootstrap", "--counts", "{out}/counts.csv", "-d", "3",

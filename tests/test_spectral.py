@@ -15,6 +15,7 @@ from tmsim import (
     invert_bandwidth,
     make_grid,
 )
+from tmsim.spectral import wavelength_to_omega
 
 
 class TestMakeGrid:
@@ -131,6 +132,28 @@ class TestConvertBandwidth:
     def test_nonpositive_rejected(self, center, fwhm):
         with pytest.raises(InvalidArgumentError):
             convert_bandwidth(center, fwhm)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_rejected(self, bad, slot):
+        # inf used to give sigma = inf or a zero frequency, and NaN passed
+        args = [769.0, 1.72]
+        args[slot] = bad
+        with pytest.raises(InvalidArgumentError, match="finite and positive"):
+            convert_bandwidth(*args)
+        args = [769.0, 58.7]
+        args[slot] = bad
+        with pytest.raises(InvalidArgumentError, match="finite and positive"):
+            invert_bandwidth(*args)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    def test_wavelength_to_omega_rejects(self, bad):
+        with pytest.raises(InvalidArgumentError, match="finite and positive"):
+            wavelength_to_omega(bad)
+
+    def test_wavelength_to_omega(self):
+        # 2 pi c / 1540 nm
+        assert wavelength_to_omega(1540.0) == pytest.approx(1.22316, rel=1e-5)
 
 
 class TestInnerProduct:

@@ -24,7 +24,15 @@ from tmsim import (
     state_metrics,
 )
 from tmsim.pdc import reduced_density_matrix, schmidt_decompose
-from tmsim.tomography import _hermitian_span_rank, _record_arrays, _rrhor
+from tmsim.tomography import (
+    _hermitian,
+    _hermitian_coordinates,
+    _hermitian_packing,
+    _hermitian_span_rank,
+    _probabilities,
+    _record_arrays,
+    _rrhor,
+)
 
 
 def random_rho(seed, d=7, k=14):
@@ -226,7 +234,13 @@ class TestMleReconstruct:
             vecs[i] = np.concatenate([np.real(np.diag(outer)),
                                       np.sqrt(2.0) * np.real(outer[iu]),
                                       np.sqrt(2.0) * np.imag(outer[iu])])
-        assert (_hermitian_span_rank(kets)
+        coords = _hermitian_coordinates(kets)
+        # the same representation up to column scaling: off-diagonal
+        # coordinates are doubled, not scaled by sqrt(2)
+        np.testing.assert_allclose(coords[:, d:], np.sqrt(2.0) * vecs[:, d:],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(coords[:, :d], vecs[:, :d])
+        assert (_hermitian_span_rank(coords)
                 == np.linalg.matrix_rank(vecs, tol=1e-10))
 
     def test_zero_counts_rejected(self):
@@ -271,6 +285,22 @@ class TestMleReconstruct:
                                   exposures=exposures)
         result = mle_reconstruct(records, pset)
         assert state_metrics(result.rho_hat, rho).trace_distance < 0.02
+
+    @pytest.mark.parametrize("case", ["one record dropped", "per-projector exposures"])
+    def test_unmodelled_record_sets_rejected(self, case):
+        # both sets still span, but sum_i w_i E_i is not a multiple of I, so
+        # R rho R used to converge silently 0.10 and 0.11 (trace distance)
+        # away from the state, against 1.0e-4 for the complete uniform set
+        pset = mub_bases(7)
+        if case == "one record dropped":
+            records = simulate_counts(random_rho(1), pset, flux=1e9, seed=1)[1:]
+        else:
+            records = simulate_counts(random_rho(1), pset, flux=1e9, seed=1,
+                                      exposures=np.linspace(0.5, 3.0, 56))
+        with pytest.raises(InvalidArgumentError, match="multiple of the identity"):
+            mle_reconstruct(records, pset)
+        with pytest.raises(InvalidArgumentError, match="multiple of the identity"):
+            monte_carlo_errors(records, pset, resamples=2, seed=0)
 
     def test_estimator_consistency_in_flux(self):
         pset = mub_bases(7)
@@ -495,6 +525,99 @@ class TestBatchedKernel:
                                resamples=20, seed=0)
 
 
+def random_kets(rng, n, d):
+    kets = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    return kets / np.linalg.norm(kets, axis=1, keepdims=True)
+
+
+class TestPackedKernel:
+    """The real Hermitian coordinates `_rrhor` iterates in, against the
+    complex formulas over `gate_operators` they replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 60), d=st.integers(1, 9), size=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_products_match_the_complex_formula(self, n, d, size, seed):
+        rng = np.random.default_rng(seed)
+        kets = random_kets(rng, n, d)
+        g = rng.normal(size=(size, d, d)) + 1j * rng.normal(size=(size, d, d))
+        rho = g + np.conj(g).transpose(0, 2, 1)
+        ratios = rng.uniform(0.0, 3.0, size=(size, n))
+        ops = gate_operators(kets)
+        coords = _hermitian_coordinates(kets)
+        gather, scatter = _hermitian_packing(d)
+        probs = np.einsum("nab,kba->kn", ops, rho).real
+        np.testing.assert_allclose(_probabilities(rho, coords, gather), probs,
+                                   rtol=0, atol=1e-14 * np.abs(probs).max())
+        # R's coordinates carry the doubled off-diagonal columns of coords
+        half = np.where(np.arange(d * d) < d, 1.0, 0.5)
+        growth = np.einsum("kn,nab->kab", ratios, ops)
+        np.testing.assert_allclose(_hermitian((ratios @ coords) * half, scatter),
+                                   growth, rtol=0, atol=1e-14 * np.abs(growth).max())
+
+    @pytest.mark.parametrize("dilution", [0.3, 0.5, 1.0])
+    def test_steps_match_the_complex_iteration(self, dilution):
+        pset = mub_bases(7)
+        exposures = np.repeat([1.0, 0.5, 2.0, 1.5, 0.7, 1.2, 0.9, 1.1], 7)
+        records = simulate_counts(random_rho(8, k=1), pset, flux=300.0, seed=2,
+                                  exposures=exposures)
+        coords, counts, weights = _record_arrays(records, pset)
+        assert (counts == 0).any()
+        steps = 12
+        rhos, _, _, trace = _rrhor(coords, counts[None], weights,
+                                   MLEConfig(max_iterations=steps,
+                                             dilution=dilution))
+        # the complex iteration the kernel ran before the packed coordinates
+        ops = gate_operators(pset.coefficient_matrix())
+        rho, total, expected = np.eye(7) / 7, counts.sum(), []
+        for step in range(steps + 1):
+            probs = np.einsum("nab,ba->n", ops, rho).real
+            weighted = weights * probs
+            expected.append(np.sum(counts * np.log(weighted)) / total
+                            - np.log(weighted.sum()))
+            if step < steps:
+                growth = ((1.0 - dilution) * np.eye(7) + dilution
+                          * np.einsum("n,nab->ab", counts / (total * probs), ops))
+                rho = growth @ rho @ np.conj(growth).T
+                rho = rho / np.trace(rho).real
+        np.testing.assert_allclose(rhos[0], rho, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(trace, expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_coordinates_round_trip(self, d):
+        g = np.random.default_rng(d).normal(size=(3, d, 2 * d)).view(complex)
+        rho = g + np.conj(g).transpose(0, 2, 1)
+        gather, scatter = _hermitian_packing(d)
+        x = rho.reshape(3, -1).view(float).take(gather, axis=1)
+        assert x.shape == (3, d * d)
+        np.testing.assert_array_equal(_hermitian(x, scatter), rho)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3, 5, 7]), rank=st.integers(1, 7),
+           flux=st.floats(10.0, 1e6), size=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_estimates_are_states_fitted_row_by_row(self, d, rank, flux, size,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        pset = mub_bases(d)
+        exposures = np.repeat(rng.uniform(0.5, 2.0, d + 1), d)  # per basis
+        records = simulate_counts(random_rho(seed, d=d, k=min(rank, d)), pset,
+                                  flux=flux, seed=seed, exposures=exposures)
+        coords, observed, weights = _record_arrays(records, pset)
+        counts = rng.poisson(observed, size=(size, observed.size)).astype(float)
+        counts[counts.sum(axis=1) == 0, 0] = 1.0
+        cfg = MLEConfig(max_iterations=200)
+        rhos, iterations, _, _ = _rrhor(coords, counts, weights, cfg)
+        np.testing.assert_array_equal(rhos, np.conj(rhos).transpose(0, 2, 1))
+        assert np.linalg.eigvalsh(rhos).min() >= -1e-12
+        np.testing.assert_allclose(np.einsum("bii->b", rhos), 1.0,
+                                   rtol=0, atol=1e-12)
+        for row in range(size):
+            alone = _rrhor(coords, counts[row:row + 1], weights, cfg)
+            np.testing.assert_array_equal(alone[0][0], rhos[row])
+            assert alone[1][0] == iterations[row]
+
+
 def _old_project_probability(rho, mode, sel):
     """The per-projector formula of the pulse gate before the POVM builder:
     (1 - eps) <m~|rho|m~> + eps Tr(rho)/d with m~ = m sqrt(falloff),
@@ -582,3 +705,21 @@ class TestBootstrapBenchmarks:
             monte_carlo_errors, args=(preset_records["a"], mub_bases(7)),
             kwargs={"resamples": 20, "seed": 8}, rounds=3, iterations=1)
         assert errors.baseline.converged and errors.nonconverged == 0
+
+
+class TestKernelBenchmarks:
+    """Timing of one `_rrhor` solve of the preset-b bootstrap: the observed
+    counts of `preset b --seed 7` and their 100 resamples, 101 rows and
+    199 676 row-iterations on OpenBLAS (`extra_info` records the count, so
+    the mean over it is the cost of one row-iteration); pytest-benchmark
+    prints it with ``pytest --benchmark-only -k Kernel``."""
+
+    def test_rrhor(self, benchmark, preset_records):
+        coords, observed, weights = _record_arrays(preset_records["b"], mub_bases(7))
+        draws = np.random.default_rng(8).poisson(observed, (100, observed.size))
+        counts = np.concatenate([observed[None], draws])
+        _, iterations, converged, _ = benchmark.pedantic(
+            _rrhor, args=(coords, counts, weights, MLEConfig()),
+            rounds=3, iterations=1)
+        assert converged.all()
+        benchmark.extra_info["row_iterations"] = int(iterations.sum())
