@@ -283,7 +283,7 @@ def _exit_code(converged: bool) -> int:
 
 def _mle_config_from_args(args) -> MLEConfig:
     return MLEConfig(max_iterations=args.max_iterations,
-                     tolerance=args.tolerance, dilution=args.dilution)
+                     tolerance=args.tolerance)
 
 
 def _cmd_tomo_reconstruct(args) -> int:
@@ -313,6 +313,7 @@ def _cmd_tomo_bootstrap(args) -> int:
         "purity_std": errors.purity_std,
         "fidelity_std": errors.fidelity_std,
         "nonconverged_resamples": errors.nonconverged,
+        "worst_resample_certificate": errors.worst_certificate,
     }))
     print(f"purity {errors.purity_mean:.6f} +- {errors.purity_std:.6f}")
     return _exit_code(errors.baseline.converged)
@@ -422,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_mle_flags(p):
         p.add_argument("--max-iterations", type=int, default=100_000)
-        p.add_argument("--tolerance", type=float, default=1e-10)
-        p.add_argument("--dilution", type=float, default=0.5)
+        p.add_argument("--tolerance", type=float, default=1e-8,
+                       help="largest accepted certificate lambda_max(R) - 1")
 
     p_rec = tomo_sub.add_parser("reconstruct", help="maximum-likelihood estimate")
     p_rec.add_argument("--counts", required=True, help="count record CSV")

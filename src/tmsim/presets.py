@@ -433,6 +433,7 @@ def run_preset(case: str, config: Optional[ExperimentConfig] = None,
         "reconstructed_purity": recon.rho_hat.purity(),
         "purity_std": errors.purity_std,
         "nonconverged_resamples": errors.nonconverged,
+        "worst_resample_certificate": errors.worst_certificate,
         "basis_width_rad_per_fs": basis.width,
         "reference": TABLE_REFERENCE[case],
     }

@@ -349,6 +349,7 @@ def schmidt_to_dict(dec: SchmidtDecomposition) -> dict:
 def reconstruction_log_to_dict(result: ReconstructionResult) -> dict:
     return {"iterations": result.iterations,
             "converged": result.converged,
+            "certificate": result.certificate,
             "final_log_likelihood_per_count": float(result.log_likelihood[-1])}
 
 

@@ -1,5 +1,5 @@
 """Projective tomography: mutually unbiased projector sets, Poissonian count
-simulation, iterative maximum-likelihood reconstruction and Monte Carlo
+simulation, certified maximum-likelihood reconstruction and Monte Carlo
 uncertainty estimates.
 """
 
@@ -183,20 +183,19 @@ def simulate_counts(rho: ModalDensityMatrix, pset: ProjectorSet,
 
 @dataclass(frozen=True)
 class MLEConfig:
-    """Knobs of the diluted iterative reconstruction."""
+    """Knobs of the maximum-likelihood fit.  `tolerance` bounds the
+    certificate lambda_max(R) - 1 of an accepted estimate; double precision
+    does not reach values much below 1e-13."""
 
     max_iterations: int = 100_000
-    tolerance: float = 1e-10
-    dilution: float = 0.5
+    tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidArgumentError("max_iterations must be >= 1")
-        if not self.tolerance > 0:
-            raise InvalidArgumentError("tolerance must be positive")
-        if not 0.0 < self.dilution <= 1.0:
+        if not 0 < self.tolerance < np.inf:
             raise InvalidArgumentError(
-                f"dilution must lie in (0, 1], got {self.dilution}")
+                f"tolerance must be finite and positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,6 +204,7 @@ class ReconstructionResult:
     log_likelihood: np.ndarray
     iterations: int
     converged: bool
+    certificate: float  # lambda_max(R) - 1 at the estimate; 0 at the optimum
 
 
 def _hermitian_packing(d: int):
@@ -234,16 +234,23 @@ def _hermitian_coordinates(kets: np.ndarray) -> np.ndarray:
     `kets`, in `_hermitian_packing` order with the off-diagonal columns
     doubled, so that Tr(rho E_i) is x . C[i] for rho's coordinates x."""
     d = kets.shape[1]
-    ops = gate_operators(kets)
-    coords = ops.reshape(len(ops), -1).view(float).take(_hermitian_packing(d)[0], axis=1)
+    coords = _coordinates(gate_operators(kets), _hermitian_packing(d)[0])
     coords[:, d:] *= 2.0
     return coords
 
 
-def _probabilities(rho: np.ndarray, coords: np.ndarray, gather: np.ndarray):
-    """Tr(rho E_i), shape (B, n), for the Hermitian (B, d, d) stack `rho`
-    and the operators' `_hermitian_coordinates`, from rho's upper triangle."""
-    x = rho.reshape(len(rho), -1).view(float).take(gather, axis=1)
+def _coordinates(matrices: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """The (B, d^2) coordinates of the Hermitian (B, d, d) stack, read from
+    its upper triangle by `_hermitian_packing`'s `gather`."""
+    return matrices.reshape(len(matrices), -1).view(float).take(gather, axis=1)
+
+
+def _probabilities(x: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Tr(rho E_i), shape (B, n), for the (B, d^2) coordinates `x` of a
+    stack of rho and the operators' `_hermitian_coordinates`.  The product
+    is taken row by row, as a (B, 1, .) stack: numpy sends a one-row product
+    to gemv and a B-row one to gemm, whose rounding differs, and a row's
+    result must not depend on its batch."""
     return (x[:, None, :] @ coords.T)[:, 0]
 
 
@@ -273,8 +280,9 @@ def _record_arrays(records: Sequence, pset: ProjectorSet,
 
     Raises IllPosedError unless the projectors span the Hermitian matrices,
     and InvalidArgumentError unless the exposure-weighted measurement
-    operators sum to a multiple of the identity, which the R rho R fixed
-    point assumes."""
+    operators sum to a multiple of the identity: only then is the expected
+    total count the same for every state, so that the fit's objective
+    -sum_i f_i log p_i may leave it out."""
     if not subtract_background >= 0:
         raise InvalidArgumentError("subtract_background must be >= 0")
     if not records:
@@ -300,115 +308,187 @@ def _record_arrays(records: Sequence, pset: ProjectorSet,
         raise InvalidArgumentError(
             "the exposure-weighted measurement operators do not sum to a "
             f"multiple of the identity (relative deviation {deviation:.3e}); "
-            "R rho R fits only such record sets: record every projector of a "
-            "basis with one exposure (the H-normalised iteration of ROADMAP "
-            "item 2 would lift this)")
+            "the likelihood fit leaves out the expected total count, which "
+            "is only right for such record sets: record every projector of a "
+            "basis with one exposure (a log tr(H rho) term in the objective, "
+            "ROADMAP item 2, would lift this)")
     counts = [max(rec.counts - subtract_background, 0.0) for rec in records]
     return coords, np.array(counts, dtype=float), weights
 
 
-def _rrhor(coords: np.ndarray, counts: np.ndarray, weights: np.ndarray,
-           cfg: MLEConfig):
-    """Diluted R rho R iteration for a stack of count vectors at once.
+def _density_projection(rho: np.ndarray):
+    """The density matrices nearest in Frobenius norm to the Hermitian
+    (B, d, d) stack: each eigenvalue spectrum goes onto the unit simplex
+    under the same eigenvectors, which are returned too.
+
+    The simplex projection of a spectrum lambda is max(lambda - s, 0) with
+    s the largest (sum of the k largest eigenvalues - 1) / k over k."""
+    evals, evecs = np.linalg.eigh(rho)
+    d = evals.shape[1]
+    shifts = (np.cumsum(evals[:, ::-1], axis=1) - 1.0) / np.arange(1, d + 1)
+    weights = np.maximum(evals - shifts.max(axis=1, keepdims=True), 0.0)
+    return (evecs * weights[:, None, :]) @ np.conj(evecs).transpose(0, 2, 1), evecs
+
+
+def _apg(coords: np.ndarray, counts: np.ndarray, weights: np.ndarray,
+         cfg: MLEConfig):
+    """Accelerated projected-gradient maximum likelihood for a stack of
+    count vectors at once (Shang, Zhang & Ng, PRA 95, 062336, 2017).
 
     `coords` (n, d^2) are the measured operators' `_hermitian_coordinates`,
     `weights` (n,) their exposures and each row of `counts` (B, n) one data
-    set, normalized by its own total.  Every row starts from the maximally
-    mixed state and stops on the iteration its mean log-likelihood changes
-    by less than `cfg.tolerance`; it then leaves the active set and later
-    iterations do not touch it.
+    set with frequencies f = counts / total.  Each row minimizes
+    F(rho) = -sum_i f_i log p_i over the density matrices, starting from the
+    maximally mixed state, by projected gradient steps with Nesterov
+    momentum, a gradient restart and a backtracking step size of its own.
+    A row stops on the first iterate whose gradient certificate
+    lambda_max(R) - 1, with R = -grad F = sum_i f_i / p_i E_i, is at most
+    `cfg.tolerance` (Glancy, Knill & Girard, NJP 14, 095017, 2012); it then
+    leaves the active set and later iterations do not touch it.
 
-    Returns the Hermitian-symmetrized estimates (B, d, d), the iteration
-    count (B,), the convergence flag (B,) and row 0's mean log-likelihood
-    at the start and after every step it took.
+    Returns the estimates (B, d, d), the iteration count (B,), the
+    convergence flag (B,), the certificate of each returned estimate (B,)
+    and row 0's mean log-likelihood at the start and after every step it
+    took.
     """
     size = counts.shape[0]
     d = int(np.sqrt(coords.shape[1]))
     totals = counts.sum(axis=1)
     if np.any(totals <= 0):
         raise InvalidArgumentError("total counts must be positive")
-    # p = x @ coords.T for rho's coordinates x, and R's coordinates are
-    # ratios @ coords with the off-diagonal ones doubled.  Both products
-    # are taken row by row, as (B, 1, .) stacks: numpy sends a one-row
-    # product to gemv and a B-row one to gemm, whose rounding differs, and
-    # a row's stop iteration must not depend on the batch it is fitted in.
+    # R's coordinates are ratios @ r_coords, taken row by row like
+    # `_probabilities`: coords with its doubled off-diagonal columns halved
     gather, scatter = _hermitian_packing(d)
-    lam = cfg.dilution
-    # G = (1 - lam) I + lam R in coordinates; the 0.5 undoes the doubled
-    # off-diagonal columns of `coords`
-    scale = np.full(d * d, 0.5 * lam)
-    scale[:d] = lam
-    shift = np.zeros(d * d)
-    shift[:d] = 1.0 - lam
+    metric = np.full(d * d, 2.0)  # tr(X Y) = sum(metric * x * y)
+    metric[:d] = 1.0
+    r_coords = coords / metric
     freqs = counts / totals[:, None]
 
-    def mean_log_likelihood(probs, freqs):
+    def objective(probs, freqs):
         # a zero frequency times the floored, finite log adds nothing
-        weighted = weights * probs
-        return ((freqs * np.log(np.maximum(weighted, 1e-300))).sum(axis=1)
-                - np.log(weighted.sum(axis=1)))
+        return -(freqs * np.log(np.maximum(probs, 1e-300))).sum(axis=1)
 
+    def mean_log_likelihood(probs, freqs):  # of one row, for the trace
+        weighted = weights * probs
+        return (freqs @ np.log(np.maximum(weighted, 1e-300))
+                - np.log(weighted.sum()))
+
+    def projected_step(y, r_y, step):  # the projection of y + step R(y)
+        rho, basis = _density_projection(
+            _hermitian(y + step[:, None] * r_y, scatter))
+        x = _coordinates(rho, gather)
+        return x, _probabilities(x, coords), basis
+
+    def rejected(x, probs, y, probs_y, value_y, ratios, step, freqs):
+        # F(x) above the quadratic model of F around y, in which
+        # tr(R(y) (x - y)) = ratios . (p(x) - p(y)); the 1e-15 slack absorbs
+        # the rounding of F, without which the step collapses near the optimum
+        move = x - y
+        bound = (value_y - (ratios * (probs - probs_y)).sum(axis=1)
+                 + (metric * move * move).sum(axis=1) / (2.0 * step)
+                 + 1e-15 * np.abs(value_y))
+        return ~(objective(probs, freqs) <= bound)
+
+    # every row is filled in on the iteration it stops, the last one at most
     estimates = np.empty((size, d, d), dtype=complex)
-    iterations = np.full(size, cfg.max_iterations)
-    converged = np.zeros(size, dtype=bool)
+    iterations = np.empty(size, dtype=int)
+    converged = np.empty(size, dtype=bool)
+    certificates = np.empty(size)
 
     rows = np.arange(size)
-    rho = np.repeat(np.eye(d, dtype=complex)[None] / d, size, axis=0)
-    probs = _probabilities(rho, coords, gather)
-    current = mean_log_likelihood(probs, freqs)
-    trace = [current[0]]
-    for step in range(1, cfg.max_iterations + 1):
-        ratios = freqs / np.maximum(probs, 1e-300)
-        growth = _hermitian((ratios[:, None, :] @ coords)[:, 0] * scale + shift,
-                            scatter)
-        rho = growth @ rho @ growth  # G is Hermitian by construction
-        rho *= (1.0 / np.einsum("bii->b", rho).real)[:, None, None]
-        probs = _probabilities(rho, coords, gather)
-        previous, current = current, mean_log_likelihood(probs, freqs)
+    x = np.zeros((size, d * d))
+    x[:, :d] = 1.0 / d  # the maximally mixed state
+    probs = _probabilities(x, coords)
+    y, probs_y, value_y = x, probs, objective(probs, freqs)
+    theta, step = np.ones(size), np.ones(size)
+    trace = [mean_log_likelihood(probs[0], freqs[0])]
+    for iteration in range(1, cfg.max_iterations + 1):
+        ratios = freqs / np.maximum(probs_y, 1e-300)
+        r_y = (ratios[:, None, :] @ r_coords)[:, 0]
+        new, probs_new, basis = projected_step(y, r_y, step)
+        retry = np.flatnonzero(rejected(new, probs_new, y, probs_y, value_y,
+                                        ratios, step, freqs))
+        while retry.size:
+            step[retry] *= 0.5
+            new[retry], probs_new[retry], basis[retry] = projected_step(
+                y[retry], r_y[retry], step[retry])
+            retry = retry[rejected(new[retry], probs_new[retry], y[retry],
+                                   probs_y[retry], value_y[retry],
+                                   ratios[retry], step[retry], freqs[retry])]
+        # Nesterov momentum, restarted when the step went against R(y)
+        restart = (ratios * (probs_new - probs)).sum(axis=1) < 0.0
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+        momentum = np.where(restart, 0.0, (theta - 1.0) / theta_next)
+        theta = np.where(restart, 1.0, theta_next)
+        x_old, probs_old, x, probs = x, probs, new, probs_new
         if rows[0] == 0:
-            trace.append(current[0])
-        done = np.abs(current - previous) < cfg.tolerance
-        if done.any():
-            stopped = rows[done]
-            estimates[stopped] = rho[done]
-            iterations[stopped] = step
-            converged[stopped] = True
-            keep = ~done
+            trace.append(mean_log_likelihood(probs[0], freqs[0]))
+        ratios = freqs / np.maximum(probs, 1e-300)
+        r_matrix = _hermitian((ratios[:, None, :] @ r_coords)[:, 0], scatter)
+        # R's Rayleigh quotients on the eigenvectors of the projection bound
+        # lambda_max(R) from below, so only the rows they do not rule out
+        # need R's eigenvalues
+        quotients = (np.conj(basis) * (r_matrix @ basis)).sum(axis=1).real
+        certificate = quotients.max(axis=1) - 1.0
+        last = iteration == cfg.max_iterations
+        exact = (certificate <= cfg.tolerance) | last
+        if exact.any():
+            certificate[exact] = np.linalg.eigvalsh(r_matrix[exact])[:, -1] - 1.0
+        stop = (certificate <= cfg.tolerance) | last
+        if stop.any():
+            stopped = rows[stop]
+            estimates[stopped] = _hermitian(x[stop], scatter)
+            iterations[stopped] = iteration
+            converged[stopped] = certificate[stop] <= cfg.tolerance
+            certificates[stopped] = certificate[stop]
+            keep = ~stop
             if not keep.any():
                 break
-            rows, rho, probs = rows[keep], rho[keep], probs[keep]
-            current, freqs = current[keep], freqs[keep]
-    else:
-        estimates[rows] = rho
-    estimates = 0.5 * (estimates + np.conj(estimates).transpose(0, 2, 1))
-    return estimates, iterations, converged, np.array(trace)
+            rows, freqs, theta, step, momentum = (
+                a[keep] for a in (rows, freqs, theta, step, momentum))
+            x, probs, x_old, probs_old = (
+                a[keep] for a in (x, probs, x_old, probs_old))
+        # the momentum point; p is linear in rho, so p(y) needs no product.
+        # A row whose y leaves some p_i <= 0 restarts from its iterate.
+        y = x + momentum[:, None] * (x - x_old)
+        probs_y = probs + momentum[:, None] * (probs - probs_old)
+        outside = (probs_y <= 0.0).any(axis=1)
+        if outside.any():
+            y[outside], probs_y[outside] = x[outside], probs[outside]
+            theta[outside] = 1.0
+        value_y = objective(probs_y, freqs)
+        step *= 1.2
+    return estimates, iterations, converged, certificates, np.array(trace)
 
 
 def _fit(records: Sequence, pset: ProjectorSet, cfg: MLEConfig,
          subtract_background: float = 0.0, resamples: int = 0, seed: int = 0):
     """Fit the records' counts as row 0 of one batched solve, above their
     `resamples` Poisson redraws from one generator seeded with `seed`.
-    Returns row 0's reconstruction and the other rows' estimates and flags."""
+    Returns row 0's reconstruction and the other rows' estimates, flags and
+    certificates."""
     coords, observed, weights = _record_arrays(records, pset, subtract_background)
     draws = np.random.default_rng(seed).poisson(observed, (resamples, len(observed)))
-    rhos, iterations, converged, trace = _rrhor(
+    rhos, iterations, converged, certificates, trace = _apg(
         coords, np.concatenate([observed[None], draws]), weights, cfg)
     baseline = ReconstructionResult(
         rho_hat=ModalDensityMatrix(dimension=pset.dimension, entries=rhos[0]),
         log_likelihood=trace, iterations=int(iterations[0]),
-        converged=bool(converged[0]))
-    return baseline, rhos[1:], converged[1:]
+        converged=bool(converged[0]), certificate=float(certificates[0]))
+    return baseline, rhos[1:], converged[1:], certificates[1:]
 
 
 def mle_reconstruct(records: Sequence, pset: ProjectorSet,
                     cfg: MLEConfig = MLEConfig(),
                     subtract_background: float = 0.0) -> ReconstructionResult:
-    """Maximum-likelihood state estimate by the diluted R rho R iteration.
+    """Maximum-likelihood state estimate by accelerated projected gradient.
 
-    Iterates rho <- normalize[G rho G] with G = (1 - lambda) I + lambda R
-    and R = sum_i n_i / (N p_i) |m_i><m_i|, which is positive semidefinite
-    by construction at every step.  Convergence is declared when the
-    per-count log-likelihood changes by less than the configured tolerance.
+    Minimizes -sum_i f_i log p_i over the density matrices, with f_i the
+    observed frequencies and p_i = Tr(rho |m_i><m_i|); every iterate is a
+    density matrix.  Convergence is declared on the first iterate whose
+    certificate lambda_max(R) - 1, R = sum_i f_i / p_i |m_i><m_i|, is at
+    most the configured tolerance: it bounds the log-likelihood per count
+    that any state could still gain.
 
     `subtract_background` removes a known mean background from every record
     (floored at zero) before fitting; default is no subtraction.
@@ -464,6 +544,7 @@ class MonteCarloErrors:
     fidelities: np.ndarray
     baseline: ReconstructionResult  # the fit to the observed counts
     nonconverged: int  # resamples that hit max_iterations; still included
+    worst_certificate: float  # largest lambda_max(R) - 1 of the resamples
 
 
 def monte_carlo_errors(records: Sequence, pset: ProjectorSet,
@@ -488,8 +569,8 @@ def monte_carlo_errors(records: Sequence, pset: ProjectorSet,
         raise InvalidArgumentError(f"resamples must be >= 2, got {resamples}")
     if not seed >= 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
-    baseline, rhos, converged = _fit(records, pset, cfg,
-                                     resamples=resamples, seed=seed)
+    baseline, rhos, converged, certificates = _fit(records, pset, cfg,
+                                                   resamples=resamples, seed=seed)
     purities = np.einsum("rab,rba->r", rhos, rhos).real
     fidelities = _fidelities(baseline.rho_hat.entries, rhos)
     return MonteCarloErrors(
@@ -497,4 +578,5 @@ def monte_carlo_errors(records: Sequence, pset: ProjectorSet,
         purity_std=float(purities.std(ddof=1)),
         fidelity_std=float(fidelities.std(ddof=1)),
         purities=purities, fidelities=fidelities, baseline=baseline,
-        nonconverged=int(np.count_nonzero(~converged)))
+        nonconverged=int(np.count_nonzero(~converged)),
+        worst_certificate=float(certificates.max()))

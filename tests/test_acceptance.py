@@ -129,7 +129,7 @@ def _random_rho(seed, d=7, columns=14):
 def test_criterion_05_mle_round_trip():
     start = time.perf_counter()
     pset = mub_bases(7)
-    exact_cfg = MLEConfig(tolerance=1e-16, max_iterations=30000, dilution=1.0)
+    exact_cfg = MLEConfig(tolerance=1e-12, max_iterations=30000)
     worst_distance = 0.0
     fidelities = []
     for seed in range(20):

@@ -203,7 +203,9 @@ class TestPresetRuns:
         assert summary["svd_purity"] > 0.99
         assert summary["reference"]["reconstructed_purity"] == pytest.approx(0.896)
         log = json.loads((tmp_path / "reconstruction_log.json").read_text())
-        assert log["converged"]
+        assert log["converged"] and log["certificate"] <= 1e-8
+        assert summary["nonconverged_resamples"] == 0
+        assert summary["worst_resample_certificate"] <= 1e-8
 
     def test_manifest_replay_is_byte_identical(self, tmp_path):
         first = tmp_path / "first"
@@ -369,6 +371,8 @@ class TestPipelineSubcommands:
                      "--out", str(tmp_path)]) == 0
         rho_hat = json.loads((tmp_path / "rho_hat.json").read_text())
         assert np.real(rho_hat["re"][0][0]) > 0.95
+        log = json.loads((tmp_path / "reconstruction_log.json").read_text())
+        assert log["converged"] and log["certificate"] <= 1e-8
 
         assert main(["tomo", "bootstrap", "--counts",
                      str(tmp_path / "counts.csv"), "-d", "7",
@@ -376,6 +380,8 @@ class TestPipelineSubcommands:
                      "--out", str(tmp_path)]) == 0
         boot = json.loads((tmp_path / "bootstrap.json").read_text())
         assert boot["purity_std"] >= 0.0
+        assert boot["nonconverged_resamples"] == 0
+        assert boot["worst_resample_certificate"] <= 1e-8
 
     @pytest.mark.parametrize("flag", [["--flux", "inf"], ["--flux", "1e300"],
                                       ["--background", "inf"]])
@@ -418,6 +424,21 @@ class TestPipelineSubcommands:
                    "--out", str(out)])
         assert rc == 2
         assert "multiple of the identity" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["reconstruct"], ["bootstrap", "--resamples", "2"]])
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1e-8"])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, command, tolerance):
+        # an infinite tolerance would accept the first iterate as converged
+        main(["rho", "-d", "3", "--grid-count", "64", "--out", str(tmp_path)])
+        main(["tomo", "simulate", "--rho", str(tmp_path / "rho.json"),
+              "--out", str(tmp_path)])
+        capsys.readouterr()
+        out = tmp_path / "run"
+        rc = main(["tomo", *command, "--counts", str(tmp_path / "counts.csv"),
+                   "-d", "3", f"--tolerance={tolerance}", "--out", str(out)])
+        assert rc == 2
+        assert "tolerance must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
@@ -485,12 +506,13 @@ class TestPipelineSubcommands:
         assert boot["nonconverged_resamples"] == 0
         capsys.readouterr()
         monkeypatch.setattr(cli, "_mle_config_from_args",
-                            lambda args: MLEConfig(max_iterations=5))
+                            lambda args: MLEConfig(max_iterations=2))
         # a baseline fit that hit the cap: bootstrap.json is written, exit 3
         assert main(bootstrap) == 3
         assert "did not converge" in capsys.readouterr().err
         boot = json.loads((tmp_path / "bootstrap.json").read_text())
         assert boot["nonconverged_resamples"] == 4
+        assert boot["worst_resample_certificate"] > 1e-8
 
     @pytest.mark.parametrize("weights", ["-0.8,-0.2", "0.5,-0.1", "0,0"])
     def test_qpg_filter_rejects_bad_weights(self, tmp_path, capsys, weights):
