@@ -382,6 +382,9 @@ class ModalDensityMatrix:
         if not abs(np.trace(mat).real - 1.0) <= 1e-8:
             raise InvalidArgumentError(
                 f"density matrix trace must be 1, got {np.trace(mat).real!r}")
+        if not 0.0 <= self.leakage <= 1.0:
+            raise InvalidArgumentError(
+                f"density matrix leakage must lie in [0, 1], got {self.leakage!r}")
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
 

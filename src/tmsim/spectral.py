@@ -106,9 +106,6 @@ class ComplexSpectrum:
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.spacing)
 
-    def is_normalized(self, tol: float = 1e-10) -> bool:
-        return abs(self.norm_squared() - 1.0) <= tol
-
     def normalized(self) -> "ComplexSpectrum":
         n2 = self.norm_squared()
         if n2 <= 0.0:

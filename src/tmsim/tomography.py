@@ -207,64 +207,33 @@ class ReconstructionResult:
     certificate: float  # lambda_max(R) - 1 at the estimate; 0 at the optimum
 
 
-def _hermitian_packing(d: int):
-    """Index maps between the float view of a complex (d, d) matrix and
-    its d^2 real Hermitian coordinates: Re of the diagonal, then Re and Im
-    of the strict upper triangle, row-major.
-
-    `gather` picks the coordinates out of the 2 d^2 floats of the view.
-    `scatter` rebuilds the view from [x, -x, 0], 2 d^2 + 1 floats: the
-    lower triangle reads the upper one with its imaginary part negated,
-    and the diagonal's imaginary part reads the trailing zero.
-    """
-    diag, upper = np.diag_indices(d), np.triu_indices(d, 1)
-    lower, m = upper[::-1], len(upper[0])
-    view = np.arange(2 * d * d).reshape(d, d, 2)
-    gather = np.concatenate([view[diag][:, 0], view[upper][:, 0], view[upper][:, 1]])
-    scatter = np.full((d, d, 2), 2 * d * d)
-    scatter[diag + (0,)] = np.arange(d)
-    scatter[upper + (0,)] = scatter[lower + (0,)] = d + np.arange(m)
-    scatter[upper + (1,)] = d + m + np.arange(m)
-    scatter[lower + (1,)] = d * d + d + m + np.arange(m)
-    return gather, scatter.reshape(-1)
+def _flat_operators(kets: np.ndarray) -> np.ndarray:
+    """The (n, 2 d^2) float view of the flattened ideal gate operators of
+    the (n, d) `kets`: Tr(rho E_i) is the dot product of the float views of
+    a Hermitian rho and E_i, and sum_i r_i E_i the complex view of r @ flat."""
+    return gate_operators(kets).reshape(len(kets), -1).view(float)
 
 
-def _hermitian_coordinates(kets: np.ndarray) -> np.ndarray:
-    """(n, d^2) real coordinates of the ideal gate operators of the (n, d)
-    `kets`, in `_hermitian_packing` order with the off-diagonal columns
-    doubled, so that Tr(rho E_i) is x . C[i] for rho's coordinates x."""
-    d = kets.shape[1]
-    coords = _coordinates(gate_operators(kets), _hermitian_packing(d)[0])
-    coords[:, d:] *= 2.0
-    return coords
+def _probabilities(rho: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Tr(rho E_i), shape (B, n), for the Hermitian (B, d, d) stack `rho`
+    and the operators' `_flat_operators`.  The product is taken row by
+    row, as a (B, 1, .) stack: numpy sends a one-row product to gemv and a
+    B-row one to gemm, whose rounding differs, and a row's result must not
+    depend on its batch."""
+    return (rho.reshape(len(rho), 1, -1).view(float) @ flat.T)[:, 0]
 
 
-def _coordinates(matrices: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """The (B, d^2) coordinates of the Hermitian (B, d, d) stack, read from
-    its upper triangle by `_hermitian_packing`'s `gather`."""
-    return matrices.reshape(len(matrices), -1).view(float).take(gather, axis=1)
+def _operator_sum(ratios: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The (B, d, d) matrices sum_i r_i E_i for the (B, n) `ratios`, taken
+    row by row like `_probabilities`."""
+    d = int(np.sqrt(flat.shape[1] // 2))
+    return (ratios[:, None, :] @ flat)[:, 0].view(complex).reshape(len(ratios), d, d)
 
 
-def _probabilities(x: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Tr(rho E_i), shape (B, n), for the (B, d^2) coordinates `x` of a
-    stack of rho and the operators' `_hermitian_coordinates`.  The product
-    is taken row by row, as a (B, 1, .) stack: numpy sends a one-row product
-    to gemv and a B-row one to gemm, whose rounding differs, and a row's
-    result must not depend on its batch."""
-    return (x[:, None, :] @ coords.T)[:, 0]
-
-
-def _hermitian(x: np.ndarray, scatter: np.ndarray) -> np.ndarray:
-    """The (B, d, d) Hermitian matrices of the (B, d^2) coordinates `x`."""
-    d = int(np.sqrt(x.shape[1]))
-    full = np.concatenate([x, -x, np.zeros((len(x), 1))], axis=1).take(scatter, axis=1)
-    return full.view(complex).reshape(len(x), d, d)
-
-
-def _hermitian_span_rank(coords: np.ndarray) -> int:
+def _hermitian_span_rank(flat: np.ndarray) -> int:
     """Rank of the projectors' span inside the real space of Hermitian
-    matrices, read from their `_hermitian_coordinates`."""
-    return int(np.linalg.matrix_rank(coords, tol=1e-10))
+    matrices, read from their `_flat_operators`."""
+    return int(np.linalg.matrix_rank(flat, tol=1e-10))
 
 
 #: largest relative deviation of sum_i w_i E_i from a multiple of I that a
@@ -274,9 +243,9 @@ IDENTITY_TOLERANCE = 1e-9
 
 def _record_arrays(records: Sequence, pset: ProjectorSet,
                    subtract_background: float = 0.0):
-    """Hermitian coordinates of the recorded projectors, background-floored
-    counts and exposures of the records, in record order: the front end of
-    every fit.
+    """Flat operators (`_flat_operators`) of the recorded projectors,
+    background-floored counts and exposures of the records, in record
+    order: the front end of every fit.
 
     Raises IllPosedError unless the projectors span the Hermitian matrices,
     and InvalidArgumentError unless the exposure-weighted measurement
@@ -293,17 +262,15 @@ def _record_arrays(records: Sequence, pset: ProjectorSet,
         if key not in index:
             raise InvalidArgumentError(f"record {key} has no matching projector")
     d = pset.dimension
-    coords = _hermitian_coordinates(
-        pset.coefficient_matrix()[[index[key] for key in labels]])
-    if _hermitian_span_rank(coords) < d ** 2:
+    flat = _flat_operators(pset.coefficient_matrix()[[index[key] for key in labels]])
+    if _hermitian_span_rank(flat) < d ** 2:
         raise IllPosedError(
             "recorded projectors do not span the state space; "
             f"need {d ** 2} independent directions")
     weights = np.array([rec.exposure for rec in records], dtype=float)
-    h = weights @ coords  # sum_i w_i E_i, its off-diagonal entries doubled
-    scale = h[:d].mean()
-    deviation = max(np.abs(h[:d] - scale).max(),
-                    0.5 * np.abs(h[d:]).max(initial=0.0)) / scale
+    h = (weights @ flat).view(complex).reshape(d, d)  # sum_i w_i E_i
+    scale = h.diagonal().real.mean()
+    deviation = np.abs((h - scale * np.eye(d)).view(float)).max() / scale
     if not deviation <= IDENTITY_TOLERANCE:
         raise InvalidArgumentError(
             "the exposure-weighted measurement operators do not sum to a "
@@ -313,7 +280,7 @@ def _record_arrays(records: Sequence, pset: ProjectorSet,
             "basis with one exposure (a log tr(H rho) term in the objective, "
             "ROADMAP item 2, would lift this)")
     counts = [max(rec.counts - subtract_background, 0.0) for rec in records]
-    return coords, np.array(counts, dtype=float), weights
+    return flat, np.array(counts, dtype=float), weights
 
 
 def _density_projection(rho: np.ndarray):
@@ -330,38 +297,34 @@ def _density_projection(rho: np.ndarray):
     return (evecs * weights[:, None, :]) @ np.conj(evecs).transpose(0, 2, 1), evecs
 
 
-def _apg(coords: np.ndarray, counts: np.ndarray, weights: np.ndarray,
+def _apg(flat: np.ndarray, counts: np.ndarray, weights: np.ndarray,
          cfg: MLEConfig):
     """Accelerated projected-gradient maximum likelihood for a stack of
     count vectors at once (Shang, Zhang & Ng, PRA 95, 062336, 2017).
 
-    `coords` (n, d^2) are the measured operators' `_hermitian_coordinates`,
+    `flat` (n, 2 d^2) are the measured operators' `_flat_operators`,
     `weights` (n,) their exposures and each row of `counts` (B, n) one data
     set with frequencies f = counts / total.  Each row minimizes
     F(rho) = -sum_i f_i log p_i over the density matrices, starting from the
     maximally mixed state, by projected gradient steps with Nesterov
-    momentum, a gradient restart and a backtracking step size of its own.
-    A row stops on the first iterate whose gradient certificate
-    lambda_max(R) - 1, with R = -grad F = sum_i f_i / p_i E_i, is at most
-    `cfg.tolerance` (Glancy, Knill & Girard, NJP 14, 095017, 2012); it then
-    leaves the active set and later iterations do not touch it.
+    momentum, a gradient restart and a backtracking step size of its own,
+    on the complex (B, d, d) stack that the projection returns.  A row
+    stops on the first iterate whose gradient certificate lambda_max(R) - 1,
+    with R = -grad F = sum_i f_i / p_i E_i, is at most `cfg.tolerance`
+    (Glancy, Knill & Girard, NJP 14, 095017, 2012); it then leaves the
+    active set and later iterations do not touch it.
 
-    Returns the estimates (B, d, d), the iteration count (B,), the
+    Returns the estimates (B, d, d), each the exactly Hermitian
+    (x + x^H) / 2 of its iterate x, the iteration count (B,), the
     convergence flag (B,), the certificate of each returned estimate (B,)
     and row 0's mean log-likelihood at the start and after every step it
     took.
     """
     size = counts.shape[0]
-    d = int(np.sqrt(coords.shape[1]))
+    d = int(np.sqrt(flat.shape[1] // 2))
     totals = counts.sum(axis=1)
     if np.any(totals <= 0):
         raise InvalidArgumentError("total counts must be positive")
-    # R's coordinates are ratios @ r_coords, taken row by row like
-    # `_probabilities`: coords with its doubled off-diagonal columns halved
-    gather, scatter = _hermitian_packing(d)
-    metric = np.full(d * d, 2.0)  # tr(X Y) = sum(metric * x * y)
-    metric[:d] = 1.0
-    r_coords = coords / metric
     freqs = counts / totals[:, None]
 
     def objective(probs, freqs):
@@ -374,18 +337,16 @@ def _apg(coords: np.ndarray, counts: np.ndarray, weights: np.ndarray,
                 - np.log(weighted.sum()))
 
     def projected_step(y, r_y, step):  # the projection of y + step R(y)
-        rho, basis = _density_projection(
-            _hermitian(y + step[:, None] * r_y, scatter))
-        x = _coordinates(rho, gather)
-        return x, _probabilities(x, coords), basis
+        x, basis = _density_projection(y + step[:, None, None] * r_y)
+        return x, _probabilities(x, flat), basis
 
     def rejected(x, probs, y, probs_y, value_y, ratios, step, freqs):
         # F(x) above the quadratic model of F around y, in which
         # tr(R(y) (x - y)) = ratios . (p(x) - p(y)); the 1e-15 slack absorbs
         # the rounding of F, without which the step collapses near the optimum
-        move = x - y
+        move = (x - y).reshape(len(x), -1).view(float)  # |x - y|^2 = move . move
         bound = (value_y - (ratios * (probs - probs_y)).sum(axis=1)
-                 + (metric * move * move).sum(axis=1) / (2.0 * step)
+                 + (move * move).sum(axis=1) / (2.0 * step)
                  + 1e-15 * np.abs(value_y))
         return ~(objective(probs, freqs) <= bound)
 
@@ -396,15 +357,14 @@ def _apg(coords: np.ndarray, counts: np.ndarray, weights: np.ndarray,
     certificates = np.empty(size)
 
     rows = np.arange(size)
-    x = np.zeros((size, d * d))
-    x[:, :d] = 1.0 / d  # the maximally mixed state
-    probs = _probabilities(x, coords)
+    x = np.repeat(np.eye(d, dtype=complex)[None] / d, size, axis=0)
+    probs = _probabilities(x, flat)
     y, probs_y, value_y = x, probs, objective(probs, freqs)
     theta, step = np.ones(size), np.ones(size)
     trace = [mean_log_likelihood(probs[0], freqs[0])]
     for iteration in range(1, cfg.max_iterations + 1):
         ratios = freqs / np.maximum(probs_y, 1e-300)
-        r_y = (ratios[:, None, :] @ r_coords)[:, 0]
+        r_y = _operator_sum(ratios, flat)
         new, probs_new, basis = projected_step(y, r_y, step)
         retry = np.flatnonzero(rejected(new, probs_new, y, probs_y, value_y,
                                         ratios, step, freqs))
@@ -424,7 +384,7 @@ def _apg(coords: np.ndarray, counts: np.ndarray, weights: np.ndarray,
         if rows[0] == 0:
             trace.append(mean_log_likelihood(probs[0], freqs[0]))
         ratios = freqs / np.maximum(probs, 1e-300)
-        r_matrix = _hermitian((ratios[:, None, :] @ r_coords)[:, 0], scatter)
+        r_matrix = _operator_sum(ratios, flat)
         # R's Rayleigh quotients on the eigenvectors of the projection bound
         # lambda_max(R) from below, so only the rows they do not rule out
         # need R's eigenvalues
@@ -436,8 +396,8 @@ def _apg(coords: np.ndarray, counts: np.ndarray, weights: np.ndarray,
             certificate[exact] = np.linalg.eigvalsh(r_matrix[exact])[:, -1] - 1.0
         stop = (certificate <= cfg.tolerance) | last
         if stop.any():
-            stopped = rows[stop]
-            estimates[stopped] = _hermitian(x[stop], scatter)
+            stopped, done = rows[stop], x[stop]
+            estimates[stopped] = 0.5 * (done + np.conj(done).transpose(0, 2, 1))
             iterations[stopped] = iteration
             converged[stopped] = certificate[stop] <= cfg.tolerance
             certificates[stopped] = certificate[stop]
@@ -450,7 +410,7 @@ def _apg(coords: np.ndarray, counts: np.ndarray, weights: np.ndarray,
                 a[keep] for a in (x, probs, x_old, probs_old))
         # the momentum point; p is linear in rho, so p(y) needs no product.
         # A row whose y leaves some p_i <= 0 restarts from its iterate.
-        y = x + momentum[:, None] * (x - x_old)
+        y = x + momentum[:, None, None] * (x - x_old)
         probs_y = probs + momentum[:, None] * (probs - probs_old)
         outside = (probs_y <= 0.0).any(axis=1)
         if outside.any():
@@ -467,10 +427,10 @@ def _fit(records: Sequence, pset: ProjectorSet, cfg: MLEConfig,
     `resamples` Poisson redraws from one generator seeded with `seed`.
     Returns row 0's reconstruction and the other rows' estimates, flags and
     certificates."""
-    coords, observed, weights = _record_arrays(records, pset, subtract_background)
+    flat, observed, weights = _record_arrays(records, pset, subtract_background)
     draws = np.random.default_rng(seed).poisson(observed, (resamples, len(observed)))
     rhos, iterations, converged, certificates, trace = _apg(
-        coords, np.concatenate([observed[None], draws]), weights, cfg)
+        flat, np.concatenate([observed[None], draws]), weights, cfg)
     baseline = ReconstructionResult(
         rho_hat=ModalDensityMatrix(dimension=pset.dimension, entries=rhos[0]),
         log_likelihood=trace, iterations=int(iterations[0]),

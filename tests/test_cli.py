@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmsim import cli, presets, schmidt_purity
 from tmsim.cli import _overrides_from_args, build_parser, main
@@ -33,7 +34,46 @@ def _config_flags(parser, command=()):
             yield command, action
 
 
+positive = st.floats(1e-3, 1e6)
+unit = st.floats(0.0, 1.0)
+#: partial overrides that every section accepts
+valid_overrides = st.fixed_dictionaries({}, optional={
+    "pump": st.fixed_dictionaries({}, optional={
+        "shape_order": st.sampled_from([0, 1]), "center_nm": positive,
+        "fwhm_nm": positive, "chirp_fs2": st.floats(-1e7, 1e7)}),
+    "phasematching": st.fixed_dictionaries({}, optional={
+        "angle_deg": st.floats(0.0, 90.0, exclude_min=True, exclude_max=True),
+        "width_rad_per_fs": st.none() | positive,
+        "shape": st.sampled_from(["gaussian", "sinc"])}),
+    "basis": st.fixed_dictionaries({
+        "dimension": st.integers(1, 50), "width_policy": st.sampled_from(
+            ["fit-reference", "fixed"]), "width_rad_per_fs": positive}),
+    "qpg": st.fixed_dictionaries({}, optional={
+        "crosstalk": unit, "filter_efficiency": unit,
+        "per_order_falloff": st.none() | st.lists(
+            st.floats(0.0, 1.0, exclude_min=True), max_size=8)}),
+    "tomography": st.fixed_dictionaries({}, optional={
+        "flux": st.floats(0.0, 1e18, exclude_min=True),
+        "background": st.floats(0.0, 1e18), "seed": st.integers(0, 2**63),
+        "resamples": st.integers(2, 10**6)}),
+    "grid": st.fixed_dictionaries({}, optional={
+        "count": st.integers(16, 4096), "signal_center_nm": positive}),
+    "output": st.fixed_dictionaries({}, optional={
+        "directory": st.text(), "formats": st.lists(
+            st.sampled_from(["json", "csv"]), min_size=1, max_size=3)}),
+})
+
+
 class TestConfigHandling:
+    @settings(max_examples=200, deadline=None)
+    @given(overrides=valid_overrides)
+    def test_dict_and_merge_round_trips(self, overrides):
+        config = presets.config_from_dict(overrides)
+        assert presets.config_from_dict(config.to_dict()) == config
+        manifest = json.loads(json.dumps(config.to_dict()))
+        assert presets.config_from_dict(manifest) == config
+        assert presets.merge_overrides(config, {}) == config
+
     def test_unknown_section_rejected(self):
         with pytest.raises(InvalidArgumentError, match="unknown configuration"):
             presets.config_from_dict({"laser": {}})
@@ -470,6 +510,12 @@ class TestPipelineSubcommands:
         ('{"d": 1, "re": [["a"]], "im": [[0]]}', "'re': could not convert"),
         ('{"d": 1, "re": [[1]], "im": [[0]], "leakage": "x"}',
          "'leakage': must be a number"),
+        ('{"d": 1, "re": [[1]], "im": [[0]], "leakage": NaN}',
+         "leakage must lie in [0, 1]"),
+        ('{"d": 1, "re": [[1]], "im": [[0]], "leakage": -0.5}',
+         "leakage must lie in [0, 1]"),
+        ('{"d": 1, "re": [[1]], "im": [[0]], "leakage": 7}',
+         "leakage must lie in [0, 1]"),
     ])
     def test_malformed_density_exits_2(self, tmp_path, capsys, command, content,
                                        message):

@@ -156,6 +156,11 @@ class TestNonFiniteRejected:
         with pytest.raises(InvalidArgumentError):
             ModalDensityMatrix(dimension=2, entries=entries)
 
+    @pytest.mark.parametrize("leakage", [np.nan, -0.5, 7.0, np.inf])
+    def test_density_matrix_leakage(self, leakage):
+        with pytest.raises(InvalidArgumentError, match="leakage must lie in"):
+            ModalDensityMatrix(dimension=2, entries=np.eye(2) / 2.0, leakage=leakage)
+
 
 class TestSchmidtDecompose:
     def test_rank_one_input(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmsim import (
     BasisMismatchError,
@@ -283,6 +284,28 @@ class TestApplyModeFilter:
         with pytest.raises(BasisMismatchError):
             apply_mode_filter([0.5, 0.5], coeffs,
                               FilterSpec(mode=[1.0, 0.0], efficiency=0.2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=6)
+           .filter(lambda w: sum(w) > 0), d=st.integers(1, 6),
+           efficiency=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_weight_is_conserved(self, weights, d, efficiency, seed):
+        rng = np.random.default_rng(seed)
+        kets = rng.normal(size=(len(weights) + 1, 2 * d)).view(complex)
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        result = apply_mode_filter(weights, kets[1:],
+                                   FilterSpec(mode=kets[0], efficiency=efficiency))
+        assert abs(result.transmitted_fraction + result.upconverted_fraction
+                   - 1.0) <= 1e-12
+        # an empty arm keeps its zero weights and has no g2
+        for arm, g2 in ((result.transmitted_weights, result.transmitted_g2),
+                        (result.upconverted_weights, result.upconverted_g2)):
+            if arm.sum() > 0:
+                assert abs(arm.sum() - 1.0) <= 1e-12
+                assert 1.0 <= g2 <= 2.0 + 1e-12
+            else:
+                assert np.isnan(g2)
+        assert result.upconverted_empty == (not result.upconverted_weights.sum() > 0)
 
     def test_filter_spec_validation(self):
         with pytest.raises(InvalidArgumentError):

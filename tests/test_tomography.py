@@ -28,12 +28,10 @@ from tmsim.errors import BasisMismatchWarning
 from tmsim.pdc import reduced_density_matrix, schmidt_decompose
 from tmsim.tomography import (
     _apg,
-    _coordinates,
     _density_projection,
-    _hermitian,
-    _hermitian_coordinates,
-    _hermitian_packing,
+    _flat_operators,
     _hermitian_span_rank,
+    _operator_sum,
     _probabilities,
     _record_arrays,
 )
@@ -239,13 +237,12 @@ class TestMleReconstruct:
             vecs[i] = np.concatenate([np.real(np.diag(outer)),
                                       np.sqrt(2.0) * np.real(outer[iu]),
                                       np.sqrt(2.0) * np.imag(outer[iu])])
-        coords = _hermitian_coordinates(kets)
-        # the same representation up to column scaling: off-diagonal
-        # coordinates are doubled, not scaled by sqrt(2)
-        np.testing.assert_allclose(coords[:, d:], np.sqrt(2.0) * vecs[:, d:],
+        flat = _flat_operators(kets)
+        # the float view of the flattened operators and the orthonormal
+        # coordinates have the same Gram matrix, so the same singular values
+        np.testing.assert_allclose(flat @ flat.T, vecs @ vecs.T,
                                    rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(coords[:, :d], vecs[:, :d])
-        assert (_hermitian_span_rank(coords)
+        assert (_hermitian_span_rank(flat)
                 == np.linalg.matrix_rank(vecs, tol=1e-10))
 
     def test_zero_counts_rejected(self):
@@ -548,8 +545,8 @@ def random_kets(rng, n, d):
 
 
 class TestPackedKernel:
-    """The real Hermitian coordinates `_apg` iterates in, against the
-    complex formulas over `gate_operators`."""
+    """The products with the flat operators that `_apg` iterates with,
+    against the complex formulas over `gate_operators`."""
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 60), d=st.integers(1, 9), size=st.integers(1, 5),
@@ -561,25 +558,13 @@ class TestPackedKernel:
         rho = g + np.conj(g).transpose(0, 2, 1)
         ratios = rng.uniform(0.0, 3.0, size=(size, n))
         ops = gate_operators(kets)
-        coords = _hermitian_coordinates(kets)
-        gather, scatter = _hermitian_packing(d)
+        flat = _flat_operators(kets)
         probs = np.einsum("nab,kba->kn", ops, rho).real
-        np.testing.assert_allclose(_probabilities(_coordinates(rho, gather), coords),
-                                   probs, rtol=0, atol=1e-14 * np.abs(probs).max())
-        # R's coordinates carry the doubled off-diagonal columns of coords
-        half = np.where(np.arange(d * d) < d, 1.0, 0.5)
+        np.testing.assert_allclose(_probabilities(rho, flat), probs,
+                                   rtol=0, atol=1e-14 * np.abs(probs).max())
         growth = np.einsum("kn,nab->kab", ratios, ops)
-        np.testing.assert_allclose(_hermitian((ratios @ coords) * half, scatter),
-                                   growth, rtol=0, atol=1e-14 * np.abs(growth).max())
-
-    @pytest.mark.parametrize("d", [1, 2, 7])
-    def test_coordinates_round_trip(self, d):
-        g = np.random.default_rng(d).normal(size=(3, d, 2 * d)).view(complex)
-        rho = g + np.conj(g).transpose(0, 2, 1)
-        gather, scatter = _hermitian_packing(d)
-        x = rho.reshape(3, -1).view(float).take(gather, axis=1)
-        assert x.shape == (3, d * d)
-        np.testing.assert_array_equal(_hermitian(x, scatter), rho)
+        np.testing.assert_allclose(_operator_sum(ratios, flat), growth,
+                                   rtol=0, atol=1e-14 * np.abs(growth).max())
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.sampled_from([2, 3, 5, 7]), rank=st.integers(1, 7),
@@ -793,20 +778,23 @@ class TestBootstrapBenchmarks:
 
 
 class TestKernelBenchmarks:
-    """Timing of one `_apg` solve of the preset-b bootstrap: the observed
-    counts of `preset b --seed 7` and their 100 resamples, 101 rows and
-    5 686 row-iterations (the R rho R iteration it replaced took 199 676).
-    pytest-benchmark prints the solve time with
+    """Timing of one `_apg` solve of a preset bootstrap at seed 7: the
+    observed counts and their 100 resamples, 101 rows.  Preset b takes
+    5 690 row-iterations (the R rho R iteration it replaced took 199 676);
+    preset d, whose rank-deficient rows run on alone, takes 24 743.
+    pytest-benchmark prints the solve times with
     ``pytest --benchmark-only -k Kernel``; `extra_info`, which
     ``--benchmark-json FILE`` writes out, holds the row-iteration count and
     the best round's cost per row-iteration in microseconds."""
 
-    def test_apg(self, benchmark, preset_records):
-        coords, observed, weights = _record_arrays(preset_records["b"], mub_bases(7))
+    @pytest.mark.parametrize("case", "bd")
+    def test_apg(self, benchmark, preset_count_sets, case):
+        flat, observed, weights = _record_arrays(preset_count_sets[case, 7],
+                                                 mub_bases(7))
         draws = np.random.default_rng(8).poisson(observed, (100, observed.size))
         counts = np.concatenate([observed[None], draws])
         _, iterations, converged, _, _ = benchmark.pedantic(
-            _apg, args=(coords, counts, weights, MLEConfig()),
+            _apg, args=(flat, counts, weights, MLEConfig()),
             rounds=3, iterations=1)
         assert converged.all()
         row_iterations = int(iterations.sum())
