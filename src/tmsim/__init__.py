@@ -23,12 +23,10 @@ from .pdc import (
     chirp_purity_analytic,
     fit_basis_width,
     g2_from_purity,
-    hg_basis,
     jsi_marginal_sigmas,
     matched_phasematching_width,
     mean_photon_from_g11,
     mode_overlap_matrix,
-    purity_from_schmidt,
     reduced_density_matrix,
     schmidt_decompose,
     schmidt_purity,

@@ -69,8 +69,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         dest="phasematching.shape")
     parser.add_argument("-d", "--basis-dimension", type=int, dest="basis.dimension")
     parser.add_argument("--basis-width", type=float, dest="basis.width_rad_per_fs")
-    parser.add_argument("--basis-width-policy", choices=("fit-reference", "fixed"),
-                        dest="basis.width_policy")
     parser.add_argument("--crosstalk", type=float, dest="qpg.crosstalk")
     parser.add_argument("--filter-efficiency", type=float,
                         dest="qpg.filter_efficiency")

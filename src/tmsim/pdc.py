@@ -333,16 +333,6 @@ def jsi_marginal_sigmas(jsa: JointSpectralAmplitude) -> tuple:
     return tuple(sigmas)
 
 
-def purity_from_schmidt(dec: SchmidtDecomposition) -> float:
-    """Purity of the reduced one-photon state, sum of squared weights.
-
-    Truncation biases this upward by at most ~2 x residual_weight; the
-    residual is available on the decomposition for error bookkeeping.
-    :func:`schmidt_purity` gives the untruncated value.
-    """
-    return float(np.sum(dec.weights**2))
-
-
 def g2_from_purity(purity: float) -> float:
     """Marginal second-order autocorrelation 1 + P of a low-gain pair source."""
     if not -1e-9 <= purity <= 1.0 + 1e-9:
@@ -444,7 +434,7 @@ def fit_basis_width(dec: SchmidtDecomposition) -> float:
     """Width of the grid-centred HG0 that maximizes the overlap with the
     dominant mode, bracketed around that mode's measured amplitude width:
     the check of the closed-form `presets.REFERENCE_WIDTH`, and the only
-    function that needs scipy."""
+    function that needs scipy, which only the `test` extra installs."""
     from scipy.optimize import minimize_scalar
 
     psi0 = dec.signal_modes[0]

@@ -154,18 +154,20 @@ class PhasematchingConfig:
 @dataclass(frozen=True)
 class BasisConfig:
     dimension: int = 7
-    width_policy: str = "fit-reference"  # or "fixed"
-    width_rad_per_fs: Optional[float] = None
+    width_rad_per_fs: Optional[float] = None  # None: REFERENCE_WIDTH
 
     def __post_init__(self):
         _check_types(self, "basis.")
         _require(self.dimension >= 1, "basis.dimension",
                  f"must be >= 1, got {self.dimension}")
-        _require(self.width_policy in ("fit-reference", "fixed"), "basis.width_policy",
-                 f"must be 'fit-reference' or 'fixed', got {self.width_policy!r}")
-        if self.width_policy == "fixed":
-            _require(0 < (self.width_rad_per_fs or 0) < np.inf, "basis.width_rad_per_fs",
-                     "must be positive and finite when width_policy is 'fixed'")
+        if self.width_rad_per_fs is not None:
+            _require(0 < self.width_rad_per_fs < np.inf, "basis.width_rad_per_fs",
+                     f"must be positive and finite, got {self.width_rad_per_fs}")
+
+    def width(self) -> float:
+        """Amplitude width of the basis modes, `REFERENCE_WIDTH` unless given."""
+        width = self.width_rad_per_fs
+        return REFERENCE_WIDTH if width is None else width
 
 
 @dataclass(frozen=True)
@@ -222,7 +224,6 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str = "."
     formats: list[str] = field(default_factory=lambda: ["json", "csv"])
 
     def __post_init__(self):
@@ -317,7 +318,7 @@ def experiment_grids(config: ExperimentConfig):
     sigma_pump = config.pump.amplitude_sigma()
     sigma_pm = config.phasematching.model().width
     # the frozen basis's highest order must still fit on the grid
-    half_span = max(4.3 * np.sqrt(config.basis.dimension) * REFERENCE_WIDTH,
+    half_span = max(4.3 * np.sqrt(config.basis.dimension) * config.basis.width(),
                     7.0 * max(sigma_pump, sigma_pm))
     omega_signal = wavelength_to_omega(config.grid.signal_center_nm)
     omega_pump = wavelength_to_omega(config.pump.center_nm)
@@ -366,15 +367,15 @@ def build_state(config: ExperimentConfig) -> JointSpectralAmplitude:
 
 
 def tomography_basis(config: ExperimentConfig) -> HermiteGaussParams:
-    """The frozen Hermite-Gauss tomography basis.
+    """The frozen Hermite-Gauss tomography basis, centred on the signal grid.
 
-    Its width is `REFERENCE_WIDTH` unless the policy is "fixed"; that one
-    basis serves every preset, mirroring a single gate configuration.
+    Its width is `BasisConfig.width()`: `basis.width_rad_per_fs` if given,
+    else `REFERENCE_WIDTH`; that one basis serves every preset, mirroring a
+    single gate configuration.
     """
     signal_grid, _ = experiment_grids(config)
-    width = (config.basis.width_rad_per_fs if config.basis.width_policy == "fixed"
-             else REFERENCE_WIDTH)
-    return HermiteGaussParams(order=0, center=signal_grid.center, width=width)
+    return HermiteGaussParams(order=0, center=signal_grid.center,
+                              width=config.basis.width())
 
 
 # --- runners ---------------------------------------------------------------
@@ -384,7 +385,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def run_preset(case: str, config: Optional[ExperimentConfig] = None,
-               output_dir: Optional[str] = None) -> dict:
+               output_dir: str = ".") -> dict:
     """Run the full pipeline for one preset and write its artifacts.
 
     Emits the joint amplitude (CSV and JSON) and intensity, the mode
@@ -393,15 +394,14 @@ def run_preset(case: str, config: Optional[ExperimentConfig] = None,
     published reference values, and a manifest that reproduces the run.
 
     ``config`` is the resolved configuration (the preset's own if None);
-    ``output_dir`` replaces its output directory.  Returns the summary dict
-    with extra ``output_dir`` and ``converged`` entries, the latter telling
+    the artifacts go to ``output_dir``.  Returns the summary dict with
+    extra ``output_dir`` and ``converged`` entries, the latter telling
     whether the maximum-likelihood estimate converged.
     """
     preset = preset_config(case)  # rejects an unknown case before any work
-    output = {} if output_dir is None else {"output": {"directory": str(output_dir)}}
-    config = merge_overrides(preset if config is None else config, output)
+    config = preset if config is None else config
 
-    out = Path(config.output.directory)
+    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     jsa = build_state(config)
@@ -489,13 +489,11 @@ def manifest_text(case: str, config: ExperimentConfig) -> str:
     """Fully resolved run description; floats keep full precision so a
     replay sees bit-identical inputs.
 
-    The output directory is recorded as '.' (the manifest's own location),
-    so replaying into any directory reproduces every file byte for byte,
-    manifest included.
+    The output directory is an argument of the run, not part of the
+    configuration, so replaying into any directory reproduces every file
+    byte for byte, manifest included.
     """
-    resolved = config.to_dict()
-    resolved["output"]["directory"] = "."
-    manifest = {"case": case, "config": resolved, "version": TOOL_VERSION}
+    manifest = {"case": case, "config": config.to_dict(), "version": TOOL_VERSION}
     return json.dumps(manifest, sort_keys=True, indent=2) + "\n"
 
 
@@ -511,8 +509,7 @@ def load_manifest(manifest_path: str):
     return manifest["case"], config_from_dict(manifest["config"])
 
 
-def run_from_manifest(manifest_path: str,
-                      output_dir: Optional[str] = None) -> dict:
+def run_from_manifest(manifest_path: str, output_dir: str = ".") -> dict:
     """Re-run a preset exactly as recorded in its manifest."""
     case, config = load_manifest(manifest_path)
     return run_preset(case, config, output_dir=output_dir)

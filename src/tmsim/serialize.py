@@ -337,6 +337,9 @@ def density_from_dict(data: dict) -> ModalDensityMatrix:
             parts[key] = np.asarray(data[key], dtype=float)
         except (TypeError, ValueError) as exc:
             raise InvalidArgumentError(f"density matrix {key!r}: {exc}") from exc
+        if parts[key].shape != (d, d):
+            raise InvalidArgumentError(f"density matrix {key!r}: expected shape "
+                                       f"({d}, {d}), got {parts[key].shape}")
     return ModalDensityMatrix(dimension=d, entries=parts["re"] + 1j * parts["im"],
                               leakage=float(leakage))
 

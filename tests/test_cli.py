@@ -6,13 +6,23 @@ import runpy
 import subprocess
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmsim import cli, presets, schmidt_purity
+from tmsim import (
+    HermiteGaussParams,
+    cli,
+    hg_mode,
+    presets,
+    reduced_density_matrix,
+    schmidt_decompose,
+    schmidt_purity,
+    serialize,
+)
 from tmsim.cli import _overrides_from_args, build_parser, main
 from tmsim.errors import InvalidArgumentError
 from tmsim.tomography import MLEConfig
@@ -45,9 +55,8 @@ valid_overrides = st.fixed_dictionaries({}, optional={
         "angle_deg": st.floats(0.0, 90.0, exclude_min=True, exclude_max=True),
         "width_rad_per_fs": st.none() | positive,
         "shape": st.sampled_from(["gaussian", "sinc"])}),
-    "basis": st.fixed_dictionaries({
-        "dimension": st.integers(1, 50), "width_policy": st.sampled_from(
-            ["fit-reference", "fixed"]), "width_rad_per_fs": positive}),
+    "basis": st.fixed_dictionaries({}, optional={
+        "dimension": st.integers(1, 50), "width_rad_per_fs": st.none() | positive}),
     "qpg": st.fixed_dictionaries({}, optional={
         "crosstalk": unit, "filter_efficiency": unit,
         "per_order_falloff": st.none() | st.lists(
@@ -59,8 +68,7 @@ valid_overrides = st.fixed_dictionaries({}, optional={
     "grid": st.fixed_dictionaries({}, optional={
         "count": st.integers(16, 4096), "signal_center_nm": positive}),
     "output": st.fixed_dictionaries({}, optional={
-        "directory": st.text(), "formats": st.lists(
-            st.sampled_from(["json", "csv"]), min_size=1, max_size=3)}),
+        "formats": st.lists(st.sampled_from(["json", "csv"]), min_size=1, max_size=3)}),
 })
 
 
@@ -104,9 +112,9 @@ class TestConfigHandling:
     @pytest.mark.parametrize("content, flags", [
         ([1], []),
         ({"pump": 3}, ["--chirp-fs2", "1"]),
-        # a fixed width policy needs a width: the file is invalid on its own
-        # even though the flag would complete it
-        ({"basis": {"width_policy": "fixed"}}, ["--basis-width", "0.01"]),
+        # the file is invalid on its own even though the flag would
+        # replace its width
+        ({"basis": {"width_rad_per_fs": -5}}, ["--basis-width", "0.01"]),
         # values of the wrong type
         ({"pump": {"fwhm_nm": "x"}}, []),
         ({"pump": {"fwhm_nm": None}}, []),
@@ -126,7 +134,7 @@ class TestConfigHandling:
         ({"pump": {"center_nm": float("inf")}}, []),
         ({"pump": {"fwhm_nm": float("inf")}}, []),
         ({"grid": {"signal_center_nm": float("inf")}}, []),
-        ({"basis": {"width_policy": "fixed", "width_rad_per_fs": float("inf")}}, []),
+        ({"basis": {"width_rad_per_fs": float("inf")}}, []),
         # finite, but the signal grid (centred at ~2e-300 rad/fs) or the
         # idler grid (centred at ~8e-4 rad/fs) reaches a non-positive frequency
         ({"grid": {"signal_center_nm": 1e300}}, []),
@@ -151,6 +159,45 @@ class TestConfigHandling:
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "rho.json").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("width", ["-5", "0", "inf", "nan"])
+    def test_bad_basis_width_names_field(self, tmp_path, capsys, source, width):
+        if source == "flag":
+            given = [f"--basis-width={width}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"basis": {"width_rad_per_fs": float(width)}}))
+            given = ["--config", str(cfg)]
+        rc = main(["rho", "-d", "3", "--grid-count", "64", *given,
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "basis.width_rad_per_fs" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_output_directory_is_not_a_config_field(self, tmp_path, capsys):
+        # the output directory is the --out argument alone
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": {"directory": "x"}}))
+        rc = main(["preset", "a", "--config", str(cfg),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "output: unknown field(s) ['directory']" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from("abcd"), dimension=st.integers(1, 21),
+           width=st.none() | st.floats(1e-4, 0.05))
+    def test_grid_holds_every_basis_order(self, case, dimension, width):
+        config = presets.merge_overrides(presets.preset_config(case), {
+            "basis": {"dimension": dimension, "width_rad_per_fs": width}})
+        basis = presets.tomography_basis(config)
+        assert basis.width == (presets.REFERENCE_WIDTH if width is None else width)
+        signal_grid, _ = presets.experiment_grids(config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # hg_mode warns of a truncated order
+            for order in range(dimension):
+                hg_mode(dataclasses.replace(basis, order=order), signal_grid)
 
     def test_merge_leaves_base_unchanged(self):
         base = presets.preset_config("b")
@@ -177,8 +224,7 @@ class TestConfigHandling:
         with pytest.raises(TypeError):
             config.qpg.per_order_falloff[0] = 0.0
         assert config.to_dict()["output"]["formats"] == ["json", "csv"]
-        assert dataclasses.replace(config.output, directory="x").formats \
-            == ("json", "csv")
+        assert dataclasses.replace(config.output).formats == ("json", "csv")
 
     @pytest.mark.parametrize("case, pump, angle_deg", [
         ("a", {"shape_order": 0, "center_nm": 769.0, "fwhm_nm": 1.72,
@@ -195,14 +241,13 @@ class TestConfigHandling:
             "pump": pump,
             "phasematching": {"angle_deg": angle_deg, "width_rad_per_fs": None,
                               "shape": "gaussian"},
-            "basis": {"dimension": 7, "width_policy": "fit-reference",
-                      "width_rad_per_fs": None},
+            "basis": {"dimension": 7, "width_rad_per_fs": None},
             "qpg": {"crosstalk": 0.0, "per_order_falloff": None,
                     "filter_efficiency": 0.22},
             "tomography": {"flux": 100000.0, "background": 0.0, "seed": 7,
                            "resamples": 100},
             "grid": {"count": 512, "signal_center_nm": 1540.0},
-            "output": {"directory": ".", "formats": ["json", "csv"]},
+            "output": {"formats": ["json", "csv"]},
         }
         # compared as JSON so that 380000 and 380000.0 differ, as in a manifest
         assert (json.dumps(presets.preset_config(case).to_dict(), sort_keys=True)
@@ -211,7 +256,7 @@ class TestConfigHandling:
     def test_config_flags_name_typed_fields(self):
         sections = typing.get_type_hints(presets.ExperimentConfig)
         flags = list(_config_flags(build_parser()))
-        assert len(flags) == 5 * 19  # jsa, schmidt, rho, preset, chirp-scan
+        assert len(flags) == 5 * 18  # jsa, schmidt, rho, preset, chirp-scan
         for command, action in flags:
             section, name = action.dest.split(".")
             fields = typing.get_type_hints(sections[section])
@@ -291,6 +336,20 @@ class TestPresetRuns:
         assert rc == 2
         assert not (tmp_path / "run").exists()
 
+    def test_manifest_with_width_policy_exits_2(self, tmp_path, capsys):
+        # the basis section of a manifest that still records the removed
+        # width_policy and output directory
+        manifest = json.loads(presets.manifest_text("a", presets.preset_config("a")))
+        manifest["config"]["basis"]["width_policy"] = "fit-reference"
+        manifest["config"]["output"]["directory"] = "."
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest, sort_keys=True))
+        rc = main(["preset", "--from-manifest", str(path),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "basis: unknown field(s) ['width_policy']" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_nonconvergence_exits_3_after_writing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(presets, "MLEConfig", lambda: MLEConfig(max_iterations=2))
         rc = main(["preset", "a", *FAST, "--out", str(tmp_path)])
@@ -329,6 +388,33 @@ class TestPipelineSubcommands:
         rho = json.loads((tmp_path / "rho.json").read_text())
         assert rho["d"] == 7
         assert rho["re"][0][0] == pytest.approx(1.0, abs=0.01)
+
+    def test_basis_width_flag_alone_sets_the_width(self, tmp_path):
+        width = 0.003
+        assert main(["rho", "-d", "3", "--grid-count", "64",
+                     "--basis-width", str(width), "--out", str(tmp_path)]) == 0
+        config = presets.merge_overrides(presets.ExperimentConfig(), {
+            "basis": {"dimension": 3, "width_rad_per_fs": width},
+            "grid": {"count": 64}})
+        signal_grid, _ = presets.experiment_grids(config)
+        rho = reduced_density_matrix(
+            schmidt_decompose(presets.build_state(config), max_modes=20),
+            HermiteGaussParams(order=0, center=signal_grid.center, width=width), 3)
+        assert (tmp_path / "rho.json").read_text() \
+            == serialize.dump_json(serialize.density_to_dict(rho))
+        assert rho.leakage > 1e-3  # the reference basis holds this state to ~1e-12
+
+    @pytest.mark.parametrize("command", [
+        ["rho", "-d", "3", "--grid-count", "64", "--pump-center-nm"],
+        ["qpg", "map", "--count", "64", "--input-center-nm"],
+    ])
+    @pytest.mark.parametrize("center", ["1e-300", "1e300"])
+    def test_unconvertible_bandwidth_exits_2(self, tmp_path, capsys, command,
+                                             center):
+        rc = main([*command, center, "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "bandwidth conversion" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_schmidt_reports_untruncated_purity(self, tmp_path):
         flags = ["--pump-fwhm-nm", "0.54", "--grid-count", "96"]
@@ -510,6 +596,13 @@ class TestPipelineSubcommands:
         ('{"d": 1, "re": [["a"]], "im": [[0]]}', "'re': could not convert"),
         ('{"d": 1, "re": [[1]], "im": [[0]], "leakage": "x"}',
          "'leakage': must be a number"),
+        # a mismatched part used to broadcast, or fail to broadcast
+        ('{"d": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0], [0, 0]]}',
+         "'im': expected shape (2, 2), got (3, 2)"),
+        ('{"d": 2, "re": [[1, 0], [0, 0]], "im": [0, 0]}',
+         "'im': expected shape (2, 2), got (2,)"),
+        ('{"d": 2, "re": [[1, 0, 0], [0, 0, 0]], "im": [[0, 0], [0, 0]]}',
+         "'re': expected shape (2, 2), got (2, 3)"),
         ('{"d": 1, "re": [[1]], "im": [[0]], "leakage": NaN}',
          "leakage must lie in [0, 1]"),
         ('{"d": 1, "re": [[1]], "im": [[0]], "leakage": -0.5}',

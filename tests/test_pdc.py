@@ -28,7 +28,6 @@ from tmsim import (
     matched_phasematching_width,
     mean_photon_from_g11,
     mode_overlap_matrix,
-    purity_from_schmidt,
     reduced_density_matrix,
     schmidt_decompose,
     schmidt_purity,
@@ -327,11 +326,6 @@ class TestTruncatedSchmidt:
 
 
 class TestPurityAndG2:
-    def test_purity_trivials(self):
-        assert purity_from_schmidt(_dec([1.0])) == pytest.approx(1.0)
-        assert purity_from_schmidt(_dec([0.5, 0.5])) == pytest.approx(0.5)
-        assert purity_from_schmidt(_dec([0.8, 0.2])) == pytest.approx(0.68)
-
     def test_g2_values(self):
         assert g2_from_purity(1.0) == 2.0
         assert g2_from_purity(0.5) == 1.5
@@ -478,16 +472,6 @@ class TestPurityBenchmarks:
         assert 0.99 < report.separability <= 1.0
 
 
-def _dec(weights):
-    """Minimal decomposition carrying only weights (modes unused)."""
-    grid = make_grid(0.0, 16.0, 64)
-    modes = [hg_mode(HermiteGaussParams(order=k, center=0.0, width=1.0), grid)
-             for k in range(len(weights))]
-    return SchmidtDecomposition(weights=np.array(sorted(weights, reverse=True),
-                                                 dtype=float),
-                                signal_modes=modes, idler_modes=modes)
-
-
 class TestReducedDensityMatrix:
     def test_matched_state_is_basis_aligned(self):
         dec = schmidt_decompose(gaussian_jsa(), max_modes=10)
@@ -516,7 +500,7 @@ class TestReducedDensityMatrix:
         basis = HermiteGaussParams(order=0, center=1.223,
                                    width=fit_basis_width(dec))
         rho = reduced_density_matrix(dec, basis, 7)
-        assert abs(rho.purity() - purity_from_schmidt(dec)) < 1e-3
+        assert abs(rho.purity() - np.sum(dec.weights**2)) < 1e-3
 
     def test_badly_mismatched_basis_raises(self):
         dec = schmidt_decompose(gaussian_jsa(), max_modes=5)

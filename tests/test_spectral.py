@@ -146,6 +146,27 @@ class TestConvertBandwidth:
         with pytest.raises(InvalidArgumentError, match="finite and positive"):
             invert_bandwidth(*args)
 
+    @pytest.mark.parametrize("args", [
+        (1e-300, 1.72),   # the squared centre underflows to zero
+        (1e300, 1.72),    # the squared centre overflows
+        (1e-150, 1e300),  # the frequency FWHM overflows
+        (1e100, 1e-300),  # the frequency FWHM underflows to zero
+    ])
+    def test_unrepresentable_result_rejected(self, args):
+        with pytest.raises(InvalidArgumentError, match="not finite and positive"):
+            convert_bandwidth(*args)
+
+    @pytest.mark.parametrize("args", [(1e300, 58.7), (1e-300, 58.7), (769.0, 1e300)])
+    def test_unrepresentable_inverse_rejected(self, args):
+        with pytest.raises(InvalidArgumentError, match="not finite and positive"):
+            invert_bandwidth(*args)
+
+    def test_numpy_scalars_convert_like_floats(self):
+        assert convert_bandwidth(np.float64(769.0), np.float64(1.72)) \
+            == convert_bandwidth(769.0, 1.72)
+        with pytest.raises(InvalidArgumentError, match="not finite and positive"):
+            convert_bandwidth(np.float64(1e-300), np.float64(1.72))
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0, -1.0])
     def test_wavelength_to_omega_rejects(self, bad):
         with pytest.raises(InvalidArgumentError, match="finite and positive"):
