@@ -122,7 +122,15 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
 
     The pump spectrum is evaluated at the sum frequency by linear
     interpolation of its samples, so its grid must cover the full range of
-    w_s + w_i reached by the output grids.
+    w_s + w_i reached by the output grids.  When the signal and idler grids
+    share their spacing h, the sum depends only on i + j, so the pump is
+    interpolated once at the n_s + n_i - 1 anti-diagonal sums
+    w_s[0] + w_i[0] + k h and the pump factor is read from that line as a
+    Hankel matrix; the counts may differ.  Grids of different spacings take
+    the n_s x n_i interpolation at every sum.  After normalization every
+    real or imaginary part below the smallest normal double (~2.2e-308) is
+    set to 0: subnormal entries slow down the BLAS products taken over the
+    amplitude and carry no weight.
 
     Raises
     ------
@@ -140,8 +148,16 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
 
     w_s = signal_grid.points
     w_i = idler_grid.points
-    sums = w_s[:, None] + w_i[None, :]
-    alpha = _interp_complex(sums, pump.grid.points, pump.amplitudes)
+    if signal_grid.spacing == idler_grid.spacing:
+        # w_s[i] + w_i[j] depends on i + j alone: one line of anti-diagonal
+        # sums, read as the Hankel matrix alpha[i, j] = line[i + j]
+        diagonals = np.arange(signal_grid.count + idler_grid.count - 1)
+        line = _interp_complex(w_s[0] + w_i[0] + diagonals * signal_grid.spacing,
+                               pump.grid.points, pump.amplitudes)
+        alpha = np.lib.stride_tricks.sliding_window_view(line, idler_grid.count)
+    else:
+        sums = w_s[:, None] + w_i[None, :]
+        alpha = _interp_complex(sums, pump.grid.points, pump.amplitudes)
 
     theta = np.deg2rad(pm.angle_deg)
     u = (-(w_s[:, None] - signal_grid.center) * np.sin(theta)
@@ -157,7 +173,10 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
     if weight <= 0.0:
         raise InvalidArgumentError(
             "pump and phasematching do not overlap on the requested grids")
-    return JointSpectralAmplitude(signal_grid, idler_grid, values / np.sqrt(weight))
+    values /= np.sqrt(weight)
+    parts = values.view(float)
+    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+    return JointSpectralAmplitude(signal_grid, idler_grid, values)
 
 
 @dataclass(frozen=True, eq=False)

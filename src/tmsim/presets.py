@@ -14,6 +14,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
+import reprlib
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,6 +77,13 @@ def _require(condition: bool, name: str, message: str) -> None:
         raise InvalidArgumentError(f"{name}: {message}")
 
 
+def _is_finite(value) -> bool:
+    try:  # an int beyond the largest double overflows on the way
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _admits(declared, value) -> bool:
     if isinstance(value, bool):
         return False
@@ -84,7 +93,9 @@ def _admits(declared, value) -> bool:
     if origin is list:  # stored as a tuple once checked
         return (isinstance(value, (list, tuple))
                 and all(_admits(args[0], v) for v in value))
-    return isinstance(value, (int, float) if declared is float else declared)
+    if declared is float:
+        return isinstance(value, (int, float)) and _is_finite(value)
+    return isinstance(value, declared)
 
 
 @functools.cache
@@ -94,15 +105,19 @@ def _field_types(cls) -> dict:
 
 def _check_types(record, prefix: str) -> None:
     """Reject a field value its declared type does not admit: an int field
-    takes an int, a float field an int or a float, a list field a list of
-    its element type (or a tuple of them), None only an Optional field,
-    and bool nothing."""
+    takes an int, a float field an int or a float that is a finite double
+    (no inf, nan or int beyond 1.8e308), a list field a list of its element
+    type (or a tuple of them), None only an Optional field, and bool
+    nothing.  Values are checked, never converted, so a manifest records
+    them as given."""
     hints = _field_types(type(record))
     for f in dataclasses.fields(record):
         value = getattr(record, f.name)
         if not _admits(hints[f.name], value):
+            finite = " with a finite double value" if "float" in f.type else ""
             raise InvalidArgumentError(
-                f"{prefix}{f.name}: must be of type {f.type}, got {value!r}")
+                f"{prefix}{f.name}: must be of type {f.type}{finite}, "
+                f"got {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True)
@@ -116,11 +131,10 @@ class PumpConfig:
         _check_types(self, "pump.")
         _require(self.shape_order in (0, 1), "pump.shape_order",
                  f"must be 0 or 1, got {self.shape_order}")
-        _require(0 < self.center_nm < np.inf, "pump.center_nm",
-                 f"must be positive and finite, got {self.center_nm}")
-        _require(0 < self.fwhm_nm < np.inf, "pump.fwhm_nm",
-                 f"must be positive and finite, got {self.fwhm_nm}")
-        _require(np.isfinite(self.chirp_fs2), "pump.chirp_fs2", "must be finite")
+        _require(self.center_nm > 0, "pump.center_nm",
+                 f"must be positive, got {self.center_nm}")
+        _require(self.fwhm_nm > 0, "pump.fwhm_nm",
+                 f"must be positive, got {self.fwhm_nm}")
 
     def amplitude_sigma(self) -> float:
         # intensity std -> amplitude width parameter of the field envelope
@@ -161,8 +175,8 @@ class BasisConfig:
         _require(self.dimension >= 1, "basis.dimension",
                  f"must be >= 1, got {self.dimension}")
         if self.width_rad_per_fs is not None:
-            _require(0 < self.width_rad_per_fs < np.inf, "basis.width_rad_per_fs",
-                     f"must be positive and finite, got {self.width_rad_per_fs}")
+            _require(self.width_rad_per_fs > 0, "basis.width_rad_per_fs",
+                     f"must be positive, got {self.width_rad_per_fs}")
 
     def width(self) -> float:
         """Amplitude width of the basis modes, `REFERENCE_WIDTH` unless given."""
@@ -199,7 +213,7 @@ class TomographyConfig:
 
     def __post_init__(self):
         _check_types(self, "tomography.")
-        # the ranges also reject inf and nan: numpy cannot sample such means
+        # numpy cannot sample Poisson means beyond MAX_POISSON_MEAN
         _require(0 < self.flux <= MAX_POISSON_MEAN, "tomography.flux",
                  f"must lie in (0, {MAX_POISSON_MEAN:.0e}], got {self.flux}")
         _require(0 <= self.background <= MAX_POISSON_MEAN, "tomography.background",
@@ -218,8 +232,8 @@ class GridConfig:
     def __post_init__(self):
         _check_types(self, "grid.")
         _require(self.count >= 16, "grid.count", f"must be >= 16, got {self.count}")
-        _require(0 < self.signal_center_nm < np.inf, "grid.signal_center_nm",
-                 f"must be positive and finite, got {self.signal_center_nm}")
+        _require(self.signal_center_nm > 0, "grid.signal_center_nm",
+                 f"must be positive, got {self.signal_center_nm}")
 
 
 @dataclass(frozen=True)
@@ -324,8 +338,11 @@ def experiment_grids(config: ExperimentConfig):
     omega_pump = wavelength_to_omega(config.pump.center_nm)
     omega_idler = omega_pump - omega_signal
     if min(omega_signal, omega_idler) <= half_span:
-        raise InvalidArgumentError("pump.center_nm/grid.signal_center_nm: the signal "
-                                   "or idler grid reaches a non-positive frequency")
+        raise InvalidArgumentError(
+            "pump.center_nm/grid.signal_center_nm/basis.width_rad_per_fs/"
+            "basis.dimension/phasematching.width_rad_per_fs/pump.fwhm_nm: the signal "
+            f"or idler grid (centres {omega_signal:.6g} and {omega_idler:.6g} rad/fs, "
+            f"half span {half_span:.6g} rad/fs) reaches a non-positive frequency")
     signal_grid = make_grid(omega_signal, 2 * half_span, config.grid.count)
     idler_grid = make_grid(omega_idler, 2 * half_span, config.grid.count)
     return signal_grid, idler_grid
@@ -371,11 +388,15 @@ def tomography_basis(config: ExperimentConfig) -> HermiteGaussParams:
 
     Its width is `BasisConfig.width()`: `basis.width_rad_per_fs` if given,
     else `REFERENCE_WIDTH`; that one basis serves every preset, mirroring a
-    single gate configuration.
+    single gate configuration.  A width below half the grid spacing is
+    rejected: the basis modes would fall between the grid points.
     """
     signal_grid, _ = experiment_grids(config)
-    return HermiteGaussParams(order=0, center=signal_grid.center,
-                              width=config.basis.width())
+    width = config.basis.width()
+    _require(width >= signal_grid.spacing / 2, "basis.width_rad_per_fs",
+             f"the basis modes fall between the grid points: width {width:.6g} "
+             f"rad/fs is below half the grid spacing {signal_grid.spacing:.6g} rad/fs")
+    return HermiteGaussParams(order=0, center=signal_grid.center, width=width)
 
 
 # --- runners ---------------------------------------------------------------

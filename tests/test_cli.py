@@ -139,6 +139,9 @@ class TestConfigHandling:
         # idler grid (centred at ~8e-4 rad/fs) reaches a non-positive frequency
         ({"grid": {"signal_center_nm": 1e300}}, []),
         ({"pump": {"center_nm": 1539.0}}, []),
+        # JSON integers beyond the largest double
+        ({"grid": {"signal_center_nm": 10**400}}, []),
+        ({"pump": {"chirp_fs2": 10**400}}, []),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, command, content,
                                      flags):
@@ -159,6 +162,41 @@ class TestConfigHandling:
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "rho.json").exists()
+
+    @pytest.mark.parametrize("field", ["grid.signal_center_nm", "pump.chirp_fs2"])
+    def test_huge_integer_names_field(self, tmp_path, capsys, field):
+        section, name = field.split(".")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {name: 10**400}}))
+        rc = main(["rho", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert f"{field}: must be of type float with a finite double value" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag", [["--pm-width", "1e300"],
+                                      ["--basis-width", "1e300"],
+                                      ["--pump-center-nm", "1539"]])
+    def test_grid_below_zero_names_every_sizing_field(self, tmp_path, capsys, flag):
+        rc = main(["rho", *flag, "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "reaches a non-positive frequency" in err
+        for field in ("pump.center_nm", "grid.signal_center_nm",
+                      "basis.width_rad_per_fs", "basis.dimension",
+                      "phasematching.width_rad_per_fs", "pump.fwhm_nm"):
+            assert field in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("width", ["1e-300", "1e-5"])
+    def test_unresolved_basis_width_names_field(self, tmp_path, capsys, width):
+        # far below the grid spacing, every basis sample would be 0
+        rc = main(["rho", "-d", "3", "--grid-count", "64", "--basis-width", width,
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert ("basis.width_rad_per_fs: the basis modes fall between the grid "
+                "points") in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize("width", ["-5", "0", "inf", "nan"])

@@ -36,6 +36,7 @@ from tmsim import (
 )
 from tmsim import cli, pdc, presets
 from tmsim.cli import main
+from tmsim.spectral import FrequencyGrid
 
 # decorrelated-source parameters: 1.72 nm pump at 769 nm
 PUMP_SIGMA = np.sqrt(2.0) * convert_bandwidth(769.0, 1.72).sigma_omega
@@ -58,6 +59,35 @@ def gaussian_jsa(pump_order=0, pump_sigma=PUMP_SIGMA, pm_width=PM_WIDTH,
         pump = apply_chirp(pump, ChirpPhase(coefficient=chirp, center=pump_center))
     pm = PhasematchingModel(angle_deg=angle, width=pm_width)
     return build_jsa(pump, pm, signal_grid, idler_grid)
+
+
+#: the grid of the chirp-scan-1024 benchmark workload, and its chirp values
+SCAN_CONFIG = presets.merge_overrides(presets.preset_config("a"),
+                                      {"grid": {"count": 1024}})
+SCAN_A_VALUES = (0.0, 1e5, 2e5, 3.8e5, 6e5, 1e6)
+
+
+def scan_inputs():
+    """Pump, phasematching and grids of the chirp-scan-1024 row at 1e6 fs^2,
+    whose pump holds 65 536 points."""
+    config = presets.merge_overrides(SCAN_CONFIG, {"pump": {"chirp_fs2": 1e6}})
+    signal_grid, idler_grid = presets.experiment_grids(config)
+    pump = presets.pump_spectrum(config, signal_grid, idler_grid)
+    return pump, config.phasematching.model(), signal_grid, idler_grid
+
+
+def interpolation_shapes(monkeypatch) -> list:
+    """Record the shape of every sum-frequency array `build_jsa` interpolates
+    the pump at: (n_s + n_i - 1,) for the Hankel line, (n_s, n_i) for the
+    interpolation at every sum."""
+    shapes = []
+    interp = pdc._interp_complex
+
+    def spy(x, *args):
+        shapes.append(np.shape(x))
+        return interp(x, *args)
+    monkeypatch.setattr(pdc, "_interp_complex", spy)
+    return shapes
 
 
 def product_jsa(count=64):
@@ -122,6 +152,42 @@ class TestBuildJsa:
         overlap = abs(np.sum(np.conj(sinc.amplitudes) * gauss.amplitudes)
                       * sinc.cell_area)
         assert overlap > 0.9
+
+    @pytest.mark.parametrize("counts", [None, (300, 200)])
+    def test_hankel_read_matches_interpolation_at_every_sum(self, monkeypatch,
+                                                            counts):
+        # None: the 1024 x 1024 scan state at chirp 1e6; else n_s != n_i
+        pump, pm, signal_grid, idler_grid = scan_inputs()
+        if counts is not None:
+            signal_grid, idler_grid = (
+                FrequencyGrid(grid.center, grid.spacing, count)
+                for grid, count in zip((signal_grid, idler_grid), counts))
+        # one ulp more spacing moves the idler points by < 1e-16 rad/fs and
+        # sends the same state down the n_s x n_i interpolation
+        wider = FrequencyGrid(idler_grid.center,
+                              np.nextafter(idler_grid.spacing, np.inf),
+                              idler_grid.count)
+        shapes = interpolation_shapes(monkeypatch)
+        hankel = build_jsa(pump, pm, signal_grid, idler_grid).amplitudes
+        reference = build_jsa(pump, pm, signal_grid, wider).amplitudes
+        n_s, n_i = signal_grid.count, idler_grid.count
+        assert shapes == [(n_s + n_i - 1,), (n_s, n_i)]
+        assert hankel.shape == (n_s, n_i)
+        largest = np.max(np.abs(reference))
+        assert np.max(np.abs(hankel - reference)) <= 1e-11 * largest
+
+    def test_unequal_spacings_interpolate_every_sum(self, monkeypatch):
+        signal_grid = make_grid(1.223, 0.06, 320)
+        idler_grid = make_grid(1.220, 0.06, 256)
+        pump_grid = make_grid(2.443, 0.1224, 8192)
+        pump = hg_mode(HermiteGaussParams(order=0, center=2.443, width=PUMP_SIGMA),
+                       pump_grid)
+        shapes = interpolation_shapes(monkeypatch)
+        jsa = build_jsa(pump, PhasematchingModel(45.0, PM_WIDTH),
+                        signal_grid, idler_grid)
+        assert shapes == [(320, 256)]
+        assert np.sum(jsa.intensity()) * jsa.cell_area == pytest.approx(1.0, abs=1e-12)
+        assert schmidt_purity(jsa) > 0.99  # the matched source is separable
 
 
 NAN_ARRAY = np.full((3, 4), np.nan)
@@ -306,6 +372,18 @@ class TestTruncatedSchmidt:
     def test_qpg_map_kernel(self, qpg_map_kernel, max_modes):
         _assert_matches_svd(qpg_map_kernel.values, max_modes)
 
+    @pytest.fixture(scope="class")
+    def scan_svd(self):
+        values = build_jsa(*scan_inputs()).amplitudes
+        return values, np.linalg.svd(values, full_matrices=False)
+
+    @pytest.mark.parametrize("max_modes", (1, 8, 20))
+    def test_chirp_scan_kernel(self, scan_svd, max_modes):
+        # the 1024 x 1024 scan row at chirp 1e6 fs^2
+        values, reference = scan_svd
+        assert values.shape == (1024, 1024)
+        _assert_matches_svd(values, max_modes, reference)
+
     def test_flat_spectrum(self):
         # singular values within 2e-10 of each other: any vector passes the
         # triplet misfit test, so only the missed-energy test widens the sketch
@@ -389,10 +467,9 @@ class TestSchmidtPurity:
         jsa = presets.build_state(presets.preset_config(case))
         assert jsa.amplitudes.shape == (512, 512)
         assert schmidt_purity(jsa) == pytest.approx(_spectrum_purity(jsa), rel=1e-12)
-
-
-# the chirp values of the chirp-scan-1024 benchmark workload
-SCAN_A_VALUES = (0.0, 1e5, 2e5, 3.8e5, 6e5, 1e6)
+        # build_jsa flushes subnormal parts, which slow the Gram product
+        parts = np.abs(jsa.amplitudes.view(float))
+        assert not np.any((parts > 0) & (parts < np.finfo(float).tiny))
 
 
 def reference_chirp_scan(chirp_values, config, background_fraction=0.04):
@@ -420,13 +497,10 @@ def reference_chirp_scan(chirp_values, config, background_fraction=0.04):
 class TestChirpScanRows:
     """The 1024 x 1024 scan of the benchmark, against the SVD loop."""
 
-    config = presets.merge_overrides(presets.preset_config("a"),
-                                     {"grid": {"count": 1024}})
-
     @pytest.fixture(scope="class")
     def scans(self):
-        return (presets.chirp_scan(SCAN_A_VALUES, self.config),
-                reference_chirp_scan(SCAN_A_VALUES, self.config))
+        return (presets.chirp_scan(SCAN_A_VALUES, SCAN_CONFIG),
+                reference_chirp_scan(SCAN_A_VALUES, SCAN_CONFIG))
 
     def test_purity_matches_weight_spectrum(self, scans):
         rows, reference = scans
@@ -470,6 +544,20 @@ class TestPurityBenchmarks:
         report = benchmark.pedantic(separability_report, args=(qpg_map_kernel,),
                                     rounds=3, iterations=1)
         assert 0.99 < report.separability <= 1.0
+
+
+class TestJsaKernelBenchmarks:
+    """Timing of `build_jsa` on the 1024 x 1024 chirp-scan row at chirp
+    1e6 fs^2, against a 65 536-point pump; pytest-benchmark prints it with
+    ``pytest --benchmark-only -k Kernel``."""
+
+    inputs = scan_inputs()
+
+    def test_build_jsa(self, benchmark):
+        pump = self.inputs[0]
+        assert pump.grid.count == 65536
+        jsa = benchmark.pedantic(build_jsa, args=self.inputs, rounds=3, iterations=1)
+        assert jsa.amplitudes.shape == (1024, 1024)
 
 
 class TestReducedDensityMatrix:
