@@ -5,7 +5,6 @@ tomography from projective count data."""
 from .errors import (
     BasisMismatchError,
     BasisMismatchWarning,
-    CoverageError,
     IllPosedError,
     IncompatibleGridError,
     InvalidArgumentError,

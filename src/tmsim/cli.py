@@ -38,7 +38,6 @@ from .spectral import (
     SPEED_OF_LIGHT_M_PER_S,
     HermiteGaussParams,
     convert_bandwidth,
-    hg_mode,
     make_grid,
     wavelength_to_omega,
 )
@@ -154,11 +153,8 @@ def _cmd_jsa(args) -> int:
     config = _resolve_config(args)
     jsa = presets.build_state(config)
     out = Path(args.out)
-    if "csv" in config.output.formats:
-        _write(out / "jsa.csv", serialize.jsa_to_csv(jsa))
-        _write(out / "jsi.csv", serialize.jsi_to_csv(jsa))
-    if "json" in config.output.formats:
-        _write(out / "jsa.json", serialize.dump_json(serialize.jsa_to_dict(jsa)))
+    out.mkdir(parents=True, exist_ok=True)
+    presets.write_jsa(jsa, config.output.formats, out)
     print(f"wrote joint amplitude ({config.grid.count}x{config.grid.count}) to {out}")
     return EXIT_OK
 
@@ -201,17 +197,11 @@ def _cmd_qpg_map(args) -> int:
         out_center_nm, args.output_fwhm_nm).sigma_omega
 
     input_grid = make_grid(omega_in, 12.0 * max(sigma_in, sigma_pump), args.count)
-    output_span = 14.0 * sigma_out
-    pump_grid = make_grid(omega_pump, (input_grid.span + output_span) * 1.02,
-                          args.count * 4)
-    pump = hg_mode(HermiteGaussParams(order=args.qpg_pump_shape_order,
-                                      center=omega_pump, width=sigma_pump),
-                   pump_grid)
-    output_grid = make_grid(omega_out, output_span, args.count)
-    output_pm = hg_mode(HermiteGaussParams(order=0, center=omega_out,
-                                           width=sigma_out), output_grid)
-    xi = build_mapping(pump, output_pm, input_grid,
-                       group_velocity_mismatch=args.skew)
+    output_grid = make_grid(omega_out, 14.0 * sigma_out, args.count)
+    xi = build_mapping(HermiteGaussParams(order=args.qpg_pump_shape_order,
+                                          center=omega_pump, width=sigma_pump),
+                       HermiteGaussParams(order=0, center=omega_out, width=sigma_out),
+                       input_grid, output_grid, group_velocity_mismatch=args.skew)
     report = separability_report(xi)
     out = Path(args.out)
     _write(out / "mapping.csv", serialize.mapping_to_csv(xi))

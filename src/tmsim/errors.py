@@ -13,10 +13,6 @@ class IncompatibleGridError(ToolkitError, ValueError):
     """Two spectra live on different frequency grids."""
 
 
-class CoverageError(ToolkitError, ValueError):
-    """A source spectrum does not cover the frequency range it is sampled on."""
-
-
 class UnsupportedOrderError(ToolkitError, ValueError):
     """Hermite-Gauss order outside the numerically stable range."""
 

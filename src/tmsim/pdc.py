@@ -11,12 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BasisMismatchError,
-    BasisMismatchWarning,
-    CoverageError,
-    InvalidArgumentError,
-)
+from .errors import BasisMismatchError, BasisMismatchWarning, InvalidArgumentError
 from .spectral import (
     ComplexSpectrum,
     FrequencyGrid,
@@ -97,22 +92,17 @@ class JointSpectralAmplitude:
         return np.abs(self.amplitudes) ** 2
 
 
-def _interp_complex(x, points: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Linear interpolation of complex samples with the modulus pinned to
-    the interpolated modulus.
-
-    Plain linear interpolation of oscillating complex values shrinks the
-    modulus between samples, so a pure-phase factor (a chirp) would leak
-    into sampled intensities.  Rescaling to the separately interpolated
-    modulus keeps |result| independent of any phase applied to the samples.
-    """
-    linear = (np.interp(x, points, values.real)
-              + 1j * np.interp(x, points, values.imag))
-    modulus = np.interp(x, points, np.abs(values))
-    linear_mod = np.abs(linear)
-    floor = 1e-12 * max(linear_mod.max(), 1e-300)
-    scale = np.where(linear_mod > floor, modulus / np.maximum(linear_mod, floor), 1.0)
-    return linear * scale
+def sum_frequency_grid(signal_grid: FrequencyGrid,
+                       idler_grid: FrequencyGrid) -> FrequencyGrid:
+    """The n_s + n_i - 1 sums w_s[i] + w_i[j] of two grids of one spacing h:
+    point k = i + j of a grid centred on c_s + c_i with spacing h."""
+    if signal_grid.spacing != idler_grid.spacing:
+        raise InvalidArgumentError(
+            f"the signal and idler grids must share one spacing for their sums "
+            f"to form a grid, got {signal_grid.spacing!r} and {idler_grid.spacing!r}")
+    return FrequencyGrid(center=signal_grid.center + idler_grid.center,
+                         spacing=signal_grid.spacing,
+                         count=signal_grid.count + idler_grid.count - 1)
 
 
 def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
@@ -120,48 +110,31 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
               ) -> JointSpectralAmplitude:
     """Joint spectral amplitude = pump(w_s + w_i) x phasematching(w_s, w_i).
 
-    The pump spectrum is evaluated at the sum frequency by linear
-    interpolation of its samples, so its grid must cover the full range of
-    w_s + w_i reached by the output grids.  When the signal and idler grids
-    share their spacing h, the sum depends only on i + j, so the pump is
-    interpolated once at the n_s + n_i - 1 anti-diagonal sums
-    w_s[0] + w_i[0] + k h and the pump factor is read from that line as a
-    Hankel matrix; the counts may differ.  Grids of different spacings take
-    the n_s x n_i interpolation at every sum.  After normalization every
-    real or imaginary part below the smallest normal double (~2.2e-308) is
-    set to 0: subnormal entries slow down the BLAS products taken over the
-    amplitude and carry no weight.
+    The pump must be sampled on :func:`sum_frequency_grid` of the signal
+    and idler grids, so its point i + j is the pump at w_s[i] + w_i[j] and
+    the pump factor is read as the Hankel matrix alpha[i, j] = pump[i + j],
+    with no interpolation.  After normalization every real or imaginary
+    part below sqrt(tiny) ~ 1.5e-154 is set to 0: products of two such
+    parts underflow, which slows down the BLAS products taken over the
+    amplitude, and they carry no weight.
 
     Raises
     ------
-    CoverageError
-        If the pump grid does not cover the sampled sum-frequency range.
+    InvalidArgumentError
+        If the two grids differ in spacing, or the pump is sampled on any
+        other grid than their sum-frequency grid.
     """
-    sum_min = signal_grid.minimum + idler_grid.minimum
-    sum_max = signal_grid.maximum + idler_grid.maximum
-    if pump.grid.minimum > sum_min or pump.grid.maximum < sum_max:
-        raise CoverageError(
-            f"pump grid [{pump.grid.minimum:.6g}, {pump.grid.maximum:.6g}] does not "
-            f"cover the sum-frequency range [{sum_min:.6g}, {sum_max:.6g}]; missing "
-            f"[{sum_min:.6g}, {pump.grid.minimum:.6g}] and/or "
-            f"[{pump.grid.maximum:.6g}, {sum_max:.6g}]")
-
-    w_s = signal_grid.points
-    w_i = idler_grid.points
-    if signal_grid.spacing == idler_grid.spacing:
-        # w_s[i] + w_i[j] depends on i + j alone: one line of anti-diagonal
-        # sums, read as the Hankel matrix alpha[i, j] = line[i + j]
-        diagonals = np.arange(signal_grid.count + idler_grid.count - 1)
-        line = _interp_complex(w_s[0] + w_i[0] + diagonals * signal_grid.spacing,
-                               pump.grid.points, pump.amplitudes)
-        alpha = np.lib.stride_tricks.sliding_window_view(line, idler_grid.count)
-    else:
-        sums = w_s[:, None] + w_i[None, :]
-        alpha = _interp_complex(sums, pump.grid.points, pump.amplitudes)
+    sums = sum_frequency_grid(signal_grid, idler_grid)
+    if pump.grid != sums:
+        raise InvalidArgumentError(
+            f"the pump must be sampled on the sum-frequency grid {sums} of the "
+            f"signal and idler grids, got {pump.grid}")
+    alpha = np.lib.stride_tricks.sliding_window_view(pump.amplitudes,
+                                                     idler_grid.count)
 
     theta = np.deg2rad(pm.angle_deg)
-    u = (-(w_s[:, None] - signal_grid.center) * np.sin(theta)
-         + (w_i[None, :] - idler_grid.center) * np.cos(theta))
+    u = (-signal_grid.offsets[:, None] * np.sin(theta)
+         + idler_grid.offsets[None, :] * np.cos(theta))
     if pm.shape == "gaussian":
         phi = np.exp(-u**2 / (2.0 * pm.width**2))
     else:
@@ -175,7 +148,7 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
             "pump and phasematching do not overlap on the requested grids")
     values /= np.sqrt(weight)
     parts = values.view(float)
-    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+    parts[np.abs(parts) < np.sqrt(np.finfo(float).tiny)] = 0.0
     return JointSpectralAmplitude(signal_grid, idler_grid, values)
 
 

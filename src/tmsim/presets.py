@@ -37,6 +37,7 @@ from .pdc import (
     reduced_density_matrix,
     schmidt_decompose,
     schmidt_purity,
+    sum_frequency_grid,
 )
 from .qpg import FilterSpec, SelectivityModel, apply_mode_filter
 from .spectral import (
@@ -348,31 +349,18 @@ def experiment_grids(config: ExperimentConfig):
     return signal_grid, idler_grid
 
 
-def _pump_point_count(span: float, chirp: float, sigma_pump: float) -> int:
-    if chirp == 0.0:
-        return 4096
-    # keep the sampled quadratic phase below ~0.1 rad per step where the
-    # envelope still has weight
-    reach = min(span / 2.0, 6.0 * sigma_pump)
-    step = 0.1 / (2.0 * abs(chirp) * reach)
-    needed = span / step
-    power = int(np.ceil(np.log2(max(needed, 4096))))
-    return int(min(2 ** power, 131072))
-
-
 def pump_spectrum(config: ExperimentConfig, signal_grid, idler_grid
                   ) -> ComplexSpectrum:
-    """Pump envelope sampled over the full sum-frequency range, chirped."""
-    sigma_pump = config.pump.amplitude_sigma()
-    center = signal_grid.center + idler_grid.center
-    span = (signal_grid.span + idler_grid.span) * 1.02
-    count = _pump_point_count(span, config.pump.chirp_fs2, sigma_pump)
-    grid = make_grid(center, span, count)
+    """Pump envelope, chirped, sampled at the sum frequencies w_s + w_i of
+    the signal and idler grids (`pdc.sum_frequency_grid`), the points at
+    which `build_jsa` reads it."""
+    grid = sum_frequency_grid(signal_grid, idler_grid)
     pump = hg_mode(HermiteGaussParams(order=config.pump.shape_order,
-                                      center=center, width=sigma_pump), grid)
+                                      center=grid.center,
+                                      width=config.pump.amplitude_sigma()), grid)
     if config.pump.chirp_fs2:
         pump = apply_chirp(pump, ChirpPhase(coefficient=config.pump.chirp_fs2,
-                                            center=center))
+                                            center=grid.center))
     return pump
 
 
@@ -403,6 +391,16 @@ def tomography_basis(config: ExperimentConfig) -> HermiteGaussParams:
 
 def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
+
+
+def write_jsa(jsa: JointSpectralAmplitude, formats, out: Path) -> None:
+    """Write the joint amplitude's grid files into the existing directory
+    ``out``: jsa.csv and jsi.csv for the csv format, jsa.json for json."""
+    if "csv" in formats:
+        _write_text(out / "jsa.csv", serialize.jsa_to_csv(jsa))
+        _write_text(out / "jsi.csv", serialize.jsi_to_csv(jsa))
+    if "json" in formats:
+        _write_text(out / "jsa.json", serialize.dump_json(serialize.jsa_to_dict(jsa)))
 
 
 def run_preset(case: str, config: Optional[ExperimentConfig] = None,
@@ -461,12 +459,10 @@ def run_preset(case: str, config: Optional[ExperimentConfig] = None,
     filter_analysis = _filter_analysis(rho_true, config.qpg.filter_efficiency)
 
     formats = config.output.formats
+    write_jsa(jsa, formats, out)
     if "csv" in formats:
-        _write_text(out / "jsa.csv", serialize.jsa_to_csv(jsa))
-        _write_text(out / "jsi.csv", serialize.jsi_to_csv(jsa))
         _write_text(out / "counts.csv", serialize.count_records_to_csv(records))
     if "json" in formats:
-        _write_text(out / "jsa.json", serialize.dump_json(serialize.jsa_to_dict(jsa)))
         _write_text(out / "schmidt.json",
                     serialize.dump_json(serialize.schmidt_to_dict(dec)))
         _write_text(out / "counts.json",

@@ -10,9 +10,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BasisMismatchError, CoverageError, InvalidArgumentError
-from .pdc import ModalDensityMatrix, _interp_complex, _kernel_schmidt
-from .spectral import ComplexSpectrum, FrequencyGrid
+from .errors import BasisMismatchError, InvalidArgumentError
+from .pdc import ModalDensityMatrix, _kernel_schmidt
+from .spectral import ComplexSpectrum, FrequencyGrid, HermiteGaussParams, hg_envelope
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,39 +38,23 @@ class MappingFunction:
         object.__setattr__(self, "values", vals)
 
 
-def build_mapping(qpg_pump: ComplexSpectrum, output_pm: ComplexSpectrum,
-                  input_grid: FrequencyGrid,
+def build_mapping(qpg_pump: HermiteGaussParams, output_pm: HermiteGaussParams,
+                  input_grid: FrequencyGrid, output_grid: FrequencyGrid,
                   group_velocity_mismatch: float = 0.0) -> MappingFunction:
     """Mapping function xi(w_in, w_out) = pump(w_out - w_in) x phasematching.
 
-    At zero group-velocity mismatch the phasematching depends on the output
-    frequency alone; a nonzero dimensionless mismatch skews its ridge so the
-    accepted output frequency shifts with the input detuning.  The output
-    grid is taken from the phasematching spectrum.
-
-    Raises
-    ------
-    CoverageError
-        If the pump grid does not cover the sampled difference-frequency
-        range.
+    Both factors are Hermite-Gauss envelopes evaluated exactly at every
+    grid pair, with no sampled spectrum in between.  At zero group-velocity
+    mismatch the phasematching depends on the output frequency alone; a
+    nonzero dimensionless mismatch skews its ridge so the accepted output
+    frequency shifts with the input detuning.
     """
-    output_grid = output_pm.grid
-    w_in = input_grid.points
-    w_out = output_grid.points
-    diff = w_out[None, :] - w_in[:, None]
-    if qpg_pump.grid.minimum > diff.min() or qpg_pump.grid.maximum < diff.max():
-        raise CoverageError(
-            f"QPG pump grid [{qpg_pump.grid.minimum:.6g}, {qpg_pump.grid.maximum:.6g}] "
-            f"does not cover the difference-frequency range "
-            f"[{diff.min():.6g}, {diff.max():.6g}]")
-    alpha = _interp_complex(diff, qpg_pump.grid.points, qpg_pump.amplitudes)
-
-    skewed = (w_out[None, :]
-              - group_velocity_mismatch * (w_in[:, None] - input_grid.center))
-    pm_points = output_pm.grid.points
-    phi = (np.interp(skewed, pm_points, output_pm.amplitudes.real, left=0.0, right=0.0)
-           + 1j * np.interp(skewed, pm_points, output_pm.amplitudes.imag,
-                            left=0.0, right=0.0))
+    d_in = input_grid.offsets[:, None]
+    d_out = output_grid.offsets[None, :]
+    alpha = hg_envelope(qpg_pump, d_out - d_in + (
+        output_grid.center - input_grid.center - qpg_pump.center))
+    phi = hg_envelope(output_pm, d_out - group_velocity_mismatch * d_in + (
+        output_grid.center - output_pm.center))
 
     values = alpha * phi
     weight = np.sum(np.abs(values) ** 2) * input_grid.spacing * output_grid.spacing

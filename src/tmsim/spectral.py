@@ -163,6 +163,14 @@ def hermite_values(order: int, x: np.ndarray) -> np.ndarray:
     return h
 
 
+def hg_envelope(params: HermiteGaussParams, detuning: np.ndarray) -> np.ndarray:
+    """Unnormalized Hermite-Gauss envelope H_n(x) exp(-x^2/2), x the
+    detuning from the mode center over its width, at an array of detunings
+    of any shape."""
+    x = detuning / params.width
+    return hermite_values(params.order, x) * np.exp(-0.5 * x * x)
+
+
 def hg_mode(params: HermiteGaussParams, grid: FrequencyGrid) -> ComplexSpectrum:
     """Discretized Hermite-Gauss mode, normalized on the grid.
 
@@ -177,16 +185,18 @@ def hg_mode(params: HermiteGaussParams, grid: FrequencyGrid) -> ComplexSpectrum:
             f"{params.order} will be truncated", stacklevel=2)
     # offsets keep symmetric points exactly antisymmetric about the center
     detuning = grid.offsets + (grid.center - params.center)
-    x = detuning / params.width
-    values = hermite_values(params.order, x) * np.exp(-0.5 * x * x)
+    values = hg_envelope(params, detuning)
     return ComplexSpectrum(grid, values.astype(complex)).normalized()
 
 
 def apply_chirp(spectrum: ComplexSpectrum, chirp: ChirpPhase) -> ComplexSpectrum:
     """Multiply by exp[i A (w - w0)^2]; moduli are untouched."""
-    detuning = spectrum.grid.points - chirp.center
+    grid = spectrum.grid
+    # from the offsets, as in hg_mode: the phase carries no rounding of the
+    # absolute frequencies, which A (w - w0) would amplify
+    detuning = grid.offsets + (grid.center - chirp.center)
     phase = np.exp(1j * chirp.coefficient * detuning**2)
-    return ComplexSpectrum(spectrum.grid, spectrum.amplitudes * phase)
+    return ComplexSpectrum(grid, spectrum.amplitudes * phase)
 
 
 class BandwidthConversion(NamedTuple):

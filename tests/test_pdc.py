@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 from tmsim import (
     BasisMismatchError,
     ChirpPhase,
-    CoverageError,
     HermiteGaussParams,
     InvalidArgumentError,
     JointSpectralAmplitude,
@@ -44,19 +43,18 @@ PM_WIDTH = matched_phasematching_width(PUMP_SIGMA)
 
 
 def gaussian_jsa(pump_order=0, pump_sigma=PUMP_SIGMA, pm_width=PM_WIDTH,
-                 angle=45.0, chirp=0.0, count=320, pump_count=8192):
+                 angle=45.0, chirp=0.0, count=320):
     """Source model sized so Hermite-Gauss bases up to order 6 fit."""
     marginal_sigma = pump_sigma / np.sqrt(2.0)
     half_span = max(6.0 * marginal_sigma, 10.7 * PM_WIDTH)
     signal_grid = make_grid(1.223, 2.0 * half_span, count)
     idler_grid = make_grid(1.220, 2.0 * half_span, count)
-    pump_center = signal_grid.center + idler_grid.center
-    pump_grid = make_grid(pump_center,
-                          (signal_grid.span + idler_grid.span) * 1.02, pump_count)
-    pump = hg_mode(HermiteGaussParams(order=pump_order, center=pump_center,
+    pump_grid = pdc.sum_frequency_grid(signal_grid, idler_grid)
+    pump = hg_mode(HermiteGaussParams(order=pump_order, center=pump_grid.center,
                                       width=pump_sigma), pump_grid)
     if chirp:
-        pump = apply_chirp(pump, ChirpPhase(coefficient=chirp, center=pump_center))
+        pump = apply_chirp(pump, ChirpPhase(coefficient=chirp,
+                                            center=pump_grid.center))
     pm = PhasematchingModel(angle_deg=angle, width=pm_width)
     return build_jsa(pump, pm, signal_grid, idler_grid)
 
@@ -65,29 +63,33 @@ def gaussian_jsa(pump_order=0, pump_sigma=PUMP_SIGMA, pm_width=PM_WIDTH,
 SCAN_CONFIG = presets.merge_overrides(presets.preset_config("a"),
                                       {"grid": {"count": 1024}})
 SCAN_A_VALUES = (0.0, 1e5, 2e5, 3.8e5, 6e5, 1e6)
+SCAN_ROW_CONFIG = presets.merge_overrides(SCAN_CONFIG, {"pump": {"chirp_fs2": 1e6}})
 
 
 def scan_inputs():
     """Pump, phasematching and grids of the chirp-scan-1024 row at 1e6 fs^2,
-    whose pump holds 65 536 points."""
-    config = presets.merge_overrides(SCAN_CONFIG, {"pump": {"chirp_fs2": 1e6}})
-    signal_grid, idler_grid = presets.experiment_grids(config)
-    pump = presets.pump_spectrum(config, signal_grid, idler_grid)
-    return pump, config.phasematching.model(), signal_grid, idler_grid
+    whose pump holds the 2047 sum frequencies."""
+    signal_grid, idler_grid = presets.experiment_grids(SCAN_ROW_CONFIG)
+    pump = presets.pump_spectrum(SCAN_ROW_CONFIG, signal_grid, idler_grid)
+    return pump, SCAN_ROW_CONFIG.phasematching.model(), signal_grid, idler_grid
 
 
-def interpolation_shapes(monkeypatch) -> list:
-    """Record the shape of every sum-frequency array `build_jsa` interpolates
-    the pump at: (n_s + n_i - 1,) for the Hankel line, (n_s, n_i) for the
-    interpolation at every sum."""
-    shapes = []
-    interp = pdc._interp_complex
-
-    def spy(x, *args):
-        shapes.append(np.shape(x))
-        return interp(x, *args)
-    monkeypatch.setattr(pdc, "_interp_complex", spy)
-    return shapes
+def closed_form_jsa(config, signal_grid, idler_grid) -> np.ndarray:
+    """The configured source with an order-0 pump and a Gaussian ridge,
+    pump(w_s[i] + w_i[j]) x phasematching(w_s[i], w_i[j]) evaluated at every
+    pair and normalized; the sum's detuning from the pump centre
+    c_s + c_i is taken from the grid offsets, so it carries no rounding of
+    the absolute frequencies."""
+    detuning = signal_grid.offsets[:, None] + idler_grid.offsets[None, :]
+    x = detuning / config.pump.amplitude_sigma()
+    pump = np.exp(-0.5 * x * x) * np.exp(1j * config.pump.chirp_fs2 * detuning**2)
+    pm = config.phasematching.model()
+    theta = np.deg2rad(pm.angle_deg)
+    u = (-signal_grid.offsets[:, None] * np.sin(theta)
+         + idler_grid.offsets[None, :] * np.cos(theta))
+    values = pump * np.exp(-u**2 / (2.0 * pm.width**2))
+    weight = np.sum(np.abs(values) ** 2) * signal_grid.spacing * idler_grid.spacing
+    return values / np.sqrt(weight)
 
 
 def product_jsa(count=64):
@@ -123,15 +125,32 @@ class TestBuildJsa:
         cov = np.sum(intensity * np.outer(ws, wi))
         assert cov < 0
 
-    def test_insufficient_pump_coverage(self):
-        signal_grid = make_grid(1.223, 0.02, 64)
-        idler_grid = make_grid(1.220, 0.02, 64)
-        pump_grid = make_grid(2.443, 0.01, 64)  # narrower than the sum range
-        with pytest.warns(UserWarning):  # pump truncated on its own grid too
-            pump = hg_mode(HermiteGaussParams(order=0, center=2.443, width=0.003),
-                           pump_grid)
-        with pytest.raises(CoverageError, match="sum-frequency"):
-            build_jsa(pump, PhasematchingModel(45.0, 0.002), signal_grid, idler_grid)
+    def test_pump_off_the_sum_grid_rejected(self):
+        signal_grid = make_grid(1.223, 0.06, 64)
+        idler_grid = make_grid(1.220, 0.06, 64)
+        sums = pdc.sum_frequency_grid(signal_grid, idler_grid)
+        assert (sums.count, sums.spacing) == (127, signal_grid.spacing)
+        assert sums.center == signal_grid.center + idler_grid.center
+        params = HermiteGaussParams(order=0, center=sums.center, width=PUMP_SIGMA)
+        build_jsa(hg_mode(params, sums), PhasematchingModel(45.0, PM_WIDTH),
+                  signal_grid, idler_grid)
+        # the same span sampled twice as densely, and a shifted centre
+        for grid in (make_grid(sums.center, sums.span, 2 * sums.count - 1),
+                     FrequencyGrid(sums.center + sums.spacing / 2, sums.spacing,
+                                   sums.count)):
+            with pytest.raises(InvalidArgumentError, match="sum-frequency grid"):
+                build_jsa(hg_mode(params, grid), PhasematchingModel(45.0, PM_WIDTH),
+                          signal_grid, idler_grid)
+
+    def test_unequal_spacings_rejected(self):
+        signal_grid = make_grid(1.223, 0.06, 320)
+        idler_grid = make_grid(1.220, 0.06, 256)
+        with pytest.raises(InvalidArgumentError, match="one spacing"):
+            pdc.sum_frequency_grid(signal_grid, idler_grid)
+        pump = hg_mode(HermiteGaussParams(order=0, center=2.443, width=PUMP_SIGMA),
+                       make_grid(2.443, 0.12, 575))
+        with pytest.raises(InvalidArgumentError, match="one spacing"):
+            build_jsa(pump, PhasematchingModel(45.0, PM_WIDTH), signal_grid, idler_grid)
 
     def test_normalization(self):
         jsa = gaussian_jsa(count=128)
@@ -142,9 +161,9 @@ class TestBuildJsa:
         marginal = PUMP_SIGMA / np.sqrt(2.0)
         signal_grid = make_grid(1.223, 12 * marginal, 128)
         idler_grid = make_grid(1.220, 12 * marginal, 128)
-        pump_grid = make_grid(2.443, (signal_grid.span + idler_grid.span) * 1.02, 4096)
-        pump = hg_mode(HermiteGaussParams(order=0, center=2.443, width=PUMP_SIGMA),
-                       pump_grid)
+        pump_grid = pdc.sum_frequency_grid(signal_grid, idler_grid)
+        pump = hg_mode(HermiteGaussParams(order=0, center=pump_grid.center,
+                                          width=PUMP_SIGMA), pump_grid)
         sinc = build_jsa(pump, PhasematchingModel(45.0, PM_WIDTH, shape="sinc"),
                          signal_grid, idler_grid)
         gauss = build_jsa(pump, PhasematchingModel(45.0, PM_WIDTH, shape="gaussian"),
@@ -154,40 +173,20 @@ class TestBuildJsa:
         assert overlap > 0.9
 
     @pytest.mark.parametrize("counts", [None, (300, 200)])
-    def test_hankel_read_matches_interpolation_at_every_sum(self, monkeypatch,
-                                                            counts):
-        # None: the 1024 x 1024 scan state at chirp 1e6; else n_s != n_i
-        pump, pm, signal_grid, idler_grid = scan_inputs()
+    def test_pump_read_at_every_sum(self, counts):
+        # None: the 1024 x 1024 scan row at chirp 1e6 fs^2; else a 300 x 200
+        # grid of one spacing (four scan spacings, so the state fits)
+        _, pm, signal_grid, idler_grid = scan_inputs()
         if counts is not None:
             signal_grid, idler_grid = (
-                FrequencyGrid(grid.center, grid.spacing, count)
+                FrequencyGrid(grid.center, 4 * grid.spacing, count)
                 for grid, count in zip((signal_grid, idler_grid), counts))
-        # one ulp more spacing moves the idler points by < 1e-16 rad/fs and
-        # sends the same state down the n_s x n_i interpolation
-        wider = FrequencyGrid(idler_grid.center,
-                              np.nextafter(idler_grid.spacing, np.inf),
-                              idler_grid.count)
-        shapes = interpolation_shapes(monkeypatch)
-        hankel = build_jsa(pump, pm, signal_grid, idler_grid).amplitudes
-        reference = build_jsa(pump, pm, signal_grid, wider).amplitudes
-        n_s, n_i = signal_grid.count, idler_grid.count
-        assert shapes == [(n_s + n_i - 1,), (n_s, n_i)]
-        assert hankel.shape == (n_s, n_i)
+        pump = presets.pump_spectrum(SCAN_ROW_CONFIG, signal_grid, idler_grid)
+        values = build_jsa(pump, pm, signal_grid, idler_grid).amplitudes
+        reference = closed_form_jsa(SCAN_ROW_CONFIG, signal_grid, idler_grid)
+        assert values.shape == (signal_grid.count, idler_grid.count)
         largest = np.max(np.abs(reference))
-        assert np.max(np.abs(hankel - reference)) <= 1e-11 * largest
-
-    def test_unequal_spacings_interpolate_every_sum(self, monkeypatch):
-        signal_grid = make_grid(1.223, 0.06, 320)
-        idler_grid = make_grid(1.220, 0.06, 256)
-        pump_grid = make_grid(2.443, 0.1224, 8192)
-        pump = hg_mode(HermiteGaussParams(order=0, center=2.443, width=PUMP_SIGMA),
-                       pump_grid)
-        shapes = interpolation_shapes(monkeypatch)
-        jsa = build_jsa(pump, PhasematchingModel(45.0, PM_WIDTH),
-                        signal_grid, idler_grid)
-        assert shapes == [(320, 256)]
-        assert np.sum(jsa.intensity()) * jsa.cell_area == pytest.approx(1.0, abs=1e-12)
-        assert schmidt_purity(jsa) > 0.99  # the matched source is separable
+        assert np.max(np.abs(values - reference)) <= 1e-13 * largest
 
 
 NAN_ARRAY = np.full((3, 4), np.nan)
@@ -467,9 +466,10 @@ class TestSchmidtPurity:
         jsa = presets.build_state(presets.preset_config(case))
         assert jsa.amplitudes.shape == (512, 512)
         assert schmidt_purity(jsa) == pytest.approx(_spectrum_purity(jsa), rel=1e-12)
-        # build_jsa flushes subnormal parts, which slow the Gram product
+        # build_jsa flushes the parts whose products underflow, which slow
+        # the Gram product
         parts = np.abs(jsa.amplitudes.view(float))
-        assert not np.any((parts > 0) & (parts < np.finfo(float).tiny))
+        assert not np.any((parts > 0) & (parts < np.sqrt(np.finfo(float).tiny)))
 
 
 def reference_chirp_scan(chirp_values, config, background_fraction=0.04):
@@ -516,6 +516,13 @@ class TestChirpScanRows:
             for key in ("svd_purity", "g2", "g2_background_mixed"):
                 assert row[key] == pytest.approx(ref[key], rel=1e-12)
 
+    def test_purity_follows_closed_form(self, scans):
+        # the pump is evaluated at the JSA's own sums, so only rounding
+        # separates the Gram purity from the chirp law
+        rows, _ = scans
+        for row in rows:
+            assert abs(row["svd_purity"] - row["analytic_purity"]) <= 1e-12
+
 
 class TestPurityBenchmarks:
     """Purity from the Gram identity against the full weight spectrum, and
@@ -548,14 +555,14 @@ class TestPurityBenchmarks:
 
 class TestJsaKernelBenchmarks:
     """Timing of `build_jsa` on the 1024 x 1024 chirp-scan row at chirp
-    1e6 fs^2, against a 65 536-point pump; pytest-benchmark prints it with
+    1e6 fs^2, against its 2047-point pump; pytest-benchmark prints it with
     ``pytest --benchmark-only -k Kernel``."""
 
     inputs = scan_inputs()
 
     def test_build_jsa(self, benchmark):
         pump = self.inputs[0]
-        assert pump.grid.count == 65536
+        assert pump.grid.count == 2047
         jsa = benchmark.pedantic(build_jsa, args=self.inputs, rounds=3, iterations=1)
         assert jsa.amplitudes.shape == (1024, 1024)
 
@@ -623,7 +630,7 @@ class TestFitBasisWidth:
     @pytest.mark.parametrize("signal_center_nm", [1540.0, 1530.0])
     def test_reference_width_is_the_fitted_width(self, count, signal_center_nm):
         # the frozen basis's closed form against a fit to the reference
-        # source's dominant mode; the gap is the sampled pump's error
+        # source's dominant mode; they agree to 3.1e-8, the fit's resolution
         grid = presets.GridConfig(count=count, signal_center_nm=signal_center_nm)
         reference = presets.build_state(presets.ExperimentConfig(grid=grid))
         width = fit_basis_width(schmidt_decompose(reference, max_modes=1))

@@ -780,8 +780,8 @@ class TestBootstrapBenchmarks:
 class TestKernelBenchmarks:
     """Timing of one `_apg` solve of a preset bootstrap at seed 7: the
     observed counts and their 100 resamples, 101 rows.  Preset b takes
-    5 690 row-iterations (the R rho R iteration it replaced took 199 676);
-    preset d, whose rank-deficient rows run on alone, takes 24 743.
+    5 744 row-iterations (the R rho R iteration it replaced took 199 676);
+    preset d, whose rank-deficient rows run on alone, takes 25 777.
     pytest-benchmark prints the solve times with
     ``pytest --benchmark-only -k Kernel``; `extra_info`, which
     ``--benchmark-json FILE`` writes out, holds the row-iteration count and
