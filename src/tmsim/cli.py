@@ -34,6 +34,7 @@ from .qpg import (
     project_probability,
     separability_report,
 )
+from .serialize import write_text
 from .spectral import (
     SPEED_OF_LIGHT_M_PER_S,
     HermiteGaussParams,
@@ -110,11 +111,6 @@ def _resolve_config(args: argparse.Namespace,
     return presets.merge_overrides(config, _overrides_from_args(args))
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
-
-
 def _parse_list(text: str, kind=float) -> list:
     try:
         return [kind(part) for part in text.split(",")]
@@ -153,7 +149,6 @@ def _cmd_jsa(args) -> int:
     config = _resolve_config(args)
     jsa = presets.build_state(config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     presets.write_jsa(jsa, config.output.formats, out)
     print(f"wrote joint amplitude ({config.grid.count}x{config.grid.count}) to {out}")
     return EXIT_OK
@@ -166,7 +161,7 @@ def _cmd_schmidt(args) -> int:
     purity = schmidt_purity(jsa)
     payload = dict(serialize.schmidt_to_dict(dec),
                    purity=purity, g2=g2_from_purity(purity))
-    _write(Path(args.out) / "schmidt.json", serialize.dump_json(payload))
+    write_text(Path(args.out) / "schmidt.json", serialize.dump_json(payload))
     dominant = dec.weights[0] * (1.0 - dec.residual_weight)
     print(f"purity {purity:.6f}, dominant weight {dominant:.6f}")
     return EXIT_OK
@@ -175,11 +170,10 @@ def _cmd_schmidt(args) -> int:
 def _cmd_rho(args) -> int:
     config = _resolve_config(args)
     jsa = presets.build_state(config)
-    dec = schmidt_decompose(jsa, max_modes=20)
     basis = presets.tomography_basis(config)
-    rho = reduced_density_matrix(dec, basis, config.basis.dimension)
-    _write(Path(args.out) / "rho.json",
-           serialize.dump_json(serialize.density_to_dict(rho)))
+    rho = reduced_density_matrix(jsa, basis, config.basis.dimension)
+    write_text(Path(args.out) / "rho.json",
+               serialize.dump_json(serialize.density_to_dict(rho)))
     print(f"reduced state purity {rho.purity():.6f}, leakage {rho.leakage:.3e}")
     return EXIT_OK
 
@@ -204,9 +198,9 @@ def _cmd_qpg_map(args) -> int:
                        input_grid, output_grid, group_velocity_mismatch=args.skew)
     report = separability_report(xi)
     out = Path(args.out)
-    _write(out / "mapping.csv", serialize.mapping_to_csv(xi))
-    _write(out / "separability.json",
-           serialize.dump_json(serialize.selectivity_report_to_dict(report)))
+    write_text(out / "mapping.csv", serialize.mapping_to_csv(xi))
+    write_text(out / "separability.json",
+               serialize.dump_json(serialize.selectivity_report_to_dict(report)))
     print(f"separability {report.separability:.6f}")
     return EXIT_OK
 
@@ -216,8 +210,8 @@ def _cmd_qpg_project(args) -> int:
     mode = _mode_vector(args.mode_order, args.mode_coeffs, rho.dimension)
     sel = _selectivity_from_args(args)
     p = project_probability(rho, mode, sel)
-    _write(Path(args.out) / "projection.json",
-           serialize.dump_json({"probability": p}))
+    write_text(Path(args.out) / "projection.json",
+               serialize.dump_json({"probability": p}))
     print(f"projection probability {p:.6f}")
     return EXIT_OK
 
@@ -229,8 +223,8 @@ def _cmd_qpg_filter(args) -> int:
     mode = _mode_vector(args.filter_order, args.filter_coeffs, dimension)
     result = apply_mode_filter(weights, np.eye(dimension, dtype=complex),
                                FilterSpec(mode=mode, efficiency=args.efficiency))
-    _write(Path(args.out) / "filter.json",
-           serialize.dump_json(serialize.filter_result_to_dict(result)))
+    write_text(Path(args.out) / "filter.json",
+               serialize.dump_json(serialize.filter_result_to_dict(result)))
     print(f"transmitted g2 {result.transmitted_g2:.6f}, "
           f"upconverted g2 {result.upconverted_g2:.6f}")
     return EXIT_OK
@@ -238,8 +232,8 @@ def _cmd_qpg_filter(args) -> int:
 
 def _cmd_tomo_mubs(args) -> int:
     pset = mub_bases(args.dimension)
-    _write(Path(args.out) / "projectors.json",
-           serialize.dump_json(serialize.projector_set_to_dict(pset)))
+    write_text(Path(args.out) / "projectors.json",
+               serialize.dump_json(serialize.projector_set_to_dict(pset)))
     print(f"{args.dimension + 1} bases, {len(pset.projectors)} projectors")
     return EXIT_OK
 
@@ -251,9 +245,9 @@ def _cmd_tomo_simulate(args) -> int:
     records = simulate_counts(rho, pset, sel, flux=args.flux,
                               background=args.background, seed=args.seed)
     out = Path(args.out)
-    _write(out / "counts.csv", serialize.count_records_to_csv(records))
-    _write(out / "counts.json",
-           serialize.dump_json(serialize.count_records_to_dict(records)))
+    write_text(out / "counts.csv", serialize.count_records_to_csv(records))
+    write_text(out / "counts.json",
+               serialize.dump_json(serialize.count_records_to_dict(records)))
     print(f"simulated {len(records)} projector counts "
           f"(total {sum(r.counts for r in records)})")
     return EXIT_OK
@@ -281,10 +275,10 @@ def _cmd_tomo_reconstruct(args) -> int:
     result = mle_reconstruct(records, pset, _mle_config_from_args(args),
                              subtract_background=args.subtract_background)
     out = Path(args.out)
-    _write(out / "rho_hat.json",
-           serialize.dump_json(serialize.density_to_dict(result.rho_hat)))
-    _write(out / "reconstruction_log.json",
-           serialize.dump_json(serialize.reconstruction_log_to_dict(result)))
+    write_text(out / "rho_hat.json",
+               serialize.dump_json(serialize.density_to_dict(result.rho_hat)))
+    write_text(out / "reconstruction_log.json",
+               serialize.dump_json(serialize.reconstruction_log_to_dict(result)))
     print(f"purity {result.rho_hat.purity():.6f} after {result.iterations} "
           f"iterations (converged: {result.converged})")
     return _exit_code(result.converged)
@@ -296,7 +290,7 @@ def _cmd_tomo_bootstrap(args) -> int:
     pset = mub_bases(args.dimension)
     errors = monte_carlo_errors(records, pset, _mle_config_from_args(args),
                                 resamples=args.resamples, seed=args.seed)
-    _write(Path(args.out) / "bootstrap.json", serialize.dump_json({
+    write_text(Path(args.out) / "bootstrap.json", serialize.dump_json({
         "purity_mean": errors.purity_mean,
         "purity_std": errors.purity_std,
         "fidelity_std": errors.fidelity_std,
@@ -330,7 +324,7 @@ def _cmd_chirp_scan(args) -> int:
     values = _parse_list(args.a_values)
     rows = presets.chirp_scan(values, config,
                               background_fraction=args.background_fraction)
-    _write(Path(args.out) / "chirp_scan.csv", presets.chirp_scan_csv(rows))
+    write_text(Path(args.out) / "chirp_scan.csv", presets.chirp_scan_csv(rows))
     print(f"scanned {len(rows)} chirp values")
     return EXIT_OK
 
@@ -387,22 +381,24 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated mixture weights")
     p_filter.add_argument("--filter-order", type=int)
     p_filter.add_argument("--filter-coeffs")
-    p_filter.add_argument("--efficiency", type=float, default=0.22)
+    p_filter.add_argument("--efficiency", type=float,
+                          default=presets.QpgConfig.filter_efficiency)
     _add_out_flag(p_filter)
     p_filter.set_defaults(handler=_cmd_qpg_filter)
 
     p_tomo = sub.add_parser("tomo", help="tomography operations")
     tomo_sub = p_tomo.add_subparsers(dest="tomo_command", required=True)
+    basis_defaults, tomo_defaults = presets.BasisConfig, presets.TomographyConfig
 
     p_mubs = tomo_sub.add_parser("mubs", help="mutually unbiased projector set")
-    p_mubs.add_argument("-d", "--dimension", type=int, default=7)
+    p_mubs.add_argument("-d", "--dimension", type=int, default=basis_defaults.dimension)
     _add_out_flag(p_mubs)
     p_mubs.set_defaults(handler=_cmd_tomo_mubs)
 
     p_sim = tomo_sub.add_parser("simulate", help="Poissonian count simulation")
     p_sim.add_argument("--rho", required=True, help="density matrix JSON")
-    p_sim.add_argument("--flux", type=float, default=1e5)
-    p_sim.add_argument("--background", type=float, default=0.0)
+    p_sim.add_argument("--flux", type=float, default=tomo_defaults.flux)
+    p_sim.add_argument("--background", type=float, default=tomo_defaults.background)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--crosstalk", type=float, dest="crosstalk_value")
     p_sim.add_argument("--falloff")
@@ -410,13 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(handler=_cmd_tomo_simulate)
 
     def add_mle_flags(p):
-        p.add_argument("--max-iterations", type=int, default=100_000)
-        p.add_argument("--tolerance", type=float, default=1e-8,
+        p.add_argument("--max-iterations", type=int, default=MLEConfig.max_iterations)
+        p.add_argument("--tolerance", type=float, default=MLEConfig.tolerance,
                        help="largest accepted certificate lambda_max(R) - 1")
 
     p_rec = tomo_sub.add_parser("reconstruct", help="maximum-likelihood estimate")
     p_rec.add_argument("--counts", required=True, help="count record CSV")
-    p_rec.add_argument("-d", "--dimension", type=int, default=7)
+    p_rec.add_argument("-d", "--dimension", type=int, default=basis_defaults.dimension)
     p_rec.add_argument("--subtract-background", type=float, default=0.0)
     add_mle_flags(p_rec)
     _add_out_flag(p_rec)
@@ -424,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_boot = tomo_sub.add_parser("bootstrap", help="Monte Carlo error bars")
     p_boot.add_argument("--counts", required=True, help="count record CSV")
-    p_boot.add_argument("-d", "--dimension", type=int, default=7)
-    p_boot.add_argument("--resamples", type=int, default=100)
+    p_boot.add_argument("-d", "--dimension", type=int, default=basis_defaults.dimension)
+    p_boot.add_argument("--resamples", type=int, default=tomo_defaults.resamples)
     p_boot.add_argument("--seed", type=int, default=0)
     add_mle_flags(p_boot)
     _add_out_flag(p_boot)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -334,18 +333,14 @@ def g2_from_purity(purity: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ModalDensityMatrix:
-    """d x d density matrix in a truncated Hermite-Gauss mode basis.
+    """d x d density matrix in a truncated mode basis.
 
-    `basis` describes the mode family (its `order` field is irrelevant
-    here); `leakage` records the weight lost to modes outside the
-    truncation before the matrix was renormalized to unit trace.  `basis`
-    is None for matrices in an abstract d-dimensional basis (e.g. fresh
-    tomography output).
+    `leakage` records the weight lost to modes outside the truncation
+    before the matrix was renormalized to unit trace.
     """
 
     dimension: int
     entries: np.ndarray
-    basis: Optional[HermiteGaussParams] = None
     leakage: float = 0.0
 
     def __post_init__(self):
@@ -375,38 +370,39 @@ class ModalDensityMatrix:
 
 
 def hg_basis(basis: HermiteGaussParams, dimension: int,
-             grid: FrequencyGrid) -> list:
-    """First `dimension` Hermite-Gauss modes of the family on a grid."""
-    return [hg_mode(HermiteGaussParams(order=k, center=basis.center,
-                                       width=basis.width), grid)
-            for k in range(dimension)]
+             grid: FrequencyGrid) -> np.ndarray:
+    """First `dimension` Hermite-Gauss modes of the family sampled on a
+    grid, as the rows of a (dimension, grid count) matrix."""
+    return np.array([hg_mode(HermiteGaussParams(order=k, center=basis.center,
+                                                width=basis.width), grid).amplitudes
+                     for k in range(dimension)])
 
 
 def mode_overlap_matrix(dec: SchmidtDecomposition, basis: HermiteGaussParams,
                         dimension: int) -> np.ndarray:
     """Overlaps <HG_m | psi_k> as an array of shape (modes, dimension)."""
     grid = dec.signal_modes[0].grid
-    basis_modes = hg_basis(basis, dimension, grid)
-    coeffs = np.empty((len(dec.signal_modes), dimension), dtype=complex)
-    for k, psi in enumerate(dec.signal_modes):
-        for m, hg in enumerate(basis_modes):
-            coeffs[k, m] = inner_product(hg, psi)
-    return coeffs
+    modes = np.array([psi.amplitudes for psi in dec.signal_modes])
+    return grid.spacing * modes @ hg_basis(basis, dimension, grid).conj().T
 
 
-def reduced_density_matrix(dec: SchmidtDecomposition, basis: HermiteGaussParams,
+def reduced_density_matrix(jsa: JointSpectralAmplitude, basis: HermiteGaussParams,
                            dimension: int) -> ModalDensityMatrix:
     """Reduced signal-photon state in the truncated Hermite-Gauss basis.
 
-    rho_mn = sum_k gamma_k <HG_m|psi_k><psi_k|HG_n>.  The weight falling
-    outside the truncated basis is reported as leakage and the matrix is
-    renormalized to unit trace.  Leakage above 0.1 warns; above 0.5 the
-    basis is considered unusable and an error is raised.
+    The partial trace over the idler of the sampled amplitude, with no
+    Schmidt truncation: with C = h_s conj(B) A the overlaps of the basis
+    rows B with each idler column of A, rho = h_i C C^H.  The weight
+    falling outside the truncated basis, 1 - tr rho, is reported as
+    leakage and the matrix is renormalized to unit trace.  Leakage above
+    0.1 warns; above 0.5 the basis is considered unusable and an error is
+    raised.
     """
     if dimension < 1:
         raise InvalidArgumentError(f"dimension must be >= 1, got {dimension}")
-    coeffs = mode_overlap_matrix(dec, basis, dimension)
-    rho = (coeffs.T * dec.weights) @ np.conj(coeffs)
+    grid = jsa.signal_grid
+    overlaps = grid.spacing * hg_basis(basis, dimension, grid).conj() @ jsa.amplitudes
+    rho = jsa.idler_grid.spacing * overlaps @ overlaps.conj().T
     trace = float(np.trace(rho).real)
     leakage = 1.0 - trace
     if leakage > 0.5:
@@ -418,7 +414,7 @@ def reduced_density_matrix(dec: SchmidtDecomposition, basis: HermiteGaussParams,
             BasisMismatchWarning, stacklevel=2)
     rho = rho / trace
     rho = 0.5 * (rho + rho.conj().T)
-    return ModalDensityMatrix(dimension=dimension, entries=rho, basis=basis,
+    return ModalDensityMatrix(dimension=dimension, entries=rho,
                               leakage=max(leakage, 0.0))
 
 

@@ -2,7 +2,7 @@
 pipeline runners behind the command line.
 
 A preset run builds the joint amplitude from the configured pump and
-phasematching, decomposes it, projects the reduced state into the frozen
+phasematching, takes its partial trace over the idler in the frozen
 tomography basis, simulates a full mutually-unbiased measurement, and
 reconstructs the state with bootstrap error bars.  Every run writes a
 manifest with the fully resolved configuration; re-running from a manifest
@@ -40,6 +40,7 @@ from .pdc import (
     sum_frequency_grid,
 )
 from .qpg import FilterSpec, SelectivityModel, apply_mode_filter
+from .serialize import write_text
 from .spectral import (
     ChirpPhase,
     ComplexSpectrum,
@@ -389,18 +390,14 @@ def tomography_basis(config: ExperimentConfig) -> HermiteGaussParams:
 
 # --- runners ---------------------------------------------------------------
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="\n")
-
-
 def write_jsa(jsa: JointSpectralAmplitude, formats, out: Path) -> None:
-    """Write the joint amplitude's grid files into the existing directory
-    ``out``: jsa.csv and jsi.csv for the csv format, jsa.json for json."""
+    """Write the joint amplitude's grid files into the directory ``out``:
+    jsa.csv and jsi.csv for the csv format, jsa.json for json."""
     if "csv" in formats:
-        _write_text(out / "jsa.csv", serialize.jsa_to_csv(jsa))
-        _write_text(out / "jsi.csv", serialize.jsi_to_csv(jsa))
+        write_text(out / "jsa.csv", serialize.jsa_to_csv(jsa))
+        write_text(out / "jsi.csv", serialize.jsi_to_csv(jsa))
     if "json" in formats:
-        _write_text(out / "jsa.json", serialize.dump_json(serialize.jsa_to_dict(jsa)))
+        write_text(out / "jsa.json", serialize.dump_json(serialize.jsa_to_dict(jsa)))
 
 
 def run_preset(case: str, config: Optional[ExperimentConfig] = None,
@@ -420,18 +417,14 @@ def run_preset(case: str, config: Optional[ExperimentConfig] = None,
     preset = preset_config(case)  # rejects an unknown case before any work
     config = preset if config is None else config
 
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     jsa = build_state(config)
-    dec = schmidt_decompose(jsa, max_modes=20)
     svd_purity = schmidt_purity(jsa)
     sigma_s, sigma_i = jsi_marginal_sigmas(jsa)
     analytic_purity = chirp_purity_analytic(config.pump.chirp_fs2, sigma_s, sigma_i)
     g2 = g2_from_purity(svd_purity)
 
     basis = tomography_basis(config)
-    rho_true = reduced_density_matrix(dec, basis, config.basis.dimension)
+    rho_true = reduced_density_matrix(jsa, basis, config.basis.dimension)
 
     pset = mub_bases(config.basis.dimension)
     sel = config.qpg.selectivity()
@@ -459,23 +452,25 @@ def run_preset(case: str, config: Optional[ExperimentConfig] = None,
     filter_analysis = _filter_analysis(rho_true, config.qpg.filter_efficiency)
 
     formats = config.output.formats
+    out = Path(output_dir)
     write_jsa(jsa, formats, out)
     if "csv" in formats:
-        _write_text(out / "counts.csv", serialize.count_records_to_csv(records))
+        write_text(out / "counts.csv", serialize.count_records_to_csv(records))
     if "json" in formats:
-        _write_text(out / "schmidt.json",
-                    serialize.dump_json(serialize.schmidt_to_dict(dec)))
-        _write_text(out / "counts.json",
-                    serialize.dump_json(serialize.count_records_to_dict(records)))
-        _write_text(out / "rho_true.json",
-                    serialize.dump_json(serialize.density_to_dict(rho_true)))
-        _write_text(out / "rho_hat.json",
-                    serialize.dump_json(serialize.density_to_dict(recon.rho_hat)))
-        _write_text(out / "reconstruction_log.json",
-                    serialize.dump_json(serialize.reconstruction_log_to_dict(recon)))
-    _write_text(out / "filter_analysis.json", serialize.dump_json(filter_analysis))
-    _write_text(out / "summary.json", serialize.dump_json(summary))
-    _write_text(out / "manifest.json", manifest_text(case, config))
+        dec = schmidt_decompose(jsa, max_modes=20)
+        write_text(out / "schmidt.json",
+                   serialize.dump_json(serialize.schmidt_to_dict(dec)))
+        write_text(out / "counts.json",
+                   serialize.dump_json(serialize.count_records_to_dict(records)))
+        write_text(out / "rho_true.json",
+                   serialize.dump_json(serialize.density_to_dict(rho_true)))
+        write_text(out / "rho_hat.json",
+                   serialize.dump_json(serialize.density_to_dict(recon.rho_hat)))
+        write_text(out / "reconstruction_log.json",
+                   serialize.dump_json(serialize.reconstruction_log_to_dict(recon)))
+    write_text(out / "filter_analysis.json", serialize.dump_json(filter_analysis))
+    write_text(out / "summary.json", serialize.dump_json(summary))
+    write_text(out / "manifest.json", manifest_text(case, config))
     return dict(summary, output_dir=str(out), converged=recon.converged)
 
 

@@ -32,6 +32,7 @@ small.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -422,3 +423,9 @@ def filter_result_to_dict(result: ModeFilterResult) -> dict:
             "transmitted_fraction": result.transmitted_fraction,
             "upconverted_fraction": result.upconverted_fraction,
             "upconverted_empty": result.upconverted_empty}
+
+
+def write_text(path: Path, text: str) -> None:
+    """Write an artifact as UTF-8 with ``\\n`` line endings, creating its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8", newline="\n")

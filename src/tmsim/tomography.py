@@ -127,6 +127,18 @@ class CountRecord:
 MAX_POISSON_MEAN = 1e18
 
 
+def _exposure_array(exposures: Optional[Sequence], count: int) -> np.ndarray:
+    """The `count` exposures, finite and positive, as floats; all 1 if None."""
+    exposures = np.ones(count) if exposures is None else np.asarray(exposures, float)
+    if exposures.shape != (count,):
+        raise InvalidArgumentError("need one exposure per projector")
+    bad = exposures[~((exposures > 0) & (exposures < np.inf))]
+    if bad.size:
+        raise InvalidArgumentError(
+            f"exposure must be finite and positive, got {bad[0]}")
+    return exposures
+
+
 def expected_counts(rho: ModalDensityMatrix, pset: ProjectorSet,
                     sel: SelectivityModel = SelectivityModel(),
                     flux: float = 1.0, background: float = 0.0,
@@ -143,15 +155,7 @@ def expected_counts(rho: ModalDensityMatrix, pset: ProjectorSet,
     if pset.dimension != rho.dimension:
         raise InvalidArgumentError(
             f"projectors have dimension {pset.dimension}, state {rho.dimension}")
-    if exposures is None:
-        exposures = np.ones(len(pset.projectors))
-    exposures = np.asarray(exposures, dtype=float)
-    if exposures.shape != (len(pset.projectors),):
-        raise InvalidArgumentError("need one exposure per projector")
-    bad = exposures[~((exposures > 0) & (exposures < np.inf))]
-    if bad.size:
-        raise InvalidArgumentError(
-            f"exposure must be finite and positive, got {bad[0]}")
+    exposures = _exposure_array(exposures, len(pset.projectors))
     ops = gate_operators(pset.coefficient_matrix(), sel)
     probs = np.clip(np.einsum("nab,ba->n", ops, rho.entries).real, 0.0, 1.0)
     rates = flux * exposures * probs + background
@@ -174,7 +178,7 @@ def simulate_counts(rho: ModalDensityMatrix, pset: ProjectorSet,
     """
     if not seed >= 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
-    exposures = np.ones(len(pset.projectors)) if exposures is None else exposures
+    exposures = _exposure_array(exposures, len(pset.projectors))
     rates = expected_counts(rho, pset, sel, flux, background, exposures)
     counts = np.random.default_rng(seed).poisson(rates)
     return [CountRecord(p.basis_index, p.element_index, int(n), float(w))

@@ -17,9 +17,9 @@ from tmsim import (
     HermiteGaussParams,
     cli,
     hg_mode,
+    pdc,
     presets,
     reduced_density_matrix,
-    schmidt_decompose,
     schmidt_purity,
     serialize,
 )
@@ -416,6 +416,13 @@ class TestPresetRuns:
         rc = main(["preset", "a", *FAST, "--out", str(blocker / "sub")])
         assert rc == 4
 
+    @pytest.mark.parametrize("command", [["jsa", "--grid-count", "32"],
+                                         ["rho", "-d", "3", "--grid-count", "64"]])
+    def test_unwritable_output_of_a_stage_exits_4(self, tmp_path, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("file, not a directory")
+        assert main([*command, "--out", str(blocker / "sub")]) == 4
+
 
 class TestPipelineSubcommands:
     def test_jsa_and_rho(self, tmp_path):
@@ -427,7 +434,12 @@ class TestPipelineSubcommands:
         assert rho["d"] == 7
         assert rho["re"][0][0] == pytest.approx(1.0, abs=0.01)
 
-    def test_basis_width_flag_alone_sets_the_width(self, tmp_path):
+    def test_basis_width_flag_alone_sets_the_width(self, tmp_path, monkeypatch):
+        def no_decomposition(*args, **kwargs):
+            raise AssertionError("rho must not decompose the amplitude")
+
+        for module in (cli, presets, pdc):  # every name it is bound to
+            monkeypatch.setattr(module, "schmidt_decompose", no_decomposition)
         width = 0.003
         assert main(["rho", "-d", "3", "--grid-count", "64",
                      "--basis-width", str(width), "--out", str(tmp_path)]) == 0
@@ -436,7 +448,7 @@ class TestPipelineSubcommands:
             "grid": {"count": 64}})
         signal_grid, _ = presets.experiment_grids(config)
         rho = reduced_density_matrix(
-            schmidt_decompose(presets.build_state(config), max_modes=20),
+            presets.build_state(config),
             HermiteGaussParams(order=0, center=signal_grid.center, width=width), 3)
         assert (tmp_path / "rho.json").read_text() \
             == serialize.dump_json(serialize.density_to_dict(rho))

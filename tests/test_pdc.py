@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from tmsim import (
     BasisMismatchError,
+    BasisMismatchWarning,
     ChirpPhase,
     HermiteGaussParams,
     InvalidArgumentError,
@@ -525,9 +527,10 @@ class TestChirpScanRows:
 
 
 class TestPurityBenchmarks:
-    """Purity from the Gram identity against the full weight spectrum, and
-    the truncated decompositions, on 512 x 512 kernels; pytest-benchmark
-    prints them with ``pytest --benchmark-only -k Benchmarks``."""
+    """Purity from the Gram identity against the full weight spectrum, the
+    reduced state and the truncated decompositions, on 512 x 512 kernels;
+    pytest-benchmark prints them with ``pytest --benchmark-only -k
+    Benchmarks``."""
 
     jsa = presets.build_state(presets.preset_config("b"))
 
@@ -540,6 +543,12 @@ class TestPurityBenchmarks:
         weights = benchmark.pedantic(schmidt_weights, args=(self.jsa,),
                                      rounds=3, iterations=1)
         assert weights.size == 512
+
+    def test_reduced_density_matrix(self, benchmark):
+        basis = presets.tomography_basis(presets.preset_config("b"))
+        rho = benchmark.pedantic(reduced_density_matrix, args=(self.jsa, basis, 7),
+                                 rounds=3, iterations=1)
+        assert rho.leakage < 0.1  # 0.025: inside the band that does not warn
 
     @pytest.mark.parametrize("max_modes", (20, 1))
     def test_schmidt_decompose(self, benchmark, max_modes):
@@ -569,19 +578,18 @@ class TestJsaKernelBenchmarks:
 
 class TestReducedDensityMatrix:
     def test_matched_state_is_basis_aligned(self):
-        dec = schmidt_decompose(gaussian_jsa(), max_modes=10)
-        width = fit_basis_width(dec)
+        jsa = gaussian_jsa()
+        width = fit_basis_width(schmidt_decompose(jsa, max_modes=10))
         basis = HermiteGaussParams(order=0, center=1.223, width=width)
-        rho = reduced_density_matrix(dec, basis, 7)
+        rho = reduced_density_matrix(jsa, basis, 7)
         assert abs(rho.entries[0, 0].real - 1.0) < 1e-3
         assert rho.leakage < 1e-3
 
     def test_odd_pump_occupies_first_two_modes(self):
-        dec = schmidt_decompose(gaussian_jsa(pump_order=1), max_modes=10)
         # the matched-state basis width also diagonalizes the odd-pump state
         basis = HermiteGaussParams(order=0, center=1.223,
                                    width=PUMP_SIGMA / np.sqrt(2.0))
-        rho = reduced_density_matrix(dec, basis, 7)
+        rho = reduced_density_matrix(gaussian_jsa(pump_order=1), basis, 7)
         diag = np.diag(rho.entries).real
         assert abs(diag[0] - 0.5) < 5e-3
         assert abs(diag[1] - 0.5) < 5e-3
@@ -594,23 +602,45 @@ class TestReducedDensityMatrix:
         dec = schmidt_decompose(jsa, max_modes=20)
         basis = HermiteGaussParams(order=0, center=1.223,
                                    width=fit_basis_width(dec))
-        rho = reduced_density_matrix(dec, basis, 7)
+        rho = reduced_density_matrix(jsa, basis, 7)
         assert abs(rho.purity() - np.sum(dec.weights**2)) < 1e-3
 
     def test_badly_mismatched_basis_raises(self):
-        dec = schmidt_decompose(gaussian_jsa(), max_modes=5)
         tiny = HermiteGaussParams(order=0, center=1.223,
                                   width=PUMP_SIGMA / np.sqrt(2.0) / 40.0)
         with pytest.raises(BasisMismatchError):
-            reduced_density_matrix(dec, tiny, 2)
+            reduced_density_matrix(gaussian_jsa(), tiny, 2)
 
     def test_moderately_mismatched_basis_warns(self):
         # width ratio 3 captures ~60% of a Gaussian, inside the warning band
-        dec = schmidt_decompose(gaussian_jsa(), max_modes=5)
         offset = HermiteGaussParams(order=0, center=1.223,
                                     width=PUMP_SIGMA / np.sqrt(2.0) / 3.0)
         with pytest.warns(UserWarning, match="leakage"):
-            reduced_density_matrix(dec, offset, 2)
+            reduced_density_matrix(gaussian_jsa(), offset, 2)
+
+    @pytest.mark.parametrize("case", "bcd")
+    def test_is_the_partial_trace_of_the_full_spectrum(self, case):
+        # rho_mn = sum_k gamma_k <HG_m|psi_k><psi_k|HG_n> over every Schmidt
+        # mode of the full SVD, none truncated; preset c's 20 leading modes
+        # leave out 1.6e-5 of its weight
+        config = presets.preset_config(case)
+        jsa = presets.build_state(config)
+        basis = presets.tomography_basis(config)
+        grid = jsa.signal_grid
+        hg = np.array([hg_mode(HermiteGaussParams(order=m, center=basis.center,
+                                                  width=basis.width), grid).amplitudes
+                       for m in range(7)])
+        u_mat, svals, _ = np.linalg.svd(jsa.amplitudes, full_matrices=False)
+        gamma = svals**2 * jsa.cell_area
+        overlaps = np.sqrt(grid.spacing) * hg.conj() @ u_mat  # <HG_m|psi_k>
+        expected = (overlaps * gamma) @ overlaps.conj().T
+        leakage = 1.0 - np.trace(expected).real
+        with warnings.catch_warnings():  # preset c leaks 0.31 of its weight
+            warnings.simplefilter("ignore", BasisMismatchWarning)
+            rho = reduced_density_matrix(jsa, basis, 7)
+        assert abs(rho.leakage - leakage) <= 1e-12
+        np.testing.assert_allclose(rho.entries, expected / (1.0 - leakage),
+                                   rtol=0, atol=1e-12)
 
     def test_overlap_matrix_shape(self):
         dec = schmidt_decompose(gaussian_jsa(count=128), max_modes=4)

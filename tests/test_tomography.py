@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tmsim import presets, tomography
 from tmsim import (
@@ -25,7 +25,7 @@ from tmsim import (
     state_metrics,
 )
 from tmsim.errors import BasisMismatchWarning
-from tmsim.pdc import reduced_density_matrix, schmidt_decompose
+from tmsim.pdc import reduced_density_matrix
 from tmsim.tomography import (
     _apg,
     _density_projection,
@@ -445,10 +445,10 @@ def preset_count_sets():
         for seed in (7, 11):
             config = presets.merge_overrides(presets.preset_config(case),
                                              {"tomography": {"seed": seed}})
-            dec = schmidt_decompose(presets.build_state(config), max_modes=20)
+            jsa = presets.build_state(config)
             with warnings.catch_warnings():  # preset c leaks 0.31 of its weight
                 warnings.simplefilter("ignore", BasisMismatchWarning)
-                rho = reduced_density_matrix(dec, presets.tomography_basis(config),
+                rho = reduced_density_matrix(jsa, presets.tomography_basis(config),
                                              config.basis.dimension)
             records[case, seed] = simulate_counts(
                 rho, mub_bases(7), config.qpg.selectivity(),
@@ -551,7 +551,12 @@ class TestPackedKernel:
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 60), d=st.integers(1, 9), size=st.integers(1, 5),
            seed=st.integers(0, 2**32 - 1))
+    # cancellation: a probability of 0.0131 from terms summing to 10.3 in
+    # magnitude, off by 2.0e-16
+    @example(n=1, d=7, size=1, seed=122992928)
     def test_products_match_the_complex_formula(self, n, d, size, seed):
+        # each result is held to 1e-14 of the magnitude of its summed terms,
+        # which bounds the rounding of a sum whatever it cancels to
         rng = np.random.default_rng(seed)
         kets = random_kets(rng, n, d)
         g = rng.normal(size=(size, d, d)) + 1j * rng.normal(size=(size, d, d))
@@ -560,11 +565,13 @@ class TestPackedKernel:
         ops = gate_operators(kets)
         flat = _flat_operators(kets)
         probs = np.einsum("nab,kba->kn", ops, rho).real
-        np.testing.assert_allclose(_probabilities(rho, flat), probs,
-                                   rtol=0, atol=1e-14 * np.abs(probs).max())
+        terms = np.einsum("nab,kba->kn", np.abs(ops), np.abs(rho))
+        np.testing.assert_array_less(np.abs(_probabilities(rho, flat) - probs),
+                                     1e-14 * terms)
         growth = np.einsum("kn,nab->kab", ratios, ops)
-        np.testing.assert_allclose(_operator_sum(ratios, flat), growth,
-                                   rtol=0, atol=1e-14 * np.abs(growth).max())
+        terms = np.einsum("kn,nab->kab", ratios, np.abs(ops))
+        np.testing.assert_array_less(np.abs(_operator_sum(ratios, flat) - growth),
+                                     1e-14 * terms)
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.sampled_from([2, 3, 5, 7]), rank=st.integers(1, 7),
