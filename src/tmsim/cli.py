@@ -56,12 +56,15 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, chirp: bool = True) -> None:
+    """The flags that override configuration fields.  ``chirp=False`` leaves
+    out ``--chirp-fs2`` for a command that sets the chirp itself."""
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--pump-shape-order", type=int, dest="pump.shape_order")
     parser.add_argument("--pump-center-nm", type=float, dest="pump.center_nm")
     parser.add_argument("--pump-fwhm-nm", type=float, dest="pump.fwhm_nm")
-    parser.add_argument("--chirp-fs2", type=float, dest="pump.chirp_fs2")
+    if chirp:
+        parser.add_argument("--chirp-fs2", type=float, dest="pump.chirp_fs2")
     parser.add_argument("--pm-angle-deg", type=float, dest="phasematching.angle_deg")
     parser.add_argument("--pm-width", type=float,
                         dest="phasematching.width_rad_per_fs")
@@ -79,6 +82,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-count", type=int, dest="grid.count")
     parser.add_argument("--signal-center-nm", type=float,
                         dest="grid.signal_center_nm")
+
+
+def _add_formats_flag(parser: argparse.ArgumentParser) -> None:
+    """Only for the commands that write the joint amplitude in a choice of
+    formats; argparse rejects --formats elsewhere with exit 2."""
     parser.add_argument("--formats", dest="output.formats",
                         help="comma-separated subset of json,csv")
 
@@ -338,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_jsa = sub.add_parser("jsa", help="build and export the joint amplitude")
     _add_config_flags(p_jsa)
+    _add_formats_flag(p_jsa)
     _add_out_flag(p_jsa)
     p_jsa.set_defaults(handler=_cmd_jsa)
 
@@ -431,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("case", nargs="?", choices=("a", "b", "c", "d"))
     p_preset.add_argument("--from-manifest", help="re-run a recorded manifest")
     _add_config_flags(p_preset)
+    _add_formats_flag(p_preset)
     _add_out_flag(p_preset)
     p_preset.set_defaults(handler=_cmd_preset)
 
@@ -438,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--a-values", required=True,
                         help="comma-separated chirps in fs^2")
     p_scan.add_argument("--background-fraction", type=float, default=0.04)
-    _add_config_flags(p_scan)
+    _add_config_flags(p_scan, chirp=False)
     _add_out_flag(p_scan)
     p_scan.set_defaults(handler=_cmd_chirp_scan)
 

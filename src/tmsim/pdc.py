@@ -112,8 +112,12 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
     The pump must be sampled on :func:`sum_frequency_grid` of the signal
     and idler grids, so its point i + j is the pump at w_s[i] + w_i[j] and
     the pump factor is read as the Hankel matrix alpha[i, j] = pump[i + j],
-    with no interpolation.  After normalization every real or imaginary
-    part below sqrt(tiny) ~ 1.5e-154 is set to 0: products of two such
+    with no interpolation.  The amplitude is normalized by multiplying its
+    real and imaginary parts by 1/sqrt(weight), the factor numpy's complex
+    quotient by sqrt(weight) multiplies by, so the parts match that
+    quotient bit for bit without paying for a complex division.  After
+    normalization every real or imaginary part below sqrt(tiny) ~ 1.5e-154
+    is set to 0 (this also makes every zero +0): products of two such
     parts underflow, which slows down the BLAS products taken over the
     amplitude, and they carry no weight.
 
@@ -135,7 +139,9 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
     u = (-signal_grid.offsets[:, None] * np.sin(theta)
          + idler_grid.offsets[None, :] * np.cos(theta))
     if pm.shape == "gaussian":
-        phi = np.exp(-u**2 / (2.0 * pm.width**2))
+        np.square(u, out=u)
+        u /= -2.0 * pm.width**2
+        phi = np.exp(u, out=u)
     else:
         scale = _SINC_HALF_POWER_ARG / (_GAUSS_HALF_POWER_ARG * pm.width)
         phi = np.sinc(scale * u / np.pi)
@@ -145,8 +151,8 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
     if weight <= 0.0:
         raise InvalidArgumentError(
             "pump and phasematching do not overlap on the requested grids")
-    values /= np.sqrt(weight)
     parts = values.view(float)
+    parts *= 1.0 / np.sqrt(weight)
     parts[np.abs(parts) < np.sqrt(np.finfo(float).tiny)] = 0.0
     return JointSpectralAmplitude(signal_grid, idler_grid, values)
 
@@ -301,14 +307,29 @@ def schmidt_weights(jsa: JointSpectralAmplitude) -> np.ndarray:
 def schmidt_purity(jsa: JointSpectralAmplitude) -> float:
     """Purity sum_k gamma_k^2 over all Schmidt weights, without an SVD.
 
-    With G the Gram matrix of the sampled amplitude over its shorter axis,
-    the squared singular values are the eigenvalues of G, so
+    With G = A A^H the Gram matrix of the sampled amplitude over its
+    shorter axis, the squared singular values are the eigenvalues of G, so
     sum s^4 = ||G||_F^2 and sum s^2 = tr G.  Their ratio is the purity of
     the untruncated, normalized weights; the cell area cancels.
+
+    G is formed in real arithmetic.  With A = X + iY and z the (n, 2m)
+    float view of A, Re G = X X^T + Y Y^T = z z^T, which numpy runs as one
+    symmetric rank-k update because both operands share one buffer, and
+    Im G = Q^T - Q with Q = X Y^T.  So ||G||_F^2 = ||Re G||_F^2 +
+    ||Q - Q^T||_F^2 and tr G = tr Re G, at 2n^2 m real multiply-adds
+    against 4n^2 m for the complex product.
     """
     a = jsa.amplitudes
-    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
-    return float(np.vdot(gram, gram).real / np.trace(gram).real ** 2)
+    if a.shape[0] > a.shape[1]:
+        a = np.ascontiguousarray(a.T)  # conj(A^H A): the same spectrum
+    z = a.view(float)
+    real = z @ z.T
+    trace = np.trace(real)
+    total = np.vdot(real, real)
+    del real  # free Re G before Q is formed
+    q = a.real @ a.imag.T
+    imag = q - q.T
+    return float((total + np.vdot(imag, imag)) / trace ** 2)
 
 
 def jsi_marginal_sigmas(jsa: JointSpectralAmplitude) -> tuple:

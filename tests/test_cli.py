@@ -108,6 +108,29 @@ class TestConfigHandling:
         assert rc == 2
         assert "tomography.flux" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        (["rho"], ["--formats", "csv"]),
+        (["schmidt"], ["--formats", "json"]),
+        (["chirp-scan", "--a-values", "0"], ["--formats", "json"]),
+        (["chirp-scan", "--a-values", "0"], ["--chirp-fs2", "1e6"]),
+    ])
+    def test_flag_without_effect_exits_2(self, tmp_path, capsys, command, flag):
+        # rho, schmidt and chirp-scan write no joint amplitude, and the scan
+        # sets each row's chirp from --a-values
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--grid-count", "32", *flag, "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [["rho", "-d", "3"], ["schmidt"],
+                                         ["chirp-scan", "--a-values", "0"]])
+    def test_formats_in_config_file_accepted(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": {"formats": ["csv"]}}))
+        assert main([*command, "--config", str(cfg), "--grid-count", "64",
+                     "--out", str(tmp_path)]) == 0
+
     @pytest.mark.parametrize("command", [["rho"], ["preset", "a"]])
     @pytest.mark.parametrize("content, flags", [
         ([1], []),
@@ -294,7 +317,9 @@ class TestConfigHandling:
     def test_config_flags_name_typed_fields(self):
         sections = typing.get_type_hints(presets.ExperimentConfig)
         flags = list(_config_flags(build_parser()))
-        assert len(flags) == 5 * 18  # jsa, schmidt, rho, preset, chirp-scan
+        # jsa and preset take all 18; schmidt and rho no --formats; chirp-scan
+        # neither --formats nor --chirp-fs2
+        assert len(flags) == 2 * 18 + 2 * 17 + 16
         for command, action in flags:
             section, name = action.dest.split(".")
             fields = typing.get_type_hints(sections[section])

@@ -94,6 +94,23 @@ def closed_form_jsa(config, signal_grid, idler_grid) -> np.ndarray:
     return values / np.sqrt(weight)
 
 
+def quotient_normalized_jsa(pump, pm, signal_grid, idler_grid) -> np.ndarray:
+    """`build_jsa`'s amplitude for a Gaussian ridge, normalized by the
+    complex quotient by sqrt(weight) and then flushed below sqrt(tiny): the
+    bits the real reciprocal product must reproduce."""
+    alpha = np.lib.stride_tricks.sliding_window_view(pump.amplitudes,
+                                                     idler_grid.count)
+    theta = np.deg2rad(pm.angle_deg)
+    u = (-signal_grid.offsets[:, None] * np.sin(theta)
+         + idler_grid.offsets[None, :] * np.cos(theta))
+    values = alpha * np.exp(-u**2 / (2.0 * pm.width**2))
+    weight = np.sum(np.abs(values) ** 2) * signal_grid.spacing * idler_grid.spacing
+    values /= np.sqrt(weight)
+    parts = values.view(float)
+    parts[np.abs(parts) < np.sqrt(np.finfo(float).tiny)] = 0.0
+    return values
+
+
 def product_jsa(count=64):
     """Exactly separable (rank-one) joint amplitude."""
     signal_grid = make_grid(0.0, 14.0, count)
@@ -158,6 +175,18 @@ class TestBuildJsa:
         jsa = gaussian_jsa(count=128)
         total = np.sum(np.abs(jsa.amplitudes) ** 2) * jsa.cell_area
         assert abs(total - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("config", [
+        *(presets.preset_config(case) for case in "abcd"), SCAN_ROW_CONFIG],
+        ids=["a", "b", "c", "d", "scan-1024-chirp-1e6"])
+    def test_normalization_matches_complex_quotient_bit_for_bit(self, config):
+        # a real division by sqrt(weight) would be off by one ulp in places
+        signal_grid, idler_grid = presets.experiment_grids(config)
+        inputs = (presets.pump_spectrum(config, signal_grid, idler_grid),
+                  config.phasematching.model(), signal_grid, idler_grid)
+        built = build_jsa(*inputs).amplitudes
+        reference = quotient_normalized_jsa(*inputs)
+        assert np.array_equal(built.view(np.uint64), reference.view(np.uint64))
 
     def test_sinc_shape_close_to_gaussian_at_matched_width(self):
         marginal = PUMP_SIGMA / np.sqrt(2.0)
@@ -460,8 +489,26 @@ class TestSchmidtPurity:
     @example(_normalized(np.ones((7, 1), dtype=complex), 0.3))
     @example(_normalized(np.eye(5, dtype=complex), 2.0))
     @example(_normalized(np.arange(12, dtype=complex).reshape(3, 4) ** 2, 1e-4))
+    # Im G = 0; Re G = 0; and a tall kernel, whose Gram is over its columns
+    @example(_normalized(np.arange(20).reshape(4, 5) % 7 + 0j, 1.0))
+    @example(_normalized(1j * (np.arange(20).reshape(5, 4) % 3 + 1.0), 0.5))
+    @example(_normalized(np.arange(24).reshape(8, 3) % 5
+                         + 1j * (np.arange(24).reshape(8, 3) % 4), 1e-2))
     def test_matches_weight_spectrum(self, jsa):
         assert schmidt_purity(jsa) == pytest.approx(_spectrum_purity(jsa), rel=1e-12)
+
+    @pytest.mark.parametrize("chirp", (0.0, 1e6))
+    def test_2048_grid(self, chirp):
+        config = presets.merge_overrides(
+            SCAN_CONFIG, {"grid": {"count": 2048}, "pump": {"chirp_fs2": chirp}})
+        jsa = presets.build_state(config)
+        purity = schmidt_purity(jsa)
+        analytic = chirp_purity_analytic(chirp, *jsi_marginal_sigmas(jsa))
+        assert abs(purity - analytic) <= 1e-12
+        a = jsa.amplitudes
+        gram = a.conj().T @ a
+        complex_purity = float(np.vdot(gram, gram).real / np.trace(gram).real ** 2)
+        assert purity == pytest.approx(complex_purity, rel=1e-12)
 
     @pytest.mark.parametrize("case", "abcd")
     def test_presets(self, case):
@@ -528,11 +575,24 @@ class TestChirpScanRows:
 
 class TestPurityBenchmarks:
     """Purity from the Gram identity against the full weight spectrum, the
-    reduced state and the truncated decompositions, on 512 x 512 kernels;
+    reduced state and the truncated decompositions, on 512 x 512 kernels,
+    and the two halves of a 1024 x 1024 chirp-scan row at chirp 1e6 fs^2;
     pytest-benchmark prints them with ``pytest --benchmark-only -k
     Benchmarks``."""
 
     jsa = presets.build_state(presets.preset_config("b"))
+
+    def test_build_state_scan_row(self, benchmark):
+        jsa = benchmark.pedantic(presets.build_state, args=(SCAN_ROW_CONFIG,),
+                                 rounds=3, iterations=1)
+        assert jsa.amplitudes.shape == (1024, 1024)
+
+    def test_schmidt_purity_scan_row(self, benchmark):
+        jsa = presets.build_state(SCAN_ROW_CONFIG)
+        purity = benchmark.pedantic(schmidt_purity, args=(jsa,),
+                                    rounds=3, iterations=1)
+        analytic = chirp_purity_analytic(1e6, *jsi_marginal_sigmas(jsa))
+        assert abs(purity - analytic) <= 1e-12
 
     def test_schmidt_purity(self, benchmark):
         purity = benchmark.pedantic(schmidt_purity, args=(self.jsa,),
