@@ -12,6 +12,7 @@ error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -84,13 +85,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, chirp: bool = True) -> No
                         dest="grid.signal_center_nm")
 
 
-def _add_formats_flag(parser: argparse.ArgumentParser) -> None:
-    """Only for the commands that write the joint amplitude in a choice of
-    formats; argparse rejects --formats elsewhere with exit 2."""
-    parser.add_argument("--formats", dest="output.formats",
-                        help="comma-separated subset of json,csv")
-
-
 def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
 
@@ -101,8 +95,6 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         if "." not in key or value is None:
             continue
         section, name = key.split(".", 1)
-        if key == "output.formats":
-            value = [f.strip() for f in value.split(",") if f.strip()]
         overrides.setdefault(section, {})[name] = value
     return overrides
 
@@ -157,7 +149,7 @@ def _cmd_jsa(args) -> int:
     config = _resolve_config(args)
     jsa = presets.build_state(config)
     out = Path(args.out)
-    presets.write_jsa(jsa, config.output.formats, out)
+    presets.write_jsa(jsa, out)
     print(f"wrote joint amplitude ({config.grid.count}x{config.grid.count}) to {out}")
     return EXIT_OK
 
@@ -346,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_jsa = sub.add_parser("jsa", help="build and export the joint amplitude")
     _add_config_flags(p_jsa)
-    _add_formats_flag(p_jsa)
     _add_out_flag(p_jsa)
     p_jsa.set_defaults(handler=_cmd_jsa)
 
@@ -440,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("case", nargs="?", choices=("a", "b", "c", "d"))
     p_preset.add_argument("--from-manifest", help="re-run a recorded manifest")
     _add_config_flags(p_preset)
-    _add_formats_flag(p_preset)
     _add_out_flag(p_preset)
     p_preset.set_defaults(handler=_cmd_preset)
 
@@ -455,9 +445,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on its first call rather than at
+    import.  Parsing leaves no state in it: each call gets a fresh
+    namespace filled from the defaults."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except IllPosedError as exc:

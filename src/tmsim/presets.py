@@ -239,18 +239,6 @@ class GridConfig:
 
 
 @dataclass(frozen=True)
-class OutputConfig:
-    formats: list[str] = field(default_factory=lambda: ["json", "csv"])
-
-    def __post_init__(self):
-        _check_types(self, "output.")
-        object.__setattr__(self, "formats", tuple(self.formats))
-        _require(bool(self.formats), "output.formats", "must not be empty")
-        _require(all(f in ("json", "csv") for f in self.formats),
-                 "output.formats", "entries must be 'json' or 'csv'")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """A complete run configuration; it and its sections are frozen, and
     each section checks its values when it is built."""
@@ -261,7 +249,6 @@ class ExperimentConfig:
     qpg: QpgConfig = field(default_factory=QpgConfig)
     tomography: TomographyConfig = field(default_factory=TomographyConfig)
     grid: GridConfig = field(default_factory=GridConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
 
     def __post_init__(self):
         _check_types(self, "")
@@ -390,14 +377,12 @@ def tomography_basis(config: ExperimentConfig) -> HermiteGaussParams:
 
 # --- runners ---------------------------------------------------------------
 
-def write_jsa(jsa: JointSpectralAmplitude, formats, out: Path) -> None:
-    """Write the joint amplitude's grid files into the directory ``out``:
-    jsa.csv and jsi.csv for the csv format, jsa.json for json."""
-    if "csv" in formats:
-        write_text(out / "jsa.csv", serialize.jsa_to_csv(jsa))
-        write_text(out / "jsi.csv", serialize.jsi_to_csv(jsa))
-    if "json" in formats:
-        write_text(out / "jsa.json", serialize.dump_json(serialize.jsa_to_dict(jsa)))
+def write_jsa(jsa: JointSpectralAmplitude, out: Path) -> None:
+    """Write the joint amplitude's grid files, jsa.csv, jsi.csv and
+    jsa.json, into the directory ``out``."""
+    write_text(out / "jsa.csv", serialize.jsa_to_csv(jsa))
+    write_text(out / "jsi.csv", serialize.jsi_to_csv(jsa))
+    write_text(out / "jsa.json", serialize.dump_json(serialize.jsa_to_dict(jsa)))
 
 
 def run_preset(case: str, config: Optional[ExperimentConfig] = None,
@@ -451,23 +436,20 @@ def run_preset(case: str, config: Optional[ExperimentConfig] = None,
     }
     filter_analysis = _filter_analysis(rho_true, config.qpg.filter_efficiency)
 
-    formats = config.output.formats
     out = Path(output_dir)
-    write_jsa(jsa, formats, out)
-    if "csv" in formats:
-        write_text(out / "counts.csv", serialize.count_records_to_csv(records))
-    if "json" in formats:
-        dec = schmidt_decompose(jsa, max_modes=20)
-        write_text(out / "schmidt.json",
-                   serialize.dump_json(serialize.schmidt_to_dict(dec)))
-        write_text(out / "counts.json",
-                   serialize.dump_json(serialize.count_records_to_dict(records)))
-        write_text(out / "rho_true.json",
-                   serialize.dump_json(serialize.density_to_dict(rho_true)))
-        write_text(out / "rho_hat.json",
-                   serialize.dump_json(serialize.density_to_dict(recon.rho_hat)))
-        write_text(out / "reconstruction_log.json",
-                   serialize.dump_json(serialize.reconstruction_log_to_dict(recon)))
+    write_jsa(jsa, out)
+    write_text(out / "counts.csv", serialize.count_records_to_csv(records))
+    dec = schmidt_decompose(jsa, max_modes=20)
+    write_text(out / "schmidt.json",
+               serialize.dump_json(serialize.schmidt_to_dict(dec)))
+    write_text(out / "counts.json",
+               serialize.dump_json(serialize.count_records_to_dict(records)))
+    write_text(out / "rho_true.json",
+               serialize.dump_json(serialize.density_to_dict(rho_true)))
+    write_text(out / "rho_hat.json",
+               serialize.dump_json(serialize.density_to_dict(recon.rho_hat)))
+    write_text(out / "reconstruction_log.json",
+               serialize.dump_json(serialize.reconstruction_log_to_dict(recon)))
     write_text(out / "filter_analysis.json", serialize.dump_json(filter_analysis))
     write_text(out / "summary.json", serialize.dump_json(summary))
     write_text(out / "manifest.json", manifest_text(case, config))

@@ -239,32 +239,6 @@ def grid_to_dict(grid: FrequencyGrid) -> dict:
     return {"center": grid.center, "spacing": grid.spacing, "count": grid.count}
 
 
-def grid_from_dict(data: dict) -> FrequencyGrid:
-    """Parse ``grid_to_dict`` output, naming any malformed entry."""
-    if not isinstance(data, dict):
-        raise InvalidArgumentError("grid must be a JSON object")
-    count = data["count"]
-    if type(count) is not int:
-        raise InvalidArgumentError(f"grid 'count': must be an integer, got {count!r}")
-    for key in ("center", "spacing"):  # FrequencyGrid checks the ranges
-        if type(data[key]) not in (int, float):
-            raise InvalidArgumentError(f"grid {key!r}: must be a number, got {data[key]!r}")
-    return FrequencyGrid(center=float(data["center"]),
-                         spacing=float(data["spacing"]), count=count)
-
-
-def spectrum_to_dict(spectrum: ComplexSpectrum) -> dict:
-    return {"grid": grid_to_dict(spectrum.grid),
-            "re": spectrum.amplitudes.real,
-            "im": spectrum.amplitudes.imag}
-
-
-def spectrum_from_dict(data: dict) -> ComplexSpectrum:
-    grid = grid_from_dict(data["grid"])
-    amp = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-    return ComplexSpectrum(grid, amp)
-
-
 def spectrum_to_csv(spectrum: ComplexSpectrum) -> str:
     amp = spectrum.amplitudes
     return float_rows_to_csv("omega_rad_per_fs,real,imag",

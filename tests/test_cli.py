@@ -67,8 +67,6 @@ valid_overrides = st.fixed_dictionaries({}, optional={
         "resamples": st.integers(2, 10**6)}),
     "grid": st.fixed_dictionaries({}, optional={
         "count": st.integers(16, 4096), "signal_center_nm": positive}),
-    "output": st.fixed_dictionaries({}, optional={
-        "formats": st.lists(st.sampled_from(["json", "csv"]), min_size=1, max_size=3)}),
 })
 
 
@@ -109,27 +107,36 @@ class TestConfigHandling:
         assert "tomography.flux" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag", [
+        (["jsa"], ["--formats", "csv"]),
+        (["preset", "a"], ["--formats", "json"]),
         (["rho"], ["--formats", "csv"]),
         (["schmidt"], ["--formats", "json"]),
         (["chirp-scan", "--a-values", "0"], ["--formats", "json"]),
         (["chirp-scan", "--a-values", "0"], ["--chirp-fs2", "1e6"]),
     ])
     def test_flag_without_effect_exits_2(self, tmp_path, capsys, command, flag):
-        # rho, schmidt and chirp-scan write no joint amplitude, and the scan
-        # sets each row's chirp from --a-values
+        # every command writes one fixed artifact set, and the scan sets each
+        # row's chirp from --a-values
         with pytest.raises(SystemExit) as exit_info:
             main([*command, "--grid-count", "32", *flag, "--out", str(tmp_path)])
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("command", [["rho", "-d", "3"], ["schmidt"],
-                                         ["chirp-scan", "--a-values", "0"]])
-    def test_formats_in_config_file_accepted(self, tmp_path, command):
+    @pytest.mark.parametrize("command, formats", [
+        (["rho", "-d", "3"], ["csv"]),
+        (["schmidt"], ["json"]),
+        (["chirp-scan", "--a-values", "0"], ["json", "csv"]),
+    ])
+    def test_formats_in_config_file_exits_2(self, tmp_path, capsys, command,
+                                            formats):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"output": {"formats": ["csv"]}}))
-        assert main([*command, "--config", str(cfg), "--grid-count", "64",
-                     "--out", str(tmp_path)]) == 0
+        cfg.write_text(json.dumps({"output": {"formats": formats}}))
+        rc = main([*command, "--config", str(cfg), "--grid-count", "64",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "unknown configuration section 'output'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", [["rho"], ["preset", "a"]])
     @pytest.mark.parametrize("content, flags", [
@@ -243,8 +250,9 @@ class TestConfigHandling:
         rc = main(["preset", "a", "--config", str(cfg),
                    "--out", str(tmp_path / "run")])
         assert rc == 2
-        assert "output: unknown field(s) ['directory']" in capsys.readouterr().err
+        assert "unknown configuration section 'output'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "x").exists()
 
     @settings(max_examples=60, deadline=None)
     @given(case=st.sampled_from("abcd"), dimension=st.integers(1, 21),
@@ -278,14 +286,11 @@ class TestConfigHandling:
     def test_list_fields_are_frozen(self):
         config = presets.merge_overrides(
             presets.preset_config("a"), {"qpg": {"per_order_falloff": [1.0, 0.5]}})
-        assert config.output.formats == ("json", "csv")
         assert config.qpg.per_order_falloff == (1.0, 0.5)
-        with pytest.raises(AttributeError):
-            config.output.formats.clear()
         with pytest.raises(TypeError):
             config.qpg.per_order_falloff[0] = 0.0
-        assert config.to_dict()["output"]["formats"] == ["json", "csv"]
-        assert dataclasses.replace(config.output).formats == ("json", "csv")
+        assert config.to_dict()["qpg"]["per_order_falloff"] == [1.0, 0.5]
+        assert dataclasses.replace(config.qpg).per_order_falloff == (1.0, 0.5)
 
     @pytest.mark.parametrize("case, pump, angle_deg", [
         ("a", {"shape_order": 0, "center_nm": 769.0, "fwhm_nm": 1.72,
@@ -308,7 +313,6 @@ class TestConfigHandling:
             "tomography": {"flux": 100000.0, "background": 0.0, "seed": 7,
                            "resamples": 100},
             "grid": {"count": 512, "signal_center_nm": 1540.0},
-            "output": {"formats": ["json", "csv"]},
         }
         # compared as JSON so that 380000 and 380000.0 differ, as in a manifest
         assert (json.dumps(presets.preset_config(case).to_dict(), sort_keys=True)
@@ -317,9 +321,8 @@ class TestConfigHandling:
     def test_config_flags_name_typed_fields(self):
         sections = typing.get_type_hints(presets.ExperimentConfig)
         flags = list(_config_flags(build_parser()))
-        # jsa and preset take all 18; schmidt and rho no --formats; chirp-scan
-        # neither --formats nor --chirp-fs2
-        assert len(flags) == 2 * 18 + 2 * 17 + 16
+        # jsa, schmidt, rho and preset take all 17; chirp-scan no --chirp-fs2
+        assert len(flags) == 4 * 17 + 16
         for command, action in flags:
             section, name = action.dest.split(".")
             fields = typing.get_type_hints(sections[section])
@@ -341,11 +344,13 @@ class TestPresetRuns:
     def test_case_a_artifacts(self, tmp_path):
         rc = main(["preset", "a", *FAST, "--out", str(tmp_path)])
         assert rc == 0
-        for name in ("jsa.csv", "jsa.json", "jsi.csv", "schmidt.json",
-                     "counts.csv", "counts.json", "rho_true.json",
-                     "rho_hat.json", "reconstruction_log.json",
-                     "summary.json", "manifest.json"):
-            assert (tmp_path / name).exists(), name
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "counts.csv", "counts.json", "filter_analysis.json", "jsa.csv",
+            "jsa.json", "jsi.csv", "manifest.json", "reconstruction_log.json",
+            "rho_hat.json", "rho_true.json", "schmidt.json", "summary.json"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert sorted(manifest["config"]) == [
+            "basis", "grid", "phasematching", "pump", "qpg", "tomography"]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["case"] == "a"
         assert summary["svd_purity"] > 0.99
@@ -401,16 +406,29 @@ class TestPresetRuns:
 
     def test_manifest_with_width_policy_exits_2(self, tmp_path, capsys):
         # the basis section of a manifest that still records the removed
-        # width_policy and output directory
+        # width_policy
         manifest = json.loads(presets.manifest_text("a", presets.preset_config("a")))
         manifest["config"]["basis"]["width_policy"] = "fit-reference"
-        manifest["config"]["output"]["directory"] = "."
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest, sort_keys=True))
         rc = main(["preset", "--from-manifest", str(path),
                    "--out", str(tmp_path / "run")])
         assert rc == 2
         assert "basis: unknown field(s) ['width_policy']" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_manifest_with_output_section_exits_2(self, tmp_path, capsys):
+        # a manifest that still records the removed output section, with the
+        # formats every run wrote
+        manifest = json.loads(presets.manifest_text("a", presets.preset_config("a")))
+        assert "output" not in manifest["config"]
+        manifest["config"]["output"] = {"formats": ["json", "csv"]}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest, sort_keys=True))
+        rc = main(["preset", "--from-manifest", str(path),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "unknown configuration section 'output'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_nonconvergence_exits_3_after_writing(self, tmp_path, monkeypatch):
@@ -427,13 +445,6 @@ class TestPresetRuns:
         assert main(["preset", "a", *FAST, "--out", str(tmp_path)]) == 3
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["nonconverged_resamples"] == 3
-
-    def test_json_only_formats(self, tmp_path):
-        rc = main(["preset", "a", *FAST, "--formats", "json",
-                   "--out", str(tmp_path)])
-        assert rc == 0
-        assert not (tmp_path / "jsa.csv").exists()
-        assert (tmp_path / "jsa.json").exists()
 
     def test_unwritable_output_exits_4(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -534,6 +545,30 @@ class TestPipelineSubcommands:
         main(["jsa", "--grid-count", "64", "--out", str(b_dir)])
         assert read(a_dir / "jsa.csv") == read(b_dir / "jsa.csv")
         assert read(a_dir / "jsa.json") == read(b_dir / "jsa.json")
+
+    def test_consecutive_calls_share_no_state(self, tmp_path):
+        # main parses every call with one parser; a flag given to one call
+        # must not become the default of the next
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not cli._parser()
+        assert main(["rho", "-d", "3", "--grid-count", "64",
+                     "--out", str(tmp_path / "d3")]) == 0
+        assert main(["rho", "--grid-count", "64",
+                     "--out", str(tmp_path / "default")]) == 0
+        assert json.loads((tmp_path / "d3" / "rho.json").read_text())["d"] == 3
+        rho = tmp_path / "default" / "rho.json"
+        assert json.loads(rho.read_text())["d"] == 7
+
+        def simulate(name, *seed):
+            out = tmp_path / name
+            assert main(["tomo", "simulate", "--rho", str(rho), "--flux", "1000",
+                         *seed, "--out", str(out)]) == 0
+            return read(out / "counts.csv")
+
+        seeded = simulate("seed5", "--seed", "5")
+        unseeded = simulate("unseeded")
+        assert unseeded == simulate("seed0", "--seed", "0")
+        assert unseeded != seeded
 
     def test_qpg_map(self, tmp_path):
         rc = main(["qpg", "map", "--count", "192", "--out", str(tmp_path)])

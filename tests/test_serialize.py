@@ -222,37 +222,6 @@ class TestSpectrumFormats:
                          f"{serialize.format_float(a.imag)}")
         assert serialize.spectrum_to_csv(spectrum) == "\n".join(lines) + "\n"
 
-    def test_json_round_trip(self):
-        # %.12e keeps 13 significant digits; round trips to that precision
-        spectrum = sample_spectrum()
-        data = json.loads(serialize.dump_json(serialize.spectrum_to_dict(spectrum)))
-        back = serialize.spectrum_from_dict(data)
-        assert back.grid.count == spectrum.grid.count
-        assert back.grid.center == pytest.approx(spectrum.grid.center, rel=1e-12)
-        assert back.grid.spacing == pytest.approx(spectrum.grid.spacing, rel=1e-12)
-        np.testing.assert_allclose(back.amplitudes, spectrum.amplitudes, rtol=1e-11)
-
-    @pytest.mark.parametrize("field,value,message", [
-        ("count", 2.7, "'count': must be an integer, got 2.7"),
-        ("count", 16.0, "'count': must be an integer, got 16.0"),
-        ("count", True, "'count': must be an integer, got True"),
-        ("count", "16", "'count': must be an integer, got '16'"),
-        ("center", "1.2", "'center': must be a number, got '1.2'"),
-        ("center", None, "'center': must be a number, got None"),
-        ("spacing", [0.02], "'spacing': must be a number, got \\[0.02\\]"),
-        ("center", float("nan"), "center must be finite"),
-        ("spacing", float("inf"), "spacing must be positive"),
-    ])
-    def test_grid_types_checked(self, field, value, message):
-        # a 2.7 count used to become a 2-point grid
-        data = json.loads(serialize.dump_json(serialize.spectrum_to_dict(
-            sample_spectrum())))
-        data["grid"][field] = value
-        with pytest.raises(InvalidArgumentError, match=message):
-            serialize.spectrum_from_dict(data)
-        assert serialize.grid_from_dict({"center": 1, "spacing": 0.5,
-                                         "count": 3}).count == 3
-
 
 class TestJsaFormats:
     def test_csv_has_four_columns_and_full_grid(self):
