@@ -4,6 +4,7 @@ import pytest
 from tmsim import (
     ChirpPhase,
     ComplexSpectrum,
+    FrequencyGrid,
     HermiteGaussParams,
     IncompatibleGridError,
     InvalidArgumentError,
@@ -36,6 +37,25 @@ class TestMakeGrid:
     def test_single_point_rejected(self):
         with pytest.raises(InvalidArgumentError):
             make_grid(center=1.0, span=1.0, count=1)
+
+    @pytest.mark.parametrize("center,spacing,count,message", [
+        (float("nan"), 0.02, 16, "grid center must be finite"),
+        (float("inf"), 0.02, 16, "grid center must be finite"),
+        (1.2, 0.0, 16, "grid spacing must be positive, got 0.0"),
+        (1.2, -0.02, 16, "grid spacing must be positive, got -0.02"),
+        (1.2, float("inf"), 16, "grid spacing must be positive, got inf"),
+        (1.2, float("nan"), 16, "grid spacing must be positive, got nan"),
+        (1.2, 0.02, 2.7, "grid needs an integer count >= 2, got 2.7"),
+        (1.2, 0.02, 1, "grid needs an integer count >= 2, got 1"),
+    ])
+    def test_grid_fields_checked(self, center, spacing, count, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            FrequencyGrid(center=center, spacing=spacing, count=count)
+
+    def test_integral_count_stored_as_int(self):
+        grid = FrequencyGrid(center=1.2, spacing=0.02, count=16.0)
+        assert type(grid.count) is int and grid.count == 16
+        assert grid.points.shape == (16,)
 
 
 def _mode(order, width=1.0, center=0.0, count=512, halfspan_sigmas=None):
