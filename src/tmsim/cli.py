@@ -268,10 +268,29 @@ def _mle_config_from_args(args) -> MLEConfig:
                      tolerance=args.tolerance)
 
 
-def _cmd_tomo_reconstruct(args) -> int:
+def _load_counts(path: str):
+    """The count records of a CSV file and the mutually unbiased projectors
+    of the dimension d they label: one plus the largest element index.
+
+    A file with fewer than d^2 records is refused before the projectors are
+    built: such a set cannot span the d^2 Hermitian directions, and a stray
+    label must not make `mub_bases` build its d^3 array."""
     records = serialize.count_records_from_csv(
-        Path(args.counts).read_text(encoding="utf-8"))
-    pset = mub_bases(args.dimension)
+        Path(path).read_text(encoding="utf-8"))
+    if not records:
+        raise InvalidArgumentError("no count records supplied")
+    top = max(records, key=lambda rec: rec.element_index)
+    d = top.element_index + 1
+    if len(records) < d * d:
+        raise InvalidArgumentError(
+            f"element index {top.element_index} of record ({top.basis_index}, "
+            f"{top.element_index}) sets d = {d}, but {len(records)} records "
+            f"cannot span the d^2 = {d * d} Hermitian directions")
+    return records, mub_bases(d)
+
+
+def _cmd_tomo_reconstruct(args) -> int:
+    records, pset = _load_counts(args.counts)
     result = mle_reconstruct(records, pset, _mle_config_from_args(args),
                              subtract_background=args.subtract_background)
     out = Path(args.out)
@@ -285,9 +304,7 @@ def _cmd_tomo_reconstruct(args) -> int:
 
 
 def _cmd_tomo_bootstrap(args) -> int:
-    records = serialize.count_records_from_csv(
-        Path(args.counts).read_text(encoding="utf-8"))
-    pset = mub_bases(args.dimension)
+    records, pset = _load_counts(args.counts)
     errors = monte_carlo_errors(records, pset, _mle_config_from_args(args),
                                 resamples=args.resamples, seed=args.seed)
     write_text(Path(args.out) / "bootstrap.json", serialize.dump_json({
@@ -412,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rec = tomo_sub.add_parser("reconstruct", help="maximum-likelihood estimate")
     p_rec.add_argument("--counts", required=True, help="count record CSV")
-    p_rec.add_argument("-d", "--dimension", type=int, default=basis_defaults.dimension)
     p_rec.add_argument("--subtract-background", type=float, default=0.0)
     add_mle_flags(p_rec)
     _add_out_flag(p_rec)
@@ -420,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_boot = tomo_sub.add_parser("bootstrap", help="Monte Carlo error bars")
     p_boot.add_argument("--counts", required=True, help="count record CSV")
-    p_boot.add_argument("-d", "--dimension", type=int, default=basis_defaults.dimension)
     p_boot.add_argument("--resamples", type=int, default=tomo_defaults.resamples)
     p_boot.add_argument("--seed", type=int, default=0)
     add_mle_flags(p_boot)

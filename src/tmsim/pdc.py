@@ -470,11 +470,17 @@ def chirp_purity_analytic(chirp_fs2: float, sigma_s: float,
     carries quadratic spectral phase.
 
     `sigma_s` and `sigma_i` are the intensity standard deviations (rad/fs)
-    of the signal and idler marginals.
+    of the signal and idler marginals.  Where the chirp term exceeds the
+    largest double the purity is its limit, 0.0.
     """
     if not (sigma_s > 0 and sigma_i > 0):
         raise InvalidArgumentError("marginal widths must be positive")
-    return float(1.0 / np.sqrt(1.0 + 16.0 * chirp_fs2**2 * sigma_s**2 * sigma_i**2))
+    chirp, sigma_s, sigma_i = float(chirp_fs2), float(sigma_s), float(sigma_i)
+    try:  # on Python floats ** raises on overflow, * gives inf; neither warns
+        spread = 16.0 * chirp**2 * sigma_s**2 * sigma_i**2
+    except OverflowError:
+        return 0.0
+    return float(1.0 / np.sqrt(1.0 + spread))
 
 
 def mean_photon_from_g11(g11: float, g2: float) -> float:

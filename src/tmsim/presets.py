@@ -509,7 +509,7 @@ def run_from_manifest(manifest_path: str, output_dir: str = ".") -> dict:
     return run_preset(case, config, output_dir=output_dir)
 
 
-def chirp_scan(chirp_values, config: Optional[ExperimentConfig] = None,
+def chirp_scan(chirp_values, config: ExperimentConfig,
                background_fraction: float = 0.04) -> list:
     """Purity and g2 versus pump chirp for the configured source.
 
@@ -519,8 +519,6 @@ def chirp_scan(chirp_values, config: Optional[ExperimentConfig] = None,
     fraction.  The spectral intensity (hence the marginals) is chirp
     independent; only the phase changes.
     """
-    if config is None:
-        config = preset_config("a")
     if not 0.0 <= background_fraction < 1.0:
         raise InvalidArgumentError(
             f"background fraction must lie in [0, 1), got {background_fraction}")

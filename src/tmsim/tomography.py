@@ -432,9 +432,15 @@ def _fit(records: Sequence, pset: ProjectorSet, cfg: MLEConfig,
     Returns row 0's reconstruction and the other rows' estimates, flags and
     certificates."""
     flat, observed, weights = _record_arrays(records, pset, subtract_background)
-    draws = np.random.default_rng(seed).poisson(observed, (resamples, len(observed)))
-    rhos, iterations, converged, certificates, trace = _apg(
-        flat, np.concatenate([observed[None], draws]), weights, cfg)
+    counts = observed[None]
+    if resamples:
+        if observed.max() > MAX_POISSON_MEAN:
+            raise InvalidArgumentError(
+                f"counts must be at most {MAX_POISSON_MEAN:.0e} to be "
+                f"resampled, got {observed.max():.6g}")
+        draws = np.random.default_rng(seed).poisson(observed, (resamples, len(observed)))
+        counts = np.concatenate([counts, draws])
+    rhos, iterations, converged, certificates, trace = _apg(flat, counts, weights, cfg)
     baseline = ReconstructionResult(
         rho_hat=ModalDensityMatrix(dimension=pset.dimension, entries=rhos[0]),
         log_likelihood=trace, iterations=int(iterations[0]),
@@ -526,8 +532,8 @@ def monte_carlo_errors(records: Sequence, pset: ProjectorSet,
     ------
     InvalidArgumentError
         If fewer than two resamples are asked for, the seed is negative,
-        the records fail the checks of `mle_reconstruct`, or a resample
-        draws no counts at all.
+        the records fail the checks of `mle_reconstruct`, a count exceeds
+        MAX_POISSON_MEAN, or a resample draws no counts at all.
     """
     if resamples < 2:
         raise InvalidArgumentError(f"resamples must be >= 2, got {resamples}")

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import runpy
+import shlex
 import subprocess
 import sys
 import typing
@@ -24,8 +25,13 @@ from tmsim import (
     serialize,
 )
 from tmsim.cli import _overrides_from_args, build_parser, main
-from tmsim.errors import InvalidArgumentError
-from tmsim.tomography import MLEConfig
+from tmsim.errors import BasisMismatchWarning, InvalidArgumentError
+from tmsim.tomography import (
+    MLEConfig,
+    mle_reconstruct,
+    monte_carlo_errors,
+    mub_bases,
+)
 
 FAST = ["--grid-count", "128", "--flux", "1000", "--resamples", "3"]
 
@@ -603,7 +609,7 @@ class TestPipelineSubcommands:
                      "--flux", "10000", "--seed", "3",
                      "--out", str(tmp_path)]) == 0
         assert main(["tomo", "reconstruct", "--counts",
-                     str(tmp_path / "counts.csv"), "-d", "7",
+                     str(tmp_path / "counts.csv"),
                      "--out", str(tmp_path)]) == 0
         rho_hat = json.loads((tmp_path / "rho_hat.json").read_text())
         assert np.real(rho_hat["re"][0][0]) > 0.95
@@ -611,13 +617,99 @@ class TestPipelineSubcommands:
         assert log["converged"] and log["certificate"] <= 1e-8
 
         assert main(["tomo", "bootstrap", "--counts",
-                     str(tmp_path / "counts.csv"), "-d", "7",
+                     str(tmp_path / "counts.csv"),
                      "--resamples", "4", "--seed", "1",
                      "--out", str(tmp_path)]) == 0
         boot = json.loads((tmp_path / "bootstrap.json").read_text())
         assert boot["purity_std"] >= 0.0
         assert boot["nonconverged_resamples"] == 0
         assert boot["worst_resample_certificate"] <= 1e-8
+
+    @pytest.mark.parametrize("dimension", [3, 5])
+    def test_fit_commands_read_dimension_from_counts(self, tmp_path, dimension):
+        # the chain states d once; the fits equal the library's on mub_bases(d)
+        main(["rho", "-d", str(dimension), "--grid-count", "64",
+              "--out", str(tmp_path)])
+        main(["tomo", "simulate", "--rho", str(tmp_path / "rho.json"),
+              "--seed", "7", "--out", str(tmp_path)])
+        counts = tmp_path / "counts.csv"
+        assert main(["tomo", "reconstruct", "--counts", str(counts),
+                     "--out", str(tmp_path)]) == 0
+        assert main(["tomo", "bootstrap", "--counts", str(counts),
+                     "--resamples", "4", "--out", str(tmp_path)]) == 0
+
+        records = serialize.count_records_from_csv(counts.read_text())
+        pset = mub_bases(dimension)
+        result = mle_reconstruct(records, pset)
+        errors = monte_carlo_errors(records, pset, resamples=4)
+        expected = {
+            "rho_hat.json": serialize.density_to_dict(result.rho_hat),
+            "reconstruction_log.json": serialize.reconstruction_log_to_dict(result),
+            "bootstrap.json": {
+                "purity_mean": errors.purity_mean,
+                "purity_std": errors.purity_std,
+                "fidelity_std": errors.fidelity_std,
+                "nonconverged_resamples": errors.nonconverged,
+                "worst_resample_certificate": errors.worst_certificate,
+            },
+        }
+        for name, payload in expected.items():
+            assert read(tmp_path / name) == serialize.dump_json(payload).encode()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "bootstrap"])
+    def test_fit_commands_take_no_dimension(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tomo", command, "--counts", str(tmp_path / "counts.csv"),
+                  "-d", "3", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: -d 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["reconstruct"], ["bootstrap", "--resamples", "2"]])
+    @pytest.mark.parametrize("records, message", [
+        ("", "no count records supplied"),
+        # twelve records of a full d = 3 set and one stray label
+        ("".join(f"{b},{e},5,1.0\n" for b in range(4) for e in range(3))
+         + "0,996,5,1.0\n",
+         "element index 996 of record (0, 996) sets d = 997, but 13 records"),
+    ], ids=["header-only", "stray-label"])
+    def test_counts_too_few_for_their_dimension_exit_2(
+            self, tmp_path, capsys, monkeypatch, command, records, message):
+        build = cli.mub_bases
+
+        def small_sets_only(dimension):
+            assert dimension <= 7, f"mub_bases({dimension}) was called"
+            return build(dimension)
+
+        monkeypatch.setattr(cli, "mub_bases", small_sets_only)
+        counts = tmp_path / "counts.csv"
+        counts.write_text("basis_index,element_index,counts,exposure\n" + records)
+        out = tmp_path / "run"
+        rc = main(["tomo", *command, "--counts", str(counts), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_counts_beyond_poisson_limit(self, tmp_path, capsys):
+        # the fit draws nothing; the bootstrap cannot redraw such a count
+        main(["rho", "-d", "3", "--grid-count", "64", "--out", str(tmp_path)])
+        main(["tomo", "simulate", "--rho", str(tmp_path / "rho.json"),
+              "--out", str(tmp_path)])
+        counts = tmp_path / "counts.csv"
+        header, first, *rest = counts.read_text().splitlines()
+        basis, element, _, exposure = first.split(",")
+        counts.write_text("\n".join(
+            [header, f"{basis},{element},{10**20},{exposure}", *rest]) + "\n")
+        assert main(["tomo", "reconstruct", "--counts", str(counts),
+                     "--out", str(tmp_path / "fit")]) == 0
+        log = json.loads((tmp_path / "fit" / "reconstruction_log.json").read_text())
+        assert log["converged"]
+        capsys.readouterr()
+        out = tmp_path / "boot"
+        rc = main(["tomo", "bootstrap", "--counts", str(counts),
+                   "--resamples", "2", "--out", str(out)])
+        assert rc == 2
+        assert "counts must be at most 1e+18" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", [["--flux", "inf"], ["--flux", "1e300"],
                                       ["--background", "inf"]])
@@ -639,7 +731,7 @@ class TestPipelineSubcommands:
         counts = tmp_path / "counts.csv"
         counts.write_text(f"basis_index,element_index,counts,exposure\n"
                           f"0,1,4,1.0\n{line}\n")
-        rc = main(["tomo", *command, "--counts", str(counts), "-d", "3",
+        rc = main(["tomo", *command, "--counts", str(counts),
                    "--out", str(tmp_path)])
         assert rc == 2
         assert message in capsys.readouterr().err
@@ -656,7 +748,7 @@ class TestPipelineSubcommands:
         counts.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
         capsys.readouterr()
         out = tmp_path / "run"
-        rc = main(["tomo", *command, "--counts", str(counts), "-d", "3",
+        rc = main(["tomo", *command, "--counts", str(counts),
                    "--out", str(out)])
         assert rc == 2
         assert "multiple of the identity" in capsys.readouterr().err
@@ -672,14 +764,14 @@ class TestPipelineSubcommands:
         capsys.readouterr()
         out = tmp_path / "run"
         rc = main(["tomo", *command, "--counts", str(tmp_path / "counts.csv"),
-                   "-d", "3", f"--tolerance={tolerance}", "--out", str(out)])
+                   f"--tolerance={tolerance}", "--out", str(out)])
         assert rc == 2
         assert "tolerance must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--rho", "{out}/rho.json", "--seed", "-1"],
-        ["bootstrap", "--counts", "{out}/counts.csv", "-d", "3",
+        ["bootstrap", "--counts", "{out}/counts.csv",
          "--resamples", "2", "--seed", "-3"],
     ])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
@@ -731,7 +823,7 @@ class TestPipelineSubcommands:
 
     @pytest.mark.parametrize("command", [
         ["rho", "--config"],
-        ["tomo", "reconstruct", "-d", "3", "--counts"],
+        ["tomo", "reconstruct", "--counts"],
         ["tomo", "simulate", "--rho"],
         ["qpg", "project", "--mode-order", "0", "--rho"],
     ])
@@ -749,7 +841,7 @@ class TestPipelineSubcommands:
         main(["tomo", "simulate", "--rho", str(tmp_path / "rho.json"),
               "--flux", "10000", "--out", str(tmp_path)])
         bootstrap = ["tomo", "bootstrap", "--counts", str(tmp_path / "counts.csv"),
-                     "-d", "3", "--resamples", "4", "--out", str(tmp_path)]
+                     "--resamples", "4", "--out", str(tmp_path)]
         assert main(bootstrap) == 0
         boot = json.loads((tmp_path / "bootstrap.json").read_text())
         assert boot["nonconverged_resamples"] == 0
@@ -776,7 +868,7 @@ class TestPipelineSubcommands:
         main(["tomo", "simulate", "--rho", str(tmp_path / "rho.json"),
               "--flux", "10000", "--seed", "3", "--out", str(tmp_path)])
         rc = main(["tomo", "reconstruct", "--counts",
-                   str(tmp_path / "counts.csv"), "-d", "7",
+                   str(tmp_path / "counts.csv"),
                    "--max-iterations", "2", "--tolerance", "1e-30",
                    "--out", str(tmp_path)])
         assert rc == 3
@@ -803,6 +895,20 @@ class TestChirpScan:
         rc = main(["chirp-scan", "--a-values", "0,abc", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_chirp_beyond_largest_square(self, tmp_path):
+        # the closed form's chirp term overflows a double: purity is its limit
+        assert main(["chirp-scan", "--a-values", "1e200", "--grid-count", "16",
+                     "--out", str(tmp_path / "scan")]) == 0
+        header, row = (tmp_path / "scan" / "chirp_scan.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["analytic_purity"] == \
+            "0.000000000000e+00"
+        with pytest.warns(BasisMismatchWarning):  # a 16-point grid leaks
+            assert main(["preset", "a", "--chirp-fs2", "1e200", "--grid-count", "16",
+                         "-d", "3", "--resamples", "2",
+                         "--out", str(tmp_path / "preset")]) == 0
+        summary = json.loads((tmp_path / "preset" / "summary.json").read_text())
+        assert summary["analytic_purity"] == 0.0
+
 
 class TestChirpScanLibrary:
     def test_matched_configuration_tracks_closed_form(self):
@@ -811,6 +917,27 @@ class TestChirpScanLibrary:
         rows = presets.chirp_scan([0.0, 0.38e6], config)
         for row in rows:
             assert abs(row["svd_purity"] - row["analytic_purity"]) < 1e-3
+
+
+class TestReadme:
+    def test_command_line_examples_parse(self):
+        # a flag removed from the command line must go from the README too
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+        lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines
+                    if line.startswith("tmsim ")]
+        assert {argv[0] for argv in commands} == {
+            "preset", "jsa", "schmidt", "rho", "qpg", "tomo", "chirp-scan"}
+        parser = build_parser()
+        failures = []
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                failures.append(" ".join(argv))
+        assert not failures
 
 
 class TestImports:

@@ -745,6 +745,14 @@ class TestChirpPurityAnalytic:
         purity = chirp_purity_analytic(0.38e6, sigma_s, sigma_i)
         assert 0.30 < purity < 0.38
 
+    @pytest.mark.parametrize("chirp, sigma", [
+        (1e200, 0.01),  # the chirp's square exceeds the largest double
+        (1e150, 1e10),  # the finite square times the widths does
+        (np.float64(1e200), np.float64(0.01)),
+    ])
+    def test_beyond_largest_double_is_the_limit(self, chirp, sigma):
+        assert chirp_purity_analytic(chirp, sigma, sigma) == 0.0
+
 
 class TestPhotonNumberInference:
     def test_reported_values(self):
