@@ -20,7 +20,6 @@ from .pdc import (
     background_mixed_g2,
     build_jsa,
     chirp_purity_analytic,
-    fit_basis_width,
     g2_from_purity,
     jsi_marginal_sigmas,
     matched_phasematching_width,
@@ -29,7 +28,6 @@ from .pdc import (
     reduced_density_matrix,
     schmidt_decompose,
     schmidt_purity,
-    schmidt_weights,
 )
 from .qpg import (
     FilterSpec,
@@ -37,16 +35,13 @@ from .qpg import (
     ModeFilterResult,
     SelectivityModel,
     SelectivityReport,
-    SuppressionRatio,
     apply_mode_filter,
     build_mapping,
     gate_operators,
     project_probability,
     separability_report,
-    suppression_ratio,
 )
 from .spectral import (
-    BandwidthConversion,
     ChirpPhase,
     ComplexSpectrum,
     FrequencyGrid,
@@ -55,7 +50,6 @@ from .spectral import (
     convert_bandwidth,
     hg_mode,
     inner_product,
-    invert_bandwidth,
     make_grid,
     wavelength_to_omega,
 )

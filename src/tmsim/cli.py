@@ -183,12 +183,12 @@ def _cmd_qpg_map(args) -> int:
     omega_pump = wavelength_to_omega(args.qpg_pump_center_nm)
     omega_out = omega_in + omega_pump
     sigma_in = np.sqrt(2.0) * convert_bandwidth(
-        args.input_center_nm, args.input_fwhm_nm).sigma_omega
+        args.input_center_nm, args.input_fwhm_nm)
     sigma_pump = np.sqrt(2.0) * convert_bandwidth(
-        args.qpg_pump_center_nm, args.qpg_pump_fwhm_nm).sigma_omega
+        args.qpg_pump_center_nm, args.qpg_pump_fwhm_nm)
     out_center_nm = 2.0 * np.pi * SPEED_OF_LIGHT_M_PER_S * 1e-6 / omega_out
     sigma_out = np.sqrt(2.0) * convert_bandwidth(
-        out_center_nm, args.output_fwhm_nm).sigma_omega
+        out_center_nm, args.output_fwhm_nm)
 
     input_grid = make_grid(omega_in, 12.0 * max(sigma_in, sigma_pump), args.count)
     output_grid = make_grid(omega_out, 14.0 * sigma_out, args.count)

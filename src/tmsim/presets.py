@@ -140,7 +140,7 @@ class PumpConfig:
 
     def amplitude_sigma(self) -> float:
         # intensity std -> amplitude width parameter of the field envelope
-        return np.sqrt(2.0) * convert_bandwidth(self.center_nm, self.fwhm_nm).sigma_omega
+        return np.sqrt(2.0) * convert_bandwidth(self.center_nm, self.fwhm_nm)
 
 
 #: the reference source (default pump, matched 45-degree Gaussian ridge) is
@@ -295,11 +295,6 @@ def merge_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConf
         merged[section].update(value)
     return ExperimentConfig(**{section: cls(**merged[section])
                                for section, cls in _SECTIONS.items()})
-
-
-def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a configuration from a nested dict over the defaults."""
-    return merge_overrides(ExperimentConfig(), data)
 
 
 def preset_config(case: str) -> ExperimentConfig:
@@ -500,7 +495,7 @@ def load_manifest(manifest_path: str):
     for key in ("case", "config"):
         if key not in manifest:
             raise InvalidArgumentError(f"manifest is missing the {key!r} entry")
-    return manifest["case"], config_from_dict(manifest["config"])
+    return manifest["case"], merge_overrides(ExperimentConfig(), manifest["config"])
 
 
 def run_from_manifest(manifest_path: str, output_dir: str = ".") -> dict:

@@ -70,7 +70,6 @@ class SelectivityReport:
 
     schmidt_weights: np.ndarray
     dominant_input_mode: ComplexSpectrum
-    dominant_output_mode: ComplexSpectrum
     separability: float
 
 
@@ -81,11 +80,10 @@ def separability_report(xi: MappingFunction, max_modes: int = 20) -> Selectivity
     full spectrum, s_0^2 / ||xi||_F^2 (1 for a rank-one, perfectly
     mode-selective gate), not renormalized over the kept modes;
     `schmidt_weights` are renormalized over the kept modes."""
-    weights, input_modes, output_modes, residual = _kernel_schmidt(
+    weights, input_modes, _, residual = _kernel_schmidt(
         xi.values, xi.input_grid, xi.output_grid, max_modes)
     return SelectivityReport(schmidt_weights=weights,
                              dominant_input_mode=input_modes[0],
-                             dominant_output_mode=output_modes[0],
                              separability=float(weights[0] * (1.0 - residual)))
 
 
@@ -153,28 +151,6 @@ def project_probability(rho: ModalDensityMatrix, mode: Sequence,
     state in the given mode; E is the mode's `gate_operators` element."""
     op = gate_operators(_as_unit_mode(mode, rho.dimension)[None], sel)[0]
     return float(np.clip(np.einsum("ab,ba->", op, rho.entries).real, 0.0, 1.0))
-
-
-@dataclass(frozen=True)
-class SuppressionRatio:
-    ratio: float
-    db: float
-    infinite: bool
-
-
-def suppression_ratio(rho: ModalDensityMatrix, mode_a: Sequence, mode_b: Sequence,
-                      sel: SelectivityModel = SelectivityModel()) -> SuppressionRatio:
-    """Count-rate ratio between two projections, also in dB.
-
-    A vanishing denominator is flagged rather than raised: a perfectly
-    selective gate on a pure state suppresses the orthogonal mode entirely.
-    """
-    p_a = project_probability(rho, mode_a, sel)
-    p_b = project_probability(rho, mode_b, sel)
-    if p_b <= 0.0:
-        return SuppressionRatio(ratio=np.inf, db=np.inf, infinite=True)
-    ratio = p_a / p_b
-    return SuppressionRatio(ratio=ratio, db=10.0 * np.log10(ratio), infinite=False)
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,13 @@ conversions: the shared numerical substrate of the toolkit.
 
 Internal units are angular frequency in rad/fs, time in fs and chirp in fs^2,
 which keeps all magnitudes O(1) for femtosecond pulses.  Conversions from
-nm / GHz live only in :func:`convert_bandwidth` and :func:`invert_bandwidth`.
+nm live only in :func:`convert_bandwidth` and :func:`wavelength_to_omega`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -199,21 +198,11 @@ def apply_chirp(spectrum: ComplexSpectrum, chirp: ChirpPhase) -> ComplexSpectrum
     return ComplexSpectrum(grid, spectrum.amplitudes * phase)
 
 
-class BandwidthConversion(NamedTuple):
-    """Frequency-domain view of a wavelength bandwidth."""
-
-    fwhm_frequency_ghz: float
-    sigma_omega: float  # intensity standard deviation, rad/fs
-
-
 def convert_bandwidth(center_wavelength_nm: float,
-                      fwhm_wavelength_nm: float) -> BandwidthConversion:
-    """Convert an intensity-FWHM wavelength bandwidth to frequency units.
-
-    Returns the intensity FWHM in GHz and the corresponding intensity
-    standard deviation of angular frequency in rad/fs
-    (FWHM = 2 sqrt(2 ln 2) sigma); both must come out finite and positive.
-    """
+                      fwhm_wavelength_nm: float) -> float:
+    """Intensity standard deviation of angular frequency, in rad/fs, of an
+    intensity-FWHM wavelength bandwidth (FWHM = 2 sqrt(2 ln 2) sigma); it
+    must come out finite and positive."""
     if not (0 < center_wavelength_nm < np.inf and 0 < fwhm_wavelength_nm < np.inf):
         raise InvalidArgumentError(
             "center and FWHM wavelengths must both be finite and positive, got "
@@ -223,34 +212,12 @@ def convert_bandwidth(center_wavelength_nm: float,
         fwhm_hz = SPEED_OF_LIGHT_M_PER_S * fwhm * 1e-9 / (center * 1e-9) ** 2
     except (ZeroDivisionError, OverflowError):
         fwhm_hz = np.nan
-    fwhm_ghz = fwhm_hz * 1e-9
     sigma_rad_per_fs = 2.0 * np.pi * fwhm_hz * 1e-15 / FWHM_PER_SIGMA
-    if not (0 < fwhm_ghz < np.inf and 0 < sigma_rad_per_fs < np.inf):
+    if not 0 < sigma_rad_per_fs < np.inf:
         raise InvalidArgumentError(
             f"the bandwidth conversion of {center_wavelength_nm} nm and "
             f"{fwhm_wavelength_nm} nm is not finite and positive")
-    return BandwidthConversion(fwhm_frequency_ghz=fwhm_ghz,
-                               sigma_omega=sigma_rad_per_fs)
-
-
-def invert_bandwidth(center_wavelength_nm: float,
-                     fwhm_frequency_ghz: float) -> float:
-    """Inverse of :func:`convert_bandwidth`: FWHM in GHz back to nm, which
-    must come out finite and positive."""
-    if not (0 < center_wavelength_nm < np.inf and 0 < fwhm_frequency_ghz < np.inf):
-        raise InvalidArgumentError(
-            "center wavelength and FWHM frequency must both be finite and "
-            f"positive, got {center_wavelength_nm} nm and {fwhm_frequency_ghz} GHz")
-    try:
-        center, fwhm = float(center_wavelength_nm), float(fwhm_frequency_ghz)
-        fwhm_nm = (fwhm * 1e9 * (center * 1e-9) ** 2 / SPEED_OF_LIGHT_M_PER_S) * 1e9
-    except OverflowError:
-        fwhm_nm = np.nan
-    if not 0 < fwhm_nm < np.inf:
-        raise InvalidArgumentError(
-            f"the bandwidth conversion of {center_wavelength_nm} nm and "
-            f"{fwhm_frequency_ghz} GHz is not finite and positive")
-    return fwhm_nm
+    return sigma_rad_per_fs
 
 
 def wavelength_to_omega(wavelength_nm: float) -> float:

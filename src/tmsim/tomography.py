@@ -117,6 +117,10 @@ class CountRecord:
         if int(self.counts) != self.counts or self.counts < 0:
             raise InvalidArgumentError(
                 f"counts must be a non-negative integer, got {self.counts}")
+        for name in ("basis_index", "element_index"):
+            if getattr(self, name) < 0:
+                raise InvalidArgumentError(
+                    f"{name} must be non-negative, got {getattr(self, name)}")
         if not 0 < self.exposure < np.inf:
             raise InvalidArgumentError(
                 f"exposure must be finite and positive, got {self.exposure}")
@@ -486,23 +490,20 @@ def _fidelities(reference: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateMetrics:
-    purity_a: float
     fidelity: float
     trace_distance: float
 
 
 def state_metrics(rho_a: ModalDensityMatrix,
                   rho_b: ModalDensityMatrix) -> StateMetrics:
-    """Purity of the first state plus Uhlmann fidelity and trace distance
-    between the two."""
+    """Uhlmann fidelity and trace distance between two states."""
     if rho_a.dimension != rho_b.dimension:
         raise InvalidArgumentError(
             f"dimension mismatch: {rho_a.dimension} vs {rho_b.dimension}")
     a, b = rho_a.entries, rho_b.entries
     fidelity = float(_fidelities(a, b[None])[0])
     distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
-    return StateMetrics(purity_a=rho_a.purity(), fidelity=fidelity,
-                        trace_distance=distance)
+    return StateMetrics(fidelity=fidelity, trace_distance=distance)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,6 @@ from tmsim import (
     build_jsa,
     chirp_purity_analytic,
     convert_bandwidth,
-    fit_basis_width,
     g2_from_purity,
     hg_mode,
     jsi_marginal_sigmas,
@@ -32,15 +31,15 @@ from tmsim import (
     reduced_density_matrix,
     schmidt_decompose,
     schmidt_purity,
-    schmidt_weights,
     separability_report,
 )
 from tmsim import cli, pdc, presets
 from tmsim.cli import main
+from tmsim.pdc import fit_basis_width, schmidt_weights
 from tmsim.spectral import FrequencyGrid
 
 # decorrelated-source parameters: 1.72 nm pump at 769 nm
-PUMP_SIGMA = np.sqrt(2.0) * convert_bandwidth(769.0, 1.72).sigma_omega
+PUMP_SIGMA = np.sqrt(2.0) * convert_bandwidth(769.0, 1.72)
 PM_WIDTH = matched_phasematching_width(PUMP_SIGMA)
 
 
@@ -132,7 +131,7 @@ class TestBuildJsa:
         assert weights[1] > 0.4
 
     def test_narrowband_pump_anticorrelated_and_mixed(self):
-        narrow_sigma = np.sqrt(2.0) * convert_bandwidth(769.0, 0.54).sigma_omega
+        narrow_sigma = np.sqrt(2.0) * convert_bandwidth(769.0, 0.54)
         jsa = gaussian_jsa(pump_sigma=narrow_sigma)
         weights = schmidt_weights(jsa)
         assert np.sum(weights**2) < 0.7
@@ -295,7 +294,7 @@ class TestSchmidtDecompose:
         assert err < 1e-6
 
     def test_truncation_reports_residual(self):
-        narrow_sigma = np.sqrt(2.0) * convert_bandwidth(769.0, 0.54).sigma_omega
+        narrow_sigma = np.sqrt(2.0) * convert_bandwidth(769.0, 0.54)
         dec = schmidt_decompose(gaussian_jsa(pump_sigma=narrow_sigma), max_modes=2)
         assert dec.residual_weight > 1e-3
         assert abs(dec.weights.sum() - 1.0) < 1e-12
@@ -657,7 +656,7 @@ class TestReducedDensityMatrix:
     def test_purity_consistent_with_weights(self):
         # basis fitted to this state's own dominant mode, so the first
         # seven modes capture essentially all of the mixture
-        narrow_sigma = np.sqrt(2.0) * convert_bandwidth(769.0, 0.54).sigma_omega
+        narrow_sigma = np.sqrt(2.0) * convert_bandwidth(769.0, 0.54)
         jsa = gaussian_jsa(pump_sigma=narrow_sigma)
         dec = schmidt_decompose(jsa, max_modes=20)
         basis = HermiteGaussParams(order=0, center=1.223,
@@ -739,9 +738,9 @@ class TestChirpPurityAnalytic:
 
     def test_measured_marginals_bracket_reported_purity(self):
         # signal 4.9 nm at 1540 nm, idler 3.6 nm at the energy-conserving partner
-        sigma_s = convert_bandwidth(1540.0, 4.9).sigma_omega
+        sigma_s = convert_bandwidth(1540.0, 4.9)
         idler_nm = 1.0 / (1.0 / 769.0 - 1.0 / 1540.0)
-        sigma_i = convert_bandwidth(idler_nm, 3.6).sigma_omega
+        sigma_i = convert_bandwidth(idler_nm, 3.6)
         purity = chirp_purity_analytic(0.38e6, sigma_s, sigma_i)
         assert 0.30 < purity < 0.38
 

@@ -17,7 +17,6 @@ from tmsim import (
     make_grid,
     project_probability,
     separability_report,
-    suppression_ratio,
     wavelength_to_omega,
 )
 
@@ -170,44 +169,31 @@ class TestProjectProbability:
         with pytest.raises(InvalidArgumentError):
             project_probability(pure_state(0), basis_vector(0, dimension=5))
 
+    def test_crosstalk_inversion_reproduces_ratio(self):
+        # ((1 - e) + e/7) / (e/7) == 111 at e = 7/117
+        sel = SelectivityModel(crosstalk=7.0 / 117.0)
+        ratio = (project_probability(pure_state(0), basis_vector(0), sel)
+                 / project_probability(pure_state(0), basis_vector(1), sel))
+        assert ratio == pytest.approx(111.0, rel=1e-12)
+
+    def test_impure_state_ratio_drops(self):
+        # weights with purity ~0.93, dominant mode shared with the projector
+        weights = np.array([0.9643, 0.03, 0.0045, 0.0012])
+        entries = np.zeros((7, 7), dtype=complex)
+        entries[:4, :4] = np.diag(weights / weights.sum())
+        sel = SelectivityModel(crosstalk=7.0 / 117.0)
+        ratios = [project_probability(rho, basis_vector(0), sel)
+                  / project_probability(rho, basis_vector(1), sel)
+                  for rho in (pure_state(0),
+                              ModalDensityMatrix(dimension=7, entries=entries))]
+        assert ratios[1] < ratios[0]
+        assert 5.0 < ratios[1] < 60.0
+
     def test_crosstalk_range_checked(self):
         with pytest.raises(InvalidArgumentError):
             SelectivityModel(crosstalk=1.2)
         with pytest.raises(InvalidArgumentError):
             SelectivityModel(per_order_falloff=(0.0, 1.0))
-
-
-class TestSuppressionRatio:
-    def test_perfect_selectivity_flagged_infinite(self):
-        result = suppression_ratio(pure_state(0), basis_vector(0), basis_vector(1))
-        assert result.infinite
-        assert np.isinf(result.ratio)
-
-    def test_crosstalk_inversion_reproduces_ratio(self):
-        # ((1 - e) + e/7) / (e/7) == 111 at e = 7/117
-        eps = 7.0 / 117.0
-        result = suppression_ratio(pure_state(0), basis_vector(0), basis_vector(1),
-                                   SelectivityModel(crosstalk=eps))
-        assert result.ratio == pytest.approx(111.0, rel=1e-12)
-        assert result.db == pytest.approx(10 * np.log10(111.0), rel=1e-12)
-
-    def test_reported_crosstalk_scale(self):
-        result = suppression_ratio(pure_state(0), basis_vector(0), basis_vector(1),
-                                   SelectivityModel(crosstalk=0.0628))
-        assert 90.0 < result.ratio < 120.0
-
-    def test_impure_state_suppression_drops(self):
-        # weights with purity ~0.93, dominant mode shared with the projector
-        weights = np.array([0.9643, 0.03, 0.0045, 0.0012])
-        entries = np.zeros((7, 7), dtype=complex)
-        entries[:4, :4] = np.diag(weights / weights.sum())
-        rho = ModalDensityMatrix(dimension=7, entries=entries)
-        sel = SelectivityModel(crosstalk=7.0 / 117.0)
-        coherent = suppression_ratio(pure_state(0), basis_vector(0),
-                                     basis_vector(1), sel)
-        pdc = suppression_ratio(rho, basis_vector(0), basis_vector(1), sel)
-        assert pdc.ratio < coherent.ratio
-        assert 5.0 < pdc.ratio < 60.0
 
 
 class TestApplyModeFilter:

@@ -163,6 +163,12 @@ class TestSimulateCounts:
     def test_record_validation(self):
         with pytest.raises(InvalidArgumentError):
             CountRecord(0, 0, counts=-1)
+        with pytest.raises(InvalidArgumentError,
+                           match="basis_index must be non-negative, got -1"):
+            CountRecord(-1, 0, counts=3)
+        with pytest.raises(InvalidArgumentError,
+                           match="element_index must be non-negative, got -2"):
+            CountRecord(0, -2, counts=3)
         for exposure in (0.0, np.inf, np.nan):
             with pytest.raises(InvalidArgumentError, match="finite and positive"):
                 CountRecord(0, 0, counts=3, exposure=exposure)
@@ -331,7 +337,6 @@ class TestStateMetrics:
         mixed = ModalDensityMatrix(dimension=7, entries=np.eye(7) / 7.0)
         metrics = state_metrics(pure_state(3), mixed)
         assert metrics.fidelity == pytest.approx(1.0 / 7.0, abs=1e-12)
-        assert metrics.purity_a == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
