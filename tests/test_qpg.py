@@ -176,6 +176,12 @@ class TestProjectProbability:
                  / project_probability(pure_state(0), basis_vector(1), sel))
         assert ratio == pytest.approx(111.0, rel=1e-12)
 
+    def test_reported_crosstalk_scale(self):
+        sel = SelectivityModel(crosstalk=0.0628)
+        ratio = (project_probability(pure_state(0), basis_vector(0), sel)
+                 / project_probability(pure_state(0), basis_vector(1), sel))
+        assert 90.0 < ratio < 120.0
+
     def test_impure_state_ratio_drops(self):
         # weights with purity ~0.93, dominant mode shared with the projector
         weights = np.array([0.9643, 0.03, 0.0045, 0.0012])

@@ -170,6 +170,7 @@ class TestConvertBandwidth:
         (1e300, 1.72),    # the squared centre overflows
         (1e-150, 1e300),  # the frequency FWHM overflows
         (1e100, 1e-300),  # the frequency FWHM underflows to zero
+        (769.0, 1e300),   # the frequency FWHM overflows at a visible centre
     ])
     def test_unrepresentable_result_rejected(self, args):
         with pytest.raises(InvalidArgumentError, match="not finite and positive"):
