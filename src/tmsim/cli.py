@@ -149,7 +149,7 @@ def _cmd_jsa(args) -> int:
     config = _resolve_config(args)
     jsa = presets.build_state(config)
     out = Path(args.out)
-    presets.write_jsa(jsa, out)
+    serialize.write_jsa(jsa, out)
     print(f"wrote joint amplitude ({config.grid.count}x{config.grid.count}) to {out}")
     return EXIT_OK
 
@@ -198,7 +198,7 @@ def _cmd_qpg_map(args) -> int:
                        input_grid, output_grid, group_velocity_mismatch=args.skew)
     report = separability_report(xi)
     out = Path(args.out)
-    write_text(out / "mapping.csv", serialize.mapping_to_csv(xi))
+    write_text(out / "mapping.csv", serialize.mapping_csv_chunks(xi))
     write_text(out / "separability.json",
                serialize.dump_json(serialize.selectivity_report_to_dict(report)))
     print(f"separability {report.separability:.6f}")

@@ -372,14 +372,6 @@ def tomography_basis(config: ExperimentConfig) -> HermiteGaussParams:
 
 # --- runners ---------------------------------------------------------------
 
-def write_jsa(jsa: JointSpectralAmplitude, out: Path) -> None:
-    """Write the joint amplitude's grid files, jsa.csv, jsi.csv and
-    jsa.json, into the directory ``out``."""
-    write_text(out / "jsa.csv", serialize.jsa_to_csv(jsa))
-    write_text(out / "jsi.csv", serialize.jsi_to_csv(jsa))
-    write_text(out / "jsa.json", serialize.dump_json(serialize.jsa_to_dict(jsa)))
-
-
 def run_preset(case: str, config: Optional[ExperimentConfig] = None,
                output_dir: str = ".") -> dict:
     """Run the full pipeline for one preset and write its artifacts.
@@ -432,7 +424,7 @@ def run_preset(case: str, config: Optional[ExperimentConfig] = None,
     filter_analysis = _filter_analysis(rho_true, config.qpg.filter_efficiency)
 
     out = Path(output_dir)
-    write_jsa(jsa, out)
+    serialize.write_jsa(jsa, out)
     write_text(out / "counts.csv", serialize.count_records_to_csv(records))
     dec = schmidt_decompose(jsa, max_modes=20)
     write_text(out / "schmidt.json",

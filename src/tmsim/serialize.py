@@ -25,13 +25,19 @@ output is identical to ``format_float`` per value by construction.  Where
 take the ``%`` path; the output stays exact.
 
 The layout step puts each field's separator after it and drops the NUL
-padding, in chunks of ``_CHUNK`` values so that the working set stays
-small.
+padding, in chunks of about ``_CHUNK`` values, each returned as ASCII
+bytes, so that the working set stays small.  The text of a grid artifact
+never exists whole: ``write_text`` writes such chunks to the file as they
+are laid out, and ``write_jsa`` lays out each block of the joint
+amplitude's formatted values as CSV lines and JSON array text side by
+side.  JSON arrays render NaN and infinity as ``null``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -142,11 +148,26 @@ def _json_separators(rank: int) -> np.ndarray:
     return _separators(["]" * z + "," + "[" * z for z in range(rank)] + ["]" * rank])
 
 
-def _layout(slots: np.ndarray, start: int, shape: tuple, seps: np.ndarray) -> str:
+_NULL_SLOT = np.frombuffer(b"null".ljust(_SLOT, b"\0"), np.uint8)
+
+
+def _nulled(slots: np.ndarray, values) -> np.ndarray:
+    """``slots`` of ``values`` with JSON's ``null`` in place of NaN and
+    infinity, written in place."""
+    slots[~np.isfinite(values).ravel()] = _NULL_SLOT
+    return slots
+
+
+def _json_slots(values) -> np.ndarray:
+    return _nulled(_float_slots(values), values)
+
+
+def _layout(slots: np.ndarray, start: int, shape: tuple, seps: np.ndarray) -> bytes:
     """The text of the whole last-axis rows of a C-ordered array of
     ``shape`` whose fields from flat index ``start`` on have ``slots``:
     each field followed by ``seps[z]``, z being the number of axes it
-    closes, with the NULs dropped."""
+    closes, with the NULs dropped.  The separators may be written into
+    ``slots``."""
     width = shape[-1] if shape else 1
     rows = len(slots) // width
     row_ends = np.arange(start // width + 1, start // width + rows + 1)
@@ -161,75 +182,86 @@ def _layout(slots: np.ndarray, start: int, shape: tuple, seps: np.ndarray) -> st
     cells = slots.reshape(rows, width, -1)
     cells[:, :-1, _SEP_AT:stop] = seps[0]
     cells[:, -1, _SEP_AT:stop] = seps[closed]
-    return slots.tobytes().translate(None, b"\0").decode("ascii")
+    return slots.tobytes().translate(None, b"\0")
 
 
-def _float_text(shape: tuple, fields, seps: np.ndarray) -> str:
-    """The text of a C-ordered array of ``shape`` whose fields ``a`` to
-    ``b`` have the slots ``fields(a, b)``, laid out in chunks of whole
-    last-axis rows."""
-    size = int(np.prod(shape))
-    step = max(1, _CHUNK // shape[-1]) * shape[-1] if shape else 1
-    return "".join([_layout(fields(a, min(a + step, size)), a, shape, seps)
-                    for a in range(0, size, step)])
-
-
-def _float_array_text(values: np.ndarray, seps: np.ndarray) -> str:
+def _float_chunks(values: np.ndarray, seps: np.ndarray, slots=_float_slots):
+    """The text of the float array ``values``, each field's slot made by
+    ``slots``, yielded in chunks of whole last-axis rows."""
     flat = values.reshape(-1)
-    return _float_text(values.shape, lambda a, b: _float_slots(flat[a:b]), seps)
+    step = max(1, _CHUNK // values.shape[-1]) * values.shape[-1] if values.ndim else 1
+    for a in range(0, flat.size, step):
+        yield _layout(slots(flat[a:a + step]), a, values.shape, seps)
+
+
+def _text(chunks) -> str:
+    return b"".join(chunks).decode("ascii")
 
 
 def float_rows_to_csv(header: str, rows) -> str:
     """``header``, then one line per row of ``rows``, one float per column
     the header names."""
     values = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
-    return header + "\n" + _float_array_text(values, _CSV_SEPARATORS)
+    return header + "\n" + _text(_float_chunks(values, _CSV_SEPARATORS))
+
+
+class _Rendered:
+    """A JSON value given as the chunks of its text, which ``_render_json``
+    writes as they come."""
+
+    def __init__(self, chunks):
+        self.chunks = chunks
 
 
 def dump_json(obj) -> str:
     """Render a plain dict/list tree with sorted keys and %.12e floats."""
     parts = []
-    _render_json(obj, parts)
-    return "".join(parts) + "\n"
+    _render_json(obj, parts.append)
+    parts.append(b"\n")
+    return _text(parts)
 
 
-def _render_json(obj, parts) -> None:
+def _render_json(obj, write) -> None:
+    """Pass the ASCII text of ``obj`` to ``write`` in chunks of bytes."""
     if obj is None:
-        parts.append("null")
+        write(b"null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        parts.append("true" if obj else "false")
+        write(b"true" if obj else b"false")
     elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
+        write(b"%d" % int(obj))
     elif isinstance(obj, (float, np.floating)):
         # JSON has no NaN/inf; empty-branch statistics serialize as null
-        parts.append(format_float(obj) if np.isfinite(obj) else "null")
+        write(format_float(obj).encode("ascii") if np.isfinite(obj) else b"null")
     elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
+        write(json.dumps(obj).encode("ascii"))
     elif isinstance(obj, dict):
-        parts.append("{")
+        write(b"{")
         for i, key in enumerate(sorted(obj)):
             if not isinstance(key, str):
                 raise InvalidArgumentError("JSON object keys must be strings")
             if i:
-                parts.append(",")
-            parts.append(json.dumps(key) + ":")
-            _render_json(obj[key], parts)
-        parts.append("}")
+                write(b",")
+            write(json.dumps(key).encode("ascii") + b":")
+            _render_json(obj[key], write)
+        write(b"}")
+    elif isinstance(obj, _Rendered):
+        for chunk in obj.chunks:
+            write(chunk)
     elif isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.size and np.isfinite(obj).all():
-            parts.append("[" * obj.ndim)
-            parts.append(_float_array_text(obj, _json_separators(obj.ndim)))
+        if obj.dtype.kind == "f" and obj.size:
+            write(b"[" * obj.ndim)
+            for chunk in _float_chunks(obj, _json_separators(obj.ndim), _json_slots):
+                write(chunk)
         else:
-            # integers, booleans, non-finite floats (null) and empty shapes
-            # element-wise
-            _render_json(obj.tolist(), parts)
+            # integers, booleans and empty shapes element-wise
+            _render_json(obj.tolist(), write)
     elif isinstance(obj, (list, tuple)):
-        parts.append("[")
+        write(b"[")
         for i, item in enumerate(obj):
             if i:
-                parts.append(",")
-            _render_json(item, parts)
-        parts.append("]")
+                write(b",")
+            _render_json(item, write)
+        write(b"]")
     else:
         raise InvalidArgumentError(
             f"cannot serialize object of type {type(obj).__name__}")
@@ -252,42 +284,107 @@ def jsa_to_dict(jsa: JointSpectralAmplitude) -> dict:
             "im": jsa.amplitudes.imag}
 
 
-def _grid_pair_csv(header: str, row_grid: FrequencyGrid, col_grid: FrequencyGrid,
-                   *columns: np.ndarray) -> str:
-    """One line per grid point: the row and column frequencies, then each
-    (row count, column count) array's value there.  The frequencies are
-    formatted once per grid and their slots repeated on every line."""
+_JSA_HEADER = b"omega_s,omega_i,real,imag\n"
+_JSI_HEADER = b"omega_s,omega_i,intensity\n"
+_MAPPING_HEADER = b"omega_in,omega_out,real,imag\n"
+
+
+def _row_blocks(shape: tuple, fields_per_point: int):
+    """``(first, stop)`` of each block of whole grid rows, about ``_CHUNK``
+    fields each, of a grid of ``shape`` written ``fields_per_point`` fields
+    per point."""
+    step = max(1, _CHUNK // (shape[1] * fields_per_point))
+    return [(a, min(a + step, shape[0])) for a in range(0, shape[0], step)]
+
+
+def _grid_lines(row_slots: np.ndarray, col_slots: np.ndarray, first: int,
+                *columns: np.ndarray) -> bytes:
+    """The CSV lines of the grid rows from ``first`` on, one per point: its
+    row and column frequencies, then its slot in each of ``columns``.  The
+    frequencies are formatted once per grid and their slots repeated on
+    every line."""
+    cols = len(col_slots)
+    rows = len(columns[0]) // cols
+    width = 2 + len(columns)
+    slots = np.empty((rows, cols, width, _SLOT), np.uint8)
+    slots[:, :, 0] = row_slots[first:first + rows, None]
+    slots[:, :, 1] = col_slots
+    for k, column in enumerate(columns, start=2):
+        slots[:, :, k] = column.reshape(rows, cols, _SLOT)
+    return _layout(slots.reshape(-1, _SLOT), first * cols * width,
+                   (len(row_slots) * cols, width), _CSV_SEPARATORS)
+
+
+def _grid_pair_chunks(header: bytes, row_grid: FrequencyGrid, col_grid: FrequencyGrid,
+                      *columns: np.ndarray):
+    """``header``, then one line per grid point: the row and column
+    frequencies, then each (row count, column count) array's value there,
+    yielded in blocks of grid rows."""
     row_slots = _float_slots(row_grid.points)
     col_slots = _float_slots(col_grid.points)
-    values = np.stack(columns, axis=-1).reshape(-1, len(columns))
-    width = 2 + len(columns)
-
-    def fields(a, b):
-        first, stop = a // width, b // width
-        lines = np.arange(first, stop)
-        slots = np.empty((stop - first, width, _SLOT), np.uint8)
-        slots[:, 0] = row_slots[lines // col_grid.count]
-        slots[:, 1] = col_slots[lines % col_grid.count]
-        slots[:, 2:] = _float_slots(values[first:stop]).reshape(stop - first, -1, _SLOT)
-        return slots.reshape(-1, _SLOT)
-
-    return header + "\n" + _float_text((len(values), width), fields, _CSV_SEPARATORS)
+    yield header
+    for a, b in _row_blocks(columns[0].shape, 2 + len(columns)):
+        yield _grid_lines(row_slots, col_slots, a,
+                          *(_float_slots(column[a:b]) for column in columns))
 
 
 def jsa_to_csv(jsa: JointSpectralAmplitude) -> str:
-    return _grid_pair_csv("omega_s,omega_i,real,imag", jsa.signal_grid,
-                          jsa.idler_grid, jsa.amplitudes.real, jsa.amplitudes.imag)
+    return _text(_grid_pair_chunks(_JSA_HEADER, jsa.signal_grid, jsa.idler_grid,
+                                   jsa.amplitudes.real, jsa.amplitudes.imag))
 
 
 def jsi_to_csv(jsa: JointSpectralAmplitude) -> str:
     """Phase-blind |f|^2 view of a joint amplitude."""
-    return _grid_pair_csv("omega_s,omega_i,intensity", jsa.signal_grid,
-                          jsa.idler_grid, jsa.intensity())
+    return _text(_grid_pair_chunks(_JSI_HEADER, jsa.signal_grid, jsa.idler_grid,
+                                   jsa.intensity()))
+
+
+def mapping_csv_chunks(xi: MappingFunction):
+    """The text of ``mapping.csv`` in chunks of bytes, for ``write_text``."""
+    return _grid_pair_chunks(_MAPPING_HEADER, xi.input_grid, xi.output_grid,
+                             xi.values.real, xi.values.imag)
 
 
 def mapping_to_csv(xi: MappingFunction) -> str:
-    return _grid_pair_csv("omega_in,omega_out,real,imag", xi.input_grid,
-                          xi.output_grid, xi.values.real, xi.values.imag)
+    return _text(mapping_csv_chunks(xi))
+
+
+def write_jsa(jsa: JointSpectralAmplitude, out: Path) -> None:
+    """Write the joint amplitude's grid files, jsa.csv, jsi.csv and
+    jsa.json, into the directory ``out``.
+
+    The three files are written side by side, one block of grid rows at a
+    time, so each real part, imaginary part and intensity is formatted
+    once.  jsa.json's keys are sorted, so its "im" array streams with the
+    CSV files and only the laid-out "re" array is held until "im" is
+    complete.
+    """
+    amplitudes = jsa.amplitudes
+    shape = amplitudes.shape
+    row_slots = _float_slots(jsa.signal_grid.points)
+    col_slots = _float_slots(jsa.idler_grid.points)
+    seps = _json_separators(2)
+    re_text = [b"[["]
+    with (_artifact(out / "jsa.csv") as csv, _artifact(out / "jsi.csv") as jsi,
+          _artifact(out / "jsa.json") as js):
+        csv.write(_JSA_HEADER)
+        jsi.write(_JSI_HEADER)
+
+        def im_text():
+            # rendering "im" drives the CSV files
+            yield b"[["
+            for a, b in _row_blocks(shape, 4):
+                block = amplitudes[a:b]
+                re, im = _float_slots(block.real), _float_slots(block.imag)
+                csv.write(_grid_lines(row_slots, col_slots, a, re, im))
+                jsi.write(_grid_lines(row_slots, col_slots, a,
+                                      _float_slots(np.abs(block) ** 2)))
+                re_text.append(_layout(_nulled(re, block.real), a * shape[1], shape, seps))
+                yield _layout(_nulled(im, block.imag), a * shape[1], shape, seps)
+
+        _render_json(dict(jsa_to_dict(jsa), re=_Rendered(re_text),
+                          im=_Rendered(im_text())), js.write)
+        js.write(b"\n")
 
 
 def density_to_dict(rho: ModalDensityMatrix) -> dict:
@@ -399,7 +496,29 @@ def filter_result_to_dict(result: ModeFilterResult) -> dict:
             "upconverted_empty": result.upconverted_empty}
 
 
-def write_text(path: Path, text: str) -> None:
-    """Write an artifact as UTF-8 with ``\\n`` line endings, creating its directory."""
+@contextlib.contextmanager
+def _artifact(path: Path):
+    """A binary file, in a new directory if need be, that becomes ``path``
+    only when the block completes.  Until then its bytes go to a temporary
+    file next to ``path``, which an exception removes, so a failed write
+    leaves neither a partial artifact nor the temporary file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: Path, text) -> None:
+    """Write an artifact, a ``str`` as UTF-8 or an iterable of ASCII byte
+    chunks as they come, with ``\\n`` line endings, creating its
+    directory.  The artifact appears whole or not at all."""
+    with _artifact(path) as fh:
+        if isinstance(text, str):
+            fh.write(text.encode("utf-8"))
+        else:
+            fh.writelines(text)

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,10 +16,12 @@ from tmsim import (
     JointSpectralAmplitude,
     MappingFunction,
     ModalDensityMatrix,
+    build_mapping,
     hg_mode,
     make_grid,
 )
-from tmsim import presets, serialize
+from tmsim import cli, presets, serialize
+from tmsim.cli import main
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300,
                   np.nan, np.inf, -np.inf]
@@ -62,6 +65,18 @@ def reference_grid_pair_csv(header, row_grid, col_grid, *columns):
                                   for row in rows))
         lines.extend(f"{prefix},{','.join(cell)}" for cell in cells)
     return "\n".join(lines) + "\n"
+
+
+def reference_jsa_json(signal, idler, re_text, im_text):
+    """jsa.json around the given texts of its "re" and "im" arrays."""
+    grid = {name: serialize.dump_json(serialize.grid_to_dict(g))[:-1]
+            for name, g in (("signal", signal), ("idler", idler))}
+    return (f'{{"idler_grid":{grid["idler"]},"im":{im_text},"re":{re_text},'
+            f'"signal_grid":{grid["signal"]}}}\n')
+
+
+def read(path):
+    return path.read_bytes().decode("ascii")
 
 
 def non_finite_grid(rows, cols, seed=3):
@@ -239,44 +254,60 @@ class TestJsaFormats:
 
 
 class TestGridCsvMatchesPerCellLoop:
-    """The block-filled grid writers against the per-cell loop they
-    replaced, on a non-square grid holding NaN and infinite cells."""
+    """The block-filled grid writers, and the files ``write_jsa`` and the
+    mapping chunks write, against the per-cell loop they replaced, on a
+    non-square grid holding NaN and infinite cells."""
 
     signal = make_grid(1.223, 0.02, 5)
     idler = make_grid(1.220, 0.03, 8)
     values = non_finite_grid(5, 8)
 
-    def test_jsa_and_jsi(self):
+    def test_jsa_and_jsi(self, tmp_path):
         jsa = unchecked(JointSpectralAmplitude, signal_grid=self.signal,
                         idler_grid=self.idler, amplitudes=self.values)
-        assert serialize.jsa_to_csv(jsa) == reference_grid_pair_csv(
+        expected_jsa = reference_grid_pair_csv(
             "omega_s,omega_i,real,imag", self.signal, self.idler,
             self.values.real, self.values.imag)
+        assert serialize.jsa_to_csv(jsa) == expected_jsa
         with np.errstate(invalid="ignore", over="ignore"):
             intensity = jsa.intensity()
-            assert serialize.jsi_to_csv(jsa) == reference_grid_pair_csv(
+            expected_jsi = reference_grid_pair_csv(
                 "omega_s,omega_i,intensity", self.signal, self.idler, intensity)
+            assert serialize.jsi_to_csv(jsa) == expected_jsi
+            serialize.write_jsa(jsa, tmp_path)
         assert np.isnan(intensity).any() and np.isinf(intensity).any()
+        assert read(tmp_path / "jsa.csv") == expected_jsa
+        assert read(tmp_path / "jsi.csv") == expected_jsi
+        # non-finite parts render as null, value by value
+        assert read(tmp_path / "jsa.json") == reference_jsa_json(
+            self.signal, self.idler, serialize.dump_json(self.values.real.tolist())[:-1],
+            serialize.dump_json(self.values.imag.tolist())[:-1])
+        assert "null" in read(tmp_path / "jsa.json")
 
-    def test_mapping(self):
+    def test_mapping(self, tmp_path):
         xi = unchecked(MappingFunction, input_grid=self.signal,
                        output_grid=self.idler, values=self.values)
-        assert serialize.mapping_to_csv(xi) == reference_grid_pair_csv(
+        expected = reference_grid_pair_csv(
             "omega_in,omega_out,real,imag", self.signal, self.idler,
             self.values.real, self.values.imag)
+        assert serialize.mapping_to_csv(xi) == expected
+        serialize.write_text(tmp_path / "mapping.csv", serialize.mapping_csv_chunks(xi))
+        assert read(tmp_path / "mapping.csv") == expected
 
     @pytest.mark.parametrize("chunk", [1, 5, 7, 64])
-    def test_chunks_that_split_the_grid(self, monkeypatch, chunk):
+    def test_chunks_that_split_the_grid(self, monkeypatch, tmp_path, chunk):
         monkeypatch.setattr(serialize, "_CHUNK", chunk)
-        self.test_jsa_and_jsi()
-        self.test_mapping()
+        self.test_jsa_and_jsi(tmp_path)
+        self.test_mapping(tmp_path)
         rows = self.values.real[:, :3]
         assert serialize.float_rows_to_csv("a,b,c", rows) == "a,b,c\n" + "".join(
             ",".join(percent_texts(row)) + "\n" for row in rows)
         arr = np.nan_to_num(self.values.imag.reshape(2, 4, 5), posinf=2.5, neginf=-1e-310)
         assert serialize.dump_json(arr) == reference_json_fill(arr) + "\n"
+        arr = self.values.imag.reshape(2, 4, 5)
+        assert serialize.dump_json(arr) == serialize.dump_json(arr.tolist())
 
-    def test_grid_larger_than_a_chunk(self):
+    def test_grid_larger_than_a_chunk(self, tmp_path):
         # 181 x 191 lines of 4 fields: neither a multiple of the chunk nor
         # of the line length
         signal, idler = make_grid(1.223, 0.02, 181), make_grid(1.220, 0.03, 191)
@@ -284,8 +315,100 @@ class TestGridCsvMatchesPerCellLoop:
         values = rng.normal(size=(181, 191)) + 1j * rng.normal(size=(181, 191))
         jsa = unchecked(JointSpectralAmplitude, signal_grid=signal,
                         idler_grid=idler, amplitudes=values)
-        assert serialize.jsa_to_csv(jsa) == reference_grid_pair_csv(
+        expected = reference_grid_pair_csv(
             "omega_s,omega_i,real,imag", signal, idler, values.real, values.imag)
+        assert serialize.jsa_to_csv(jsa) == expected
+        serialize.write_jsa(jsa, tmp_path)
+        assert read(tmp_path / "jsa.csv") == expected
+        assert read(tmp_path / "jsi.csv") == reference_grid_pair_csv(
+            "omega_s,omega_i,intensity", signal, idler, np.abs(values) ** 2)
+        assert read(tmp_path / "jsa.json") == reference_jsa_json(
+            signal, idler, reference_json_fill(values.real),
+            reference_json_fill(values.imag))
+        xi = unchecked(MappingFunction, input_grid=signal, output_grid=idler,
+                       values=values)
+        serialize.write_text(tmp_path / "mapping.csv", serialize.mapping_csv_chunks(xi))
+        assert read(tmp_path / "mapping.csv") == reference_grid_pair_csv(
+            "omega_in,omega_out,real,imag", signal, idler, values.real, values.imag)
+
+
+def traced_peak(write) -> int:
+    """The peak of memory traced while ``write()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def failing_on_second_block(monkeypatch, error, calls_per_block, directory, seen):
+    """Make ``_float_slots`` raise ``error`` when the second block of grid
+    rows is formatted, after listing ``directory`` into ``seen``."""
+    real, blocks = serialize._float_slots, []
+
+    def slots(values):
+        if np.ndim(values) == 2:  # grid rows, not grid points
+            blocks.append(None)
+            if len(blocks) > calls_per_block:
+                seen.extend(sorted(p.name for p in directory.iterdir()))
+                raise error
+        return real(values)
+
+    monkeypatch.setattr(serialize, "_CHUNK", 64)
+    monkeypatch.setattr(serialize, "_float_slots", slots)
+
+
+class TestStreamedWrites:
+    """Grid artifacts go to disk block by block, through a temporary file
+    that becomes the artifact only once it is whole."""
+
+    MAX_PEAK = 16 * 2**20  # the whole-string writers peaked at 42 MiB
+
+    def test_failed_write_jsa_leaves_no_file(self, monkeypatch, tmp_path):
+        (tmp_path / "jsa.csv").write_text("previous run")
+        seen = []
+        failing_on_second_block(monkeypatch, RuntimeError("kernel"), 3, tmp_path, seen)
+        with pytest.raises(RuntimeError, match="kernel"):
+            serialize.write_jsa(sample_jsa(count=12), tmp_path)
+        # the three files were open as temporaries beside the old artifact
+        assert len(seen) == 4 and all(name.endswith(".tmp") for name in seen[:3])
+        assert [p.name for p in tmp_path.iterdir()] == ["jsa.csv"]
+        assert (tmp_path / "jsa.csv").read_text() == "previous run"
+
+    @pytest.mark.parametrize("command, calls_per_block", [
+        (["jsa", "--grid-count", "16"], 3), (["qpg", "map", "--count", "16"], 2)])
+    def test_os_error_mid_write_exits_4(self, monkeypatch, tmp_path, command,
+                                        calls_per_block):
+        seen = []
+        failing_on_second_block(monkeypatch, OSError("disk full"), calls_per_block,
+                                tmp_path, seen)
+        assert main([*command, "--out", str(tmp_path)]) == 4
+        assert seen and all(name.endswith(".tmp") for name in seen)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_jsa_peak_memory(self, tmp_path):
+        jsa = presets.build_state(presets.preset_config("b"))
+        assert jsa.amplitudes.shape == (512, 512)
+        peak = traced_peak(lambda: serialize.write_jsa(jsa, tmp_path))
+        assert peak <= self.MAX_PEAK
+        assert read(tmp_path / "jsa.csv") == serialize.jsa_to_csv(jsa)
+
+    def test_mapping_csv_peak_memory(self, monkeypatch, tmp_path):
+        mappings = []
+
+        def keep(*args, **kwargs):
+            mappings.append(build_mapping(*args, **kwargs))
+            return mappings[-1]
+
+        monkeypatch.setattr(cli, "build_mapping", keep)
+        assert main(["qpg", "map", "--count", "512", "--out", str(tmp_path)]) == 0
+        (xi,) = mappings
+        again = tmp_path / "again.csv"
+        peak = traced_peak(lambda: serialize.write_text(again,
+                                                        serialize.mapping_csv_chunks(xi)))
+        assert peak <= self.MAX_PEAK
+        assert again.read_bytes() == (tmp_path / "mapping.csv").read_bytes()
 
 
 class TestChirpScanCsv:
