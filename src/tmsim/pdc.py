@@ -61,6 +61,18 @@ def matched_phasematching_width(pump_amplitude_sigma: float) -> float:
     return pump_amplitude_sigma / np.sqrt(2.0)
 
 
+def _frozen_complex(values) -> np.ndarray:
+    """`values` as a read-only C-contiguous complex array that no one can
+    write through: a read-only complex array that owns its buffer is taken
+    as is, anything else is copied and the copy marked read-only."""
+    arr = np.asarray(values)
+    if (arr.dtype != complex or arr.flags.writeable or arr.base is not None
+            or not arr.flags.c_contiguous):
+        arr = np.array(arr, dtype=complex, order="C")
+        arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class JointSpectralAmplitude:
     """Normalized two-photon amplitude f(w_s, w_i) on a signal x idler grid."""
@@ -70,16 +82,15 @@ class JointSpectralAmplitude:
     amplitudes: np.ndarray  # shape (signal count, idler count)
 
     def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=complex)
+        amp = _frozen_complex(self.amplitudes)
         expected = (self.signal_grid.count, self.idler_grid.count)
         if amp.shape != expected:
             raise InvalidArgumentError(
                 f"amplitude array shape {amp.shape} does not match grids {expected}")
-        total = np.sum(np.abs(amp) ** 2) * self.cell_area
+        total = np.vdot(amp, amp).real * self.cell_area
         if not abs(total - 1.0) <= 1e-10:
             raise InvalidArgumentError(
                 f"joint amplitude not normalized: weight {total!r}")
-        amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
 
     @property
@@ -154,6 +165,7 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
     parts = values.view(float)
     parts *= 1.0 / np.sqrt(weight)
     parts[np.abs(parts) < np.sqrt(np.finfo(float).tiny)] = 0.0
+    values.flags.writeable = False  # handed over without a copy
     return JointSpectralAmplitude(signal_grid, idler_grid, values)
 
 
@@ -304,6 +316,27 @@ def schmidt_weights(jsa: JointSpectralAmplitude) -> np.ndarray:
     return gamma / gamma.sum()
 
 
+def _support_span(weights: np.ndarray, tolerance: float) -> slice:
+    """The slice left after dropping the longest leading and the longest
+    trailing run of non-negative `weights` whose sums are each at most
+    `tolerance`."""
+    start = np.searchsorted(np.cumsum(weights), tolerance, side="right")
+    stop = weights.size - np.searchsorted(np.cumsum(weights[::-1]), tolerance,
+                                          side="right")
+    return slice(int(start), int(stop))
+
+
+def _support_block(a: np.ndarray) -> tuple:
+    """Row and column slices of the block of the C-contiguous complex
+    kernel `a` that :func:`schmidt_purity` keeps: each of the four border
+    runs it drops carries at most eps ||A||_F^2, eps = 2^-57 / min(n, m)."""
+    z = a.view(float)
+    rows = np.einsum("ij,ij->i", z, z)
+    cols = np.einsum("ij,ij->j", z, z).reshape(-1, 2).sum(axis=1)
+    tolerance = 2.0**-57 / min(a.shape) * rows.sum()
+    return _support_span(rows, tolerance), _support_span(cols, tolerance)
+
+
 def schmidt_purity(jsa: JointSpectralAmplitude) -> float:
     """Purity sum_k gamma_k^2 over all Schmidt weights, without an SVD.
 
@@ -312,16 +345,34 @@ def schmidt_purity(jsa: JointSpectralAmplitude) -> float:
     sum s^4 = ||G||_F^2 and sum s^2 = tr G.  Their ratio is the purity of
     the untruncated, normalized weights; the cell area cancels.
 
+    G is formed only over the kernel's non-negligible block.  The longest
+    leading and trailing runs of rows, and of columns, whose weight per
+    end is at most eps ||A||_F^2, eps = 2^-57 / min(n, m), are dropped
+    (:func:`_support_block`); where no border is that light the block is
+    the whole kernel.  The dropped weight is delta <= 4 eps ||A||_F^2.
+    Removed rows enter ||G||_F^2 only through off-diagonal blocks, and
+    removed columns only through a positive semidefinite term of trace at
+    most delta, so 0 <= ||A A^H||_F^2 - ||A_c A_c^H||_F^2 <= 2 delta
+    ||A||_F^2 + delta^2.  With P >= 1 / min(n, m) this gives
+    |P_crop - P| <= 2^-53 P: the reported value is the untruncated purity
+    to within one unit roundoff, below the rounding of forming G itself.
+    The grids are sized for the tomography basis, so a 1024 x 1024
+    chirp-scan row keeps ~58% of its rows and of its columns, and the
+    product below costs ~19% of the full Gram's.
+
     G is formed in real arithmetic.  With A = X + iY and z the (n, 2m)
-    float view of A, Re G = X X^T + Y Y^T = z z^T, which numpy runs as one
-    symmetric rank-k update because both operands share one buffer, and
-    Im G = Q^T - Q with Q = X Y^T.  So ||G||_F^2 = ||Re G||_F^2 +
-    ||Q - Q^T||_F^2 and tr G = tr Re G, at 2n^2 m real multiply-adds
-    against 4n^2 m for the complex product.
+    float view of the block, Re G = X X^T + Y Y^T = z z^T, which numpy
+    runs as one symmetric rank-k update because both operands share one
+    buffer, and Im G = Q^T - Q with Q = X Y^T.  So ||G||_F^2 =
+    ||Re G||_F^2 + ||Q - Q^T||_F^2 and tr G = tr Re G, at 2n^2 m real
+    multiply-adds against 4n^2 m for the complex product.
     """
     a = jsa.amplitudes
+    rows, cols = _support_block(a)
+    a = a[rows, cols]
     if a.shape[0] > a.shape[1]:
-        a = np.ascontiguousarray(a.T)  # conj(A^H A): the same spectrum
+        a = a.T  # conj(A^H A): the same spectrum
+    a = np.ascontiguousarray(a)
     z = a.view(float)
     real = z @ z.T
     trace = np.trace(real)

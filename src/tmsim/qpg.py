@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BasisMismatchError, InvalidArgumentError
-from .pdc import ModalDensityMatrix, _kernel_schmidt
+from .pdc import ModalDensityMatrix, _frozen_complex, _kernel_schmidt
 from .spectral import ComplexSpectrum, FrequencyGrid, HermiteGaussParams, hg_envelope
 
 
@@ -24,17 +24,16 @@ class MappingFunction:
     values: np.ndarray  # shape (input count, output count)
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=complex)
+        vals = _frozen_complex(self.values)
         expected = (self.input_grid.count, self.output_grid.count)
         if vals.shape != expected:
             raise InvalidArgumentError(
                 f"values shape {vals.shape} does not match grids {expected}")
-        weight = (np.sum(np.abs(vals) ** 2)
+        weight = (np.vdot(vals, vals).real
                   * self.input_grid.spacing * self.output_grid.spacing)
         if not abs(weight - 1.0) <= 1e-10:
             raise InvalidArgumentError(
                 f"mapping function not normalized: weight {weight!r}")
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
 
@@ -61,7 +60,9 @@ def build_mapping(qpg_pump: HermiteGaussParams, output_pm: HermiteGaussParams,
     if weight <= 0.0:
         raise InvalidArgumentError(
             "pump and phasematching do not overlap on the requested grids")
-    return MappingFunction(input_grid, output_grid, values / np.sqrt(weight))
+    xi = (values / np.sqrt(weight)).astype(complex)
+    xi.flags.writeable = False  # handed over without a copy
+    return MappingFunction(input_grid, output_grid, xi)
 
 
 @dataclass(frozen=True, eq=False)

@@ -175,6 +175,22 @@ class TestBuildJsa:
         total = np.sum(np.abs(jsa.amplitudes) ** 2) * jsa.cell_area
         assert abs(total - 1.0) < 1e-10
 
+    def test_amplitudes_cannot_change_after_construction(self):
+        jsa = gaussian_jsa(count=64)
+        grids = jsa.signal_grid, jsa.idler_grid
+        assert not jsa.amplitudes.flags.writeable
+        # a read-only array that owns its buffer is taken as is
+        assert JointSpectralAmplitude(*grids, jsa.amplitudes).amplitudes is jsa.amplitudes
+        # a writeable array, or a read-only view of one, is copied
+        values = np.array(jsa.amplitudes)
+        view = values.view()
+        view.flags.writeable = False
+        copies = [JointSpectralAmplitude(*grids, v) for v in (values, view)]
+        values[...] = 0.0
+        for copy in copies:
+            assert copy.amplitudes.tobytes() == jsa.amplitudes.tobytes()
+            assert not copy.amplitudes.flags.writeable
+
     @pytest.mark.parametrize("config", [
         *(presets.preset_config(case) for case in "abcd"), SCAN_ROW_CONFIG],
         ids=["a", "b", "c", "d", "scan-1024-chirp-1e6"])
@@ -481,6 +497,41 @@ def _spectrum_purity(jsa) -> float:
     return float(np.sum(schmidt_weights(jsa) ** 2))
 
 
+def _gram_purity(values) -> float:
+    """Purity from the complex Gram matrix of the whole kernel."""
+    gram = values @ values.conj().T
+    return float(np.vdot(gram, gram).real / np.trace(gram).real ** 2)
+
+
+#: the crop's stated bound |P_crop - P| <= 2^-53 P, plus the rounding of
+#: forming either Gram matrix on kernels of at most 12 x 12
+_CROP_BOUND = 2.0**-53 + 1e-13
+
+
+@st.composite
+def framed_kernels(draw):
+    """A random core of up to 6 x 6 in a frame of up to three rows or
+    columns per side; each side's strip weighs a drawn multiple of the
+    crop tolerance (the core has unit weight), on either side of 1."""
+    core = draw(hnp.arrays(np.complex128, (draw(st.integers(1, 6)),
+                                           draw(st.integers(1, 6))),
+                           elements=_ENTRY))
+    assume(np.linalg.norm(core) > 0)
+    top, bottom, left, right = (draw(st.integers(0, 3)) for _ in range(4))
+    rows, cols = core.shape[0] + top + bottom, core.shape[1] + left + right
+    values = np.zeros((rows, cols), dtype=complex)
+    values[top:rows - bottom, left:cols - right] = core / np.linalg.norm(core)
+    tolerance = 2.0**-57 / min(rows, cols)
+    for strip in (np.s_[:top, :], np.s_[rows - bottom:, :],
+                  np.s_[top:rows - bottom, :left],
+                  np.s_[top:rows - bottom, cols - right:]):
+        noise = draw(hnp.arrays(np.complex128, values[strip].shape, elements=_ENTRY))
+        if np.linalg.norm(noise) > 0:
+            share = draw(st.sampled_from([0.0, 0.25, 0.99, 1.01, 4.0, 1e6]))
+            values[strip] = noise * np.sqrt(share * tolerance) / np.linalg.norm(noise)
+    return _normalized(values, draw(st.floats(1e-6, 1e3)))
+
+
 class TestSchmidtPurity:
     @settings(max_examples=200, deadline=None)
     @given(kernels())
@@ -495,6 +546,40 @@ class TestSchmidtPurity:
                          + 1j * (np.arange(24).reshape(8, 3) % 4), 1e-2))
     def test_matches_weight_spectrum(self, jsa):
         assert schmidt_purity(jsa) == pytest.approx(_spectrum_purity(jsa), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(framed_kernels())
+    # an exactly-zero border; a flat kernel, of which nothing is cropped
+    @example(_normalized(np.pad(np.arange(1, 7).reshape(2, 3) + 1j, 2), 1.0))
+    @example(_normalized(np.ones((6, 9), dtype=complex), 0.5))
+    # 1 x n and n x 1 kernels with negligible ends
+    @example(_normalized(np.array([[1e-30, 1e-9, 1.0, 2.0, 1e-25]], dtype=complex), 1.0))
+    @example(_normalized(np.array([[0.0], [1e-20], [3.0], [1j], [0.0]]), 2.0))
+    # all weight in one row, the rest exactly zero: purity 1
+    @example(_normalized(np.pad(np.arange(1, 6)[None, :] * (1 + 2j), ((3, 4), (0, 0))),
+                         1.0))
+    def test_crop_keeps_untruncated_purity(self, jsa):
+        a = jsa.amplitudes
+        assert abs(schmidt_purity(jsa) - _gram_purity(a)) <= _CROP_BOUND * _gram_purity(a)
+        # the dropped runs are the longest whose weight per end is within
+        # eps ||A||_F^2, eps = 2^-57 / min(n, m) (a 1e-12 slack leaves ties
+        # to rounding)
+        weights = np.abs(a) ** 2
+        tolerance = 2.0**-57 / min(a.shape) * weights.sum()
+        for span, axis in zip(pdc._support_block(a), (1, 0)):
+            w = weights.sum(axis=axis)
+            assert 0 <= span.start < span.stop <= w.size
+            assert w[:span.start].sum() <= tolerance * (1 + 1e-12)
+            assert w[span.stop:].sum() <= tolerance * (1 + 1e-12)
+            assert w[:span.start + 1].sum() > tolerance * (1 - 1e-12)
+            assert w[span.stop - 1:].sum() > tolerance * (1 - 1e-12)
+
+    def test_scan_row_crops_its_border(self):
+        # the 1024 x 1024 grid is sized for the 7-mode basis, so the Gram of
+        # a scan row is formed over ~58% of its rows and of its columns
+        a = presets.build_state(SCAN_ROW_CONFIG).amplitudes
+        for span in pdc._support_block(a):
+            assert span.stop - span.start <= 0.6 * 1024
 
     @pytest.mark.parametrize("chirp", (0.0, 1e6))
     def test_2048_grid(self, chirp):
@@ -572,10 +657,35 @@ class TestChirpScanRows:
             assert abs(row["svd_purity"] - row["analytic_purity"]) <= 1e-12
 
 
+#: largest phase step (rad) of the chirped pump between grid neighbours at
+#: 3 sigma of its amplitude in the resolved region; at 512 x 512, 1.5e6 fs^2
+#: steps 3.07 rad and 4e6 fs^2 already misses the closed form by 2%
+_RESOLVED_STEP = 3.0
+
+
+class TestChirpOracleRegion:
+    """`schmidt_purity` follows the closed-form chirp law over the whole
+    region where the grid resolves the pump's phase, not at one point."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(count=st.sampled_from([256, 512]), share=st.floats(-1.0, 1.0))
+    def test_purity_follows_closed_form(self, count, share):
+        config = presets.merge_overrides(presets.preset_config("a"),
+                                         {"grid": {"count": count}})
+        spacing = presets.experiment_grids(config)[0].spacing
+        chirp = share * _RESOLVED_STEP / (
+            2.0 * 3.0 * config.pump.amplitude_sigma() * spacing)
+        jsa = presets.build_state(
+            presets.merge_overrides(config, {"pump": {"chirp_fs2": chirp}}))
+        analytic = chirp_purity_analytic(chirp, *jsi_marginal_sigmas(jsa))
+        assert abs(schmidt_purity(jsa) - analytic) <= 1e-9
+
+
 class TestPurityBenchmarks:
     """Purity from the Gram identity against the full weight spectrum, the
     reduced state and the truncated decompositions, on 512 x 512 kernels,
-    and the two halves of a 1024 x 1024 chirp-scan row at chirp 1e6 fs^2;
+    the two halves of a 1024 x 1024 chirp-scan row at chirp 1e6 fs^2 and
+    the purity of the same row at 2048 x 2048;
     pytest-benchmark prints them with ``pytest --benchmark-only -k
     Benchmarks``."""
 
@@ -588,6 +698,14 @@ class TestPurityBenchmarks:
 
     def test_schmidt_purity_scan_row(self, benchmark):
         jsa = presets.build_state(SCAN_ROW_CONFIG)
+        purity = benchmark.pedantic(schmidt_purity, args=(jsa,),
+                                    rounds=3, iterations=1)
+        analytic = chirp_purity_analytic(1e6, *jsi_marginal_sigmas(jsa))
+        assert abs(purity - analytic) <= 1e-12
+
+    def test_schmidt_purity_scan_row_2048(self, benchmark):
+        config = presets.merge_overrides(SCAN_ROW_CONFIG, {"grid": {"count": 2048}})
+        jsa = presets.build_state(config)
         purity = benchmark.pedantic(schmidt_purity, args=(jsa,),
                                     rounds=3, iterations=1)
         analytic = chirp_purity_analytic(1e6, *jsi_marginal_sigmas(jsa))

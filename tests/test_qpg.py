@@ -88,6 +88,22 @@ class TestBuildMapping:
         ratios = weights[1:7] / weights[:6]
         assert ratios == pytest.approx(np.full(6, ratios[0]), rel=1e-3)
 
+    def test_values_cannot_change_after_construction(self):
+        xi = make_qpg_mapping(count=64)[0]
+        grids = xi.input_grid, xi.output_grid
+        assert xi.values.dtype == complex and not xi.values.flags.writeable
+        # a read-only array that owns its buffer is taken as is
+        assert MappingFunction(*grids, xi.values).values is xi.values
+        # a writeable array, or a read-only view of one, is copied
+        values = np.array(xi.values)
+        view = values.view()
+        view.flags.writeable = False
+        copies = [MappingFunction(*grids, v) for v in (values, view)]
+        values[...] = 0.0
+        for copy in copies:
+            assert copy.values.tobytes() == xi.values.tobytes()
+            assert not copy.values.flags.writeable
+
     def test_zero_mismatch_beats_any_skew(self):
         base = separability_report(make_qpg_mapping()[0]).separability
         for skew in (0.2, 1.0, 3.0):
