@@ -90,7 +90,7 @@ class JointSpectralAmplitude:
         total = np.vdot(amp, amp).real * self.cell_area
         if not abs(total - 1.0) <= 1e-10:
             raise InvalidArgumentError(
-                f"joint amplitude not normalized: weight {total!r}")
+                f"joint amplitude not normalized: weight {float(total)}")
         object.__setattr__(self, "amplitudes", amp)
 
     @property
@@ -99,7 +99,8 @@ class JointSpectralAmplitude:
 
     def intensity(self) -> np.ndarray:
         """Phase-blind |f|^2 (what a spectrally resolved measurement sees)."""
-        return np.abs(self.amplitudes) ** 2
+        intensity = np.abs(self.amplitudes)
+        return np.square(intensity, out=intensity)
 
 
 def sum_frequency_grid(signal_grid: FrequencyGrid,
@@ -115,6 +116,11 @@ def sum_frequency_grid(signal_grid: FrequencyGrid,
                          count=signal_grid.count + idler_grid.count - 1)
 
 
+#: cells per row block of :func:`build_jsa`'s two passes (a 512 kB complex
+#: block), so that each block's temporaries stay in cache
+_BLOCK = 1 << 15
+
+
 def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
               signal_grid: FrequencyGrid, idler_grid: FrequencyGrid
               ) -> JointSpectralAmplitude:
@@ -123,13 +129,22 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
     The pump must be sampled on :func:`sum_frequency_grid` of the signal
     and idler grids, so its point i + j is the pump at w_s[i] + w_i[j] and
     the pump factor is read as the Hankel matrix alpha[i, j] = pump[i + j],
-    with no interpolation.  The amplitude is normalized by multiplying its
-    real and imaginary parts by 1/sqrt(weight), the factor numpy's complex
-    quotient by sqrt(weight) multiplies by, so the parts match that
-    quotient bit for bit without paying for a complex division.  After
-    normalization every real or imaginary part below sqrt(tiny) ~ 1.5e-154
-    is set to 0 (this also makes every zero +0): products of two such
-    parts underflow, which slows down the BLAS products taken over the
+    with no interpolation.
+
+    The amplitude is built in two passes over blocks of whole rows of
+    about ``_BLOCK`` cells, so no full-grid temporary is formed besides the
+    result and one float buffer of |alpha phi|^2.  The first pass forms
+    each block's ridge coordinate, phasematching and product with the pump
+    rows straight into the result, and its |.|^2 into the buffer.  The
+    weight is then one ``np.sum`` over the whole buffer, the same pairwise
+    sum as over a whole-grid |alpha phi|^2, so it keeps its bits; every
+    other step acts element by element.  The second pass normalizes each
+    block by multiplying its real and imaginary parts by 1/sqrt(weight),
+    the factor numpy's complex quotient by sqrt(weight) multiplies by, so
+    the parts match that quotient bit for bit without paying for a complex
+    division.  It then sets every part below sqrt(tiny) ~ 1.5e-154 to 0
+    (this also makes every zero +0): products of two such parts
+    underflow, which slows down the BLAS products taken over the
     amplitude, and they carry no weight.
 
     Raises
@@ -143,28 +158,39 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
         raise InvalidArgumentError(
             f"the pump must be sampled on the sum-frequency grid {sums} of the "
             f"signal and idler grids, got {pump.grid}")
-    alpha = np.lib.stride_tricks.sliding_window_view(pump.amplitudes,
-                                                     idler_grid.count)
-
+    n, m = signal_grid.count, idler_grid.count
+    alpha = np.lib.stride_tricks.sliding_window_view(pump.amplitudes, m)
     theta = np.deg2rad(pm.angle_deg)
-    u = (-signal_grid.offsets[:, None] * np.sin(theta)
-         + idler_grid.offsets[None, :] * np.cos(theta))
-    if pm.shape == "gaussian":
-        np.square(u, out=u)
-        u /= -2.0 * pm.width**2
-        phi = np.exp(u, out=u)
-    else:
-        scale = _SINC_HALF_POWER_ARG / (_GAUSS_HALF_POWER_ARG * pm.width)
-        phi = np.sinc(scale * u / np.pi)
+    signal = -signal_grid.offsets[:, None] * np.sin(theta)
+    idler = idler_grid.offsets[None, :] * np.cos(theta)
+    step = max(1, _BLOCK // m)
+    blocks = [slice(start, start + step) for start in range(0, n, step)]
 
-    values = alpha * phi
-    weight = np.sum(np.abs(values) ** 2) * signal_grid.spacing * idler_grid.spacing
+    values = np.empty((n, m), dtype=complex)
+    power = np.empty((n, m))
+    for rows in blocks:
+        u = signal[rows] + idler
+        if pm.shape == "gaussian":
+            np.square(u, out=u)
+            u /= -2.0 * pm.width**2
+            phi = np.exp(u, out=u)
+        else:
+            scale = _SINC_HALF_POWER_ARG / (_GAUSS_HALF_POWER_ARG * pm.width)
+            phi = np.sinc(scale * u / np.pi)
+        np.multiply(alpha[rows], phi, out=values[rows])
+        np.square(np.abs(values[rows], out=power[rows]), out=power[rows])
+    weight = np.sum(power) * signal_grid.spacing * idler_grid.spacing
+    del power
     if weight <= 0.0:
         raise InvalidArgumentError(
             "pump and phasematching do not overlap on the requested grids")
-    parts = values.view(float)
-    parts *= 1.0 / np.sqrt(weight)
-    parts[np.abs(parts) < np.sqrt(np.finfo(float).tiny)] = 0.0
+
+    factor = 1.0 / np.sqrt(weight)
+    tiny = np.sqrt(np.finfo(float).tiny)
+    for rows in blocks:
+        parts = values[rows].view(float)
+        parts *= factor
+        parts[np.abs(parts) < tiny] = 0.0
     values.flags.writeable = False  # handed over without a copy
     return JointSpectralAmplitude(signal_grid, idler_grid, values)
 
@@ -191,7 +217,7 @@ class SchmidtDecomposition:
         if np.any(np.diff(w) > 1e-12):
             raise InvalidArgumentError("weights must be sorted in descending order")
         if not abs(w.sum() - 1.0) <= 1e-8:
-            raise InvalidArgumentError(f"weights must sum to 1, got {w.sum()!r}")
+            raise InvalidArgumentError(f"weights must sum to 1, got {float(w.sum())}")
         if not (len(self.signal_modes) == len(self.idler_modes) == w.size):
             raise InvalidArgumentError("one signal and one idler mode per weight")
         w.flags.writeable = False
@@ -430,7 +456,7 @@ class ModalDensityMatrix:
                 f"smallest eigenvalue {eigenvalues.min():.3e}")
         if not abs(np.trace(mat).real - 1.0) <= 1e-8:
             raise InvalidArgumentError(
-                f"density matrix trace must be 1, got {np.trace(mat).real!r}")
+                f"density matrix trace must be 1, got {float(np.trace(mat).real)}")
         if not 0.0 <= self.leakage <= 1.0:
             raise InvalidArgumentError(
                 f"density matrix leakage must lie in [0, 1], got {self.leakage!r}")

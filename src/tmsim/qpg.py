@@ -33,7 +33,7 @@ class MappingFunction:
                   * self.input_grid.spacing * self.output_grid.spacing)
         if not abs(weight - 1.0) <= 1e-10:
             raise InvalidArgumentError(
-                f"mapping function not normalized: weight {weight!r}")
+                f"mapping function not normalized: weight {float(weight)}")
         object.__setattr__(self, "values", vals)
 
 
@@ -56,7 +56,9 @@ def build_mapping(qpg_pump: HermiteGaussParams, output_pm: HermiteGaussParams,
         output_grid.center - output_pm.center))
 
     values = alpha * phi
-    weight = np.sum(np.abs(values) ** 2) * input_grid.spacing * output_grid.spacing
+    power = np.abs(values)
+    weight = (np.sum(np.square(power, out=power))
+              * input_grid.spacing * output_grid.spacing)
     if weight <= 0.0:
         raise InvalidArgumentError(
             "pump and phasematching do not overlap on the requested grids")
@@ -127,7 +129,8 @@ def _as_unit_mode(mode: Sequence, dimension: int) -> np.ndarray:
             f"mode has shape {vec.shape}, expected ({dimension},)")
     norm = np.linalg.norm(vec)
     if not abs(norm - 1.0) <= 1e-10:
-        raise InvalidArgumentError(f"mode must be unit norm, got |mode| = {norm!r}")
+        raise InvalidArgumentError(
+            f"mode must be unit norm, got |mode| = {float(norm)}")
     return vec
 
 
@@ -167,7 +170,7 @@ class FilterSpec:
         norm = np.linalg.norm(vec)
         if not abs(norm - 1.0) <= 1e-10:
             raise InvalidArgumentError(
-                f"filter mode must be unit norm, got |mode| = {norm!r}")
+                f"filter mode must be unit norm, got |mode| = {float(norm)}")
         if not 0.0 <= self.efficiency <= 1.0:
             raise InvalidArgumentError(
                 f"efficiency must lie in [0, 1], got {self.efficiency}")

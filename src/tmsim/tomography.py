@@ -34,7 +34,7 @@ class Projector:
         if not abs(np.linalg.norm(vec) - 1.0) <= 1e-12:
             raise InvalidArgumentError(
                 f"projector ({self.basis_index}, {self.element_index}) is not "
-                f"unit norm: {np.linalg.norm(vec)!r}")
+                f"unit norm: {float(np.linalg.norm(vec))}")
         vec.flags.writeable = False
         object.__setattr__(self, "coefficients", vec)
 

@@ -601,6 +601,23 @@ class TestPipelineSubcommands:
         assert result["transmitted_g2"] == pytest.approx(1.6324, abs=1e-4)
         assert result["upconverted_g2"] == 2.0
 
+    @pytest.mark.parametrize("command, message", [
+        (["project", "--rho", "rho.json", "--mode-coeffs", "0,0,0,0,0,0,0"],
+         "mode must be unit norm, got |mode| = 0.0\n"),
+        (["filter", "--weights", "0.8,0.2", "--filter-coeffs", "0,0"],
+         "filter mode must be unit norm, got |mode| = 0.0\n"),
+    ])
+    def test_zero_mode_error_prints_a_number(self, tmp_path, monkeypatch, capsys,
+                                             command, message):
+        monkeypatch.chdir(tmp_path)
+        main(["rho", "--grid-count", "64", "--out", "."])
+        capsys.readouterr()
+        rc = main(["qpg", *command, "--out", "run"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err
+        assert "np.float64(" not in err
+
     def test_tomo_chain(self, tmp_path):
         main(["rho", "--grid-count", "160", "--out", str(tmp_path)])
         assert main(["tomo", "mubs", "-d", "7", "--out", str(tmp_path)]) == 0

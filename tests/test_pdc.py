@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -35,7 +36,7 @@ from tmsim import (
 )
 from tmsim import cli, pdc, presets
 from tmsim.cli import main
-from tmsim.pdc import fit_basis_width, schmidt_weights
+from tmsim.pdc import _PM_SHAPES, fit_basis_width, schmidt_weights
 from tmsim.spectral import FrequencyGrid
 
 # decorrelated-source parameters: 1.72 nm pump at 769 nm
@@ -67,12 +68,13 @@ SCAN_A_VALUES = (0.0, 1e5, 2e5, 3.8e5, 6e5, 1e6)
 SCAN_ROW_CONFIG = presets.merge_overrides(SCAN_CONFIG, {"pump": {"chirp_fs2": 1e6}})
 
 
-def scan_inputs():
-    """Pump, phasematching and grids of the chirp-scan-1024 row at 1e6 fs^2,
-    whose pump holds the 2047 sum frequencies."""
-    signal_grid, idler_grid = presets.experiment_grids(SCAN_ROW_CONFIG)
-    pump = presets.pump_spectrum(SCAN_ROW_CONFIG, signal_grid, idler_grid)
-    return pump, SCAN_ROW_CONFIG.phasematching.model(), signal_grid, idler_grid
+def scan_inputs(config=SCAN_ROW_CONFIG):
+    """Pump, phasematching and grids of a scan row, by default the
+    chirp-scan-1024 row at 1e6 fs^2, whose pump holds the 2047 sum
+    frequencies."""
+    signal_grid, idler_grid = presets.experiment_grids(config)
+    pump = presets.pump_spectrum(config, signal_grid, idler_grid)
+    return pump, config.phasematching.model(), signal_grid, idler_grid
 
 
 def closed_form_jsa(config, signal_grid, idler_grid) -> np.ndarray:
@@ -94,15 +96,21 @@ def closed_form_jsa(config, signal_grid, idler_grid) -> np.ndarray:
 
 
 def quotient_normalized_jsa(pump, pm, signal_grid, idler_grid) -> np.ndarray:
-    """`build_jsa`'s amplitude for a Gaussian ridge, normalized by the
-    complex quotient by sqrt(weight) and then flushed below sqrt(tiny): the
-    bits the real reciprocal product must reproduce."""
+    """`build_jsa`'s amplitude formed over the whole grid at once,
+    normalized by the complex quotient by sqrt(weight) and then flushed
+    below sqrt(tiny): the bits the blocked build and its real reciprocal
+    product must reproduce."""
     alpha = np.lib.stride_tricks.sliding_window_view(pump.amplitudes,
                                                      idler_grid.count)
     theta = np.deg2rad(pm.angle_deg)
     u = (-signal_grid.offsets[:, None] * np.sin(theta)
          + idler_grid.offsets[None, :] * np.cos(theta))
-    values = alpha * np.exp(-u**2 / (2.0 * pm.width**2))
+    if pm.shape == "gaussian":
+        phi = np.exp(-u**2 / (2.0 * pm.width**2))
+    else:
+        scale = pdc._SINC_HALF_POWER_ARG / (pdc._GAUSS_HALF_POWER_ARG * pm.width)
+        phi = np.sinc(scale * u / np.pi)
+    values = alpha * phi
     weight = np.sum(np.abs(values) ** 2) * signal_grid.spacing * idler_grid.spacing
     values /= np.sqrt(weight)
     parts = values.view(float)
@@ -203,6 +211,28 @@ class TestBuildJsa:
         reference = quotient_normalized_jsa(*inputs)
         assert np.array_equal(built.view(np.uint64), reference.view(np.uint64))
 
+    @pytest.mark.parametrize("shape", _PM_SHAPES)
+    @pytest.mark.parametrize("counts", [(7, 5), (300, 200), (1000, 700),
+                                        (3, 40_000)],
+                             ids=["under-one-block", "300x200", "1000x700",
+                                  "row-wider-than-a-block"])
+    def test_blocked_build_matches_whole_grid_bit_for_bit(self, counts, shape):
+        # grids that fill less than one block, end in a partial block, or
+        # hold one row per block; the chirped odd pump gives both parts signs
+        spacing = 12.0 * PUMP_SIGMA / max(counts)
+        signal_grid, idler_grid = (FrequencyGrid(center, spacing, count)
+                                   for center, count in zip((1.223, 1.220), counts))
+        pump_grid = pdc.sum_frequency_grid(signal_grid, idler_grid)
+        pump = apply_chirp(
+            hg_mode(HermiteGaussParams(order=1, center=pump_grid.center,
+                                       width=PUMP_SIGMA), pump_grid),
+            ChirpPhase(coefficient=3e5, center=pump_grid.center))
+        inputs = (pump, PhasematchingModel(45.0, PM_WIDTH, shape=shape),
+                  signal_grid, idler_grid)
+        built = build_jsa(*inputs).amplitudes
+        reference = quotient_normalized_jsa(*inputs)
+        assert np.array_equal(built.view(np.uint64), reference.view(np.uint64))
+
     def test_sinc_shape_close_to_gaussian_at_matched_width(self):
         marginal = PUMP_SIGMA / np.sqrt(2.0)
         signal_grid = make_grid(1.223, 12 * marginal, 128)
@@ -217,6 +247,17 @@ class TestBuildJsa:
         overlap = abs(np.sum(np.conj(sinc.amplitudes) * gauss.amplitudes)
                       * sinc.cell_area)
         assert overlap > 0.9
+
+    def test_scan_row_build_peak(self):
+        # the 16 MB amplitude and the 8 MB buffer of |.|^2 are the floor; a
+        # build through whole-grid temporaries peaked at 44 MB
+        tracemalloc.start()
+        try:
+            presets.build_state(SCAN_ROW_CONFIG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28e6
 
     @pytest.mark.parametrize("counts", [None, (300, 200)])
     def test_pump_read_at_every_sum(self, counts):
@@ -741,7 +782,8 @@ class TestPurityBenchmarks:
 
 class TestJsaKernelBenchmarks:
     """Timing of `build_jsa` on the 1024 x 1024 chirp-scan row at chirp
-    1e6 fs^2, against its 2047-point pump; pytest-benchmark prints it with
+    1e6 fs^2, against its 2047-point pump, and on the same row at
+    2048 x 2048; pytest-benchmark prints them with
     ``pytest --benchmark-only -k Kernel``."""
 
     inputs = scan_inputs()
@@ -751,6 +793,12 @@ class TestJsaKernelBenchmarks:
         assert pump.grid.count == 2047
         jsa = benchmark.pedantic(build_jsa, args=self.inputs, rounds=3, iterations=1)
         assert jsa.amplitudes.shape == (1024, 1024)
+
+    def test_build_jsa_2048(self, benchmark):
+        inputs = scan_inputs(presets.merge_overrides(SCAN_ROW_CONFIG,
+                                                     {"grid": {"count": 2048}}))
+        jsa = benchmark.pedantic(build_jsa, args=inputs, rounds=3, iterations=1)
+        assert jsa.amplitudes.shape == (2048, 2048)
 
 
 class TestReducedDensityMatrix:
