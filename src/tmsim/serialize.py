@@ -6,23 +6,29 @@ identical inputs always produce identical bytes.
 Float arrays reach text through one numpy kernel (``_float_slots``) and
 one layout step (``_layout``) instead of one ``%`` conversion per value.
 The kernel writes ``FLOAT_FORMAT % v`` for every value into a fixed-width,
-NUL-padded slot of ASCII bytes:
+NUL-padded slot of ASCII bytes.  The slot array starts as the template of
+``0.000000000000e+00``, so zeros cost no arithmetic: ``-0.0`` only gets
+the ``-`` head, and every later step runs on the nonzero values alone and
+writes their words straight into the template:
 
-- the decimal exponent is ``floor(log10|v|)``, corrected by one where the
-  scaled mantissa falls outside [1e12, 1e13);
-- the 13-digit mantissa is ``|v| * 10**(12 - e)``, rounded to an integer,
-  with the product taken in ``np.longdouble`` against a table of correctly
-  rounded powers of ten;
-- digits, sign and exponent are written by lookups into small tables of
-  packed ASCII words.
+- the decimal exponent is ``floor(log10|v|)``;
+- the scaled mantissa is ``m = |v| * 10**(12 - e)``, the product taken in
+  ``np.longdouble`` against a table of correctly rounded powers of ten;
+- its integer part ``n = int(m)`` is the one range check: only where n
+  falls outside [1e12, 1e13) is e corrected by one and m taken again (for
+  m >= 0 this is the test on m itself, because both bounds are integers);
+- n, rounded by the fractional part, gives the 13 digits, and digits,
+  sign and exponent are written by lookups into small tables of packed
+  ASCII words.
 
 The product carries a relative error of about one ``np.longdouble``
 epsilon, so a mantissa whose fractional part lies within ``_TIE_WINDOW``
 of one half cannot be rounded safely.  Those values, and every NaN and
 infinity, are converted by ``%`` one at a time into the same slot, so the
 output is identical to ``format_float`` per value by construction.  Where
-``np.longdouble`` is a plain double the window is wider and more values
-take the ``%`` path; the output stays exact.
+``np.longdouble`` is a plain double the window is wider, more values take
+the ``%`` path, and a product that overflows fails the range check and
+takes it too; the output stays exact.
 
 The layout step puts each field's separator after it and drops the NUL
 padding, in chunks of about ``_CHUNK`` values, each returned as ASCII
@@ -83,52 +89,87 @@ def _build_tables():
 _POW10, _QUADS, _HEADS, _EXPONENTS = _build_tables()
 
 
-def _float_slots(values) -> np.ndarray:
-    """An ``(n, _SLOT)`` uint8 array whose row i holds the ASCII bytes of
-    ``FLOAT_FORMAT % values[i]``, NUL-padded, for the n values of the
-    flattened float64 array ``values``."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    mag = np.abs(v)
-    regular = np.isfinite(v) & (mag != 0)
-    mag = np.where(regular, mag, 1.0)
+# the slot of 0.0 as the kernel writes it: head "0.", three "0000" groups
+# and the exponent "e+00", in three uint64 words
+_ZERO_WORDS = np.concatenate([_HEADS[[0]], _QUADS[[0, 0, 0]],
+                              _EXPONENTS[[-_E_LO]].view(np.uint32)]).view(np.uint64)
+_NEG_ZERO = np.float64(-0.0).view(np.uint64)  # the bits of -0.0
+
+
+def _mantissas(x: np.ndarray):
+    """The decimal exponent e and rounded 13-digit mantissa n of each of the
+    nonzero float64 values ``x``, and the indices of the values left to
+    ``%``: NaN, infinity, mantissas within ``_TIE_WINDOW`` of a rounding
+    tie and any that no exponent correction brought into range.  Those get
+    the valid placeholder e = 0, n = 10**12."""
+    mag = np.abs(x)
+    leave = ~(mag < np.inf)
+    mag[leave] = 1.0
     # errstate: on a platform whose long double is a plain double, 10**337
-    # overflows; such values fail the range check and take the % path
+    # overflows; the cast of such an m is out of range and takes the % path
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.floor(np.log10(mag)).astype(np.int64)
         m = mag * _POW10[e - _E_LO]
-        shift = (m >= 1e13).astype(np.int64) - (m < 1e12)
-        fix = np.flatnonzero(shift)
-        if fix.size:
-            e[fix] += shift[fix]
-            m[fix] = mag[fix] * _POW10[e[fix] - _E_LO]
+        # int(m) is floor(m) for m >= 0, so with integer bounds n is in
+        # range exactly where m is
         n = m.astype(np.int64)
-        frac = (m - n).astype(np.float64)  # exact: n <= m < n + 1
+        fix = np.flatnonzero((n < 10**12) | (n >= 10**13))
+        if fix.size:
+            e[fix] += (n[fix] >= 10**13).astype(np.int64) - (n[fix] < 10**12)
+            m[fix] = mag[fix] * _POW10[e[fix] - _E_LO]
+            n[fix] = m[fix].astype(np.int64)
+            leave[fix] |= (n[fix] < 10**12) | (n[fix] >= 10**13)
+        # drop each array once it is spent: a smaller working set touches
+        # fewer fresh pages
+        del mag
+        frac = np.subtract(m, n, out=m).astype(np.float64)  # exact: n <= m < n + 1
+        del m
     n += frac > 0.5
-    exact = (np.abs(frac - 0.5) > _TIE_WINDOW) & (n >= 10**12) & (n <= 10**13)
-    slow = np.flatnonzero(~(exact & regular) & (v != 0))  # ties, NaN, inf
+    frac -= 0.5
+    leave |= np.abs(frac, out=frac) <= _TIE_WINDOW
     carry = n == 10**13  # 9.9999999999995e(k) rounds up to 1.000000000000e(k+1)
     n[carry] = 10**12
     e += carry
-    n *= regular  # zeros print as 0.000000000000e+00
-    e *= regular
-    n[slow] = 0
+    slow = np.flatnonzero(leave)
+    n[slow] = 10**12
     e[slow] = 0
+    return e, n, slow
+
+
+def _float_slots(values) -> np.ndarray:
+    """An ``(n, _SLOT)`` uint8 array whose row i holds the ASCII bytes of
+    ``FLOAT_FORMAT % values[i]``, NUL-padded, for the n values of the
+    flattened float64 array ``values``.  Zeros keep the template the array
+    starts as; only the nonzero values are converted."""
+    v = np.asarray(values, dtype=np.float64).ravel()
     slots = np.empty((v.size, _SLOT), np.uint8)
-    words = slots.view(np.uint32)
-    lead = n // 10**12
-    n -= lead * 10**12
-    high = n // 10**8
-    n -= high * 10**8
-    mid = n // 10**4
-    words[:, 0] = _HEADS[np.signbit(v) * 10 + lead]
-    words[:, 1] = _QUADS[high]
-    words[:, 2] = _QUADS[mid]
-    words[:, 3] = _QUADS[n - mid * 10**4]
-    slots.view(np.uint64)[:, 2] = _EXPONENTS[e - _E_LO]
+    words64 = slots.view(np.uint64)
+    for k, word in enumerate(_ZERO_WORDS):
+        words64[:, k] = word
+    slots.view(np.uint32)[v.view(np.uint64) == _NEG_ZERO, 0] = _HEADS[10]  # "-0."
+    at = np.flatnonzero(v)
+    x = v[at]
+    e, n, slow = _mantissas(x)
+    top = n // 10**8  # the leading digit and the first group, below 10**5
+    low = (n - top * 10**8).astype(np.uint32)  # the last two groups
+    del n
+    top = top.astype(np.uint32)
+    lead = top // 10**4
+    mid = low // 10**4
+    words = slots.view(np.uint32).reshape(-1)  # six per slot
+    word = at * 6  # the first word of each nonzero value's slot
+    words[word] = _HEADS[np.signbit(x) * 10 + lead]
+    word += 1
+    words[word] = _QUADS[top - lead * 10**4]
+    word += 1
+    words[word] = _QUADS[mid]
+    word += 1
+    words[word] = _QUADS[low - mid * 10**4]
+    words64.reshape(-1)[at * 3 + 2] = _EXPONENTS[e - _E_LO]
     if slow.size:
-        text = "".join([(FLOAT_FORMAT % x).ljust(_SLOT, "\0")
-                        for x in v[slow].tolist()])
-        slots[slow] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _SLOT)
+        text = "".join([(FLOAT_FORMAT % y).ljust(_SLOT, "\0")
+                        for y in x[slow].tolist()])
+        slots[at[slow]] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _SLOT)
     return slots
 
 

@@ -286,7 +286,7 @@ def _record_arrays(records: Sequence, pset: ProjectorSet,
             "the likelihood fit leaves out the expected total count, which "
             "is only right for such record sets: record every projector of a "
             "basis with one exposure (a log tr(H rho) term in the objective, "
-            "ROADMAP item 2, would lift this)")
+            "an open ROADMAP item, would lift this)")
     counts = [max(rec.counts - subtract_background, 0.0) for rec in records]
     return flat, np.array(counts, dtype=float), weights
 

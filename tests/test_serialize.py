@@ -25,6 +25,10 @@ from tmsim.cli import main
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300,
                   np.nan, np.inf, -np.inf]
+# each class the kernel treats apart: zeros of both signs, NaN, infinities,
+# subnormals, regular values and a rounding tie
+MIXED_FLOATS = SPECIAL_FLOATS + [-np.nan, -5e-324, 2.2250738585072009e-308,
+                                 1.5, -2.75e-7, 6.02214076e23, 0.5, 2.0 ** -19]
 
 
 def sample_spectrum():
@@ -212,6 +216,46 @@ class TestFloatKernel:
         for values in (bits.view(np.float64), spread):
             assert kernel_texts(values) == percent_texts(values)
 
+    @pytest.mark.parametrize("values", [
+        np.zeros(70), np.full(70, -0.0),
+        np.random.default_rng(4).normal(size=70) * 10.0 ** np.linspace(-300, 300, 70)],
+        ids=["zeros", "negative-zeros", "zero-free"])
+    def test_matches_percent_on_uniform_blocks(self, values):
+        assert kernel_texts(values) == percent_texts(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(MIXED_FLOATS),
+                              st.floats(allow_subnormal=True)), max_size=60))
+    def test_matches_percent_on_mixed_blocks(self, values):
+        values = np.array(values, dtype=float)
+        assert kernel_texts(values) == percent_texts(values)
+
+    def test_matches_percent_on_shuffled_classes(self):
+        # zeros of both signs among every other class, in runs and alone,
+        # so that a nonzero value written to the wrong slot shows
+        rng = np.random.default_rng(13)
+        values = np.concatenate([
+            np.zeros(3000), np.full(500, -0.0), [np.nan] * 50, [np.inf] * 50,
+            [-np.inf] * 50, rng.uniform(-1, 1, 500) * 2.0 ** -1060,
+            rng.normal(size=3000) * 10.0 ** rng.integers(-300, 300, 3000)])
+        shuffled = rng.permutation(values)
+        for block in (values, shuffled, shuffled[:1], shuffled[::7]):
+            assert kernel_texts(block) == percent_texts(block)
+
+    def test_exact_where_long_double_is_a_plain_double(self, monkeypatch):
+        # float64 powers of ten (10**309 and above overflow) and the tie
+        # window that a double's epsilon gives
+        with np.errstate(over="ignore"):
+            powers = np.array([f"1e{12 - e}" for e in
+                               range(serialize._E_LO, serialize._E_HI + 1)]).astype(float)
+        assert np.isinf(powers).any()
+        monkeypatch.setattr(serialize, "_POW10", powers)
+        monkeypatch.setattr(serialize, "_TIE_WINDOW", 4e13 * float(np.finfo(float).eps))
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64, endpoint=False)
+        for values in (edge_floats(), bits.view(np.float64)):
+            assert kernel_texts(values) == percent_texts(values)
+
     def test_powers_of_ten_are_correctly_rounded(self):
         # the tie window assumes every scale factor is the nearest long double
         for e, power in zip(range(serialize._E_LO, serialize._E_HI + 1), serialize._POW10):
@@ -306,6 +350,31 @@ class TestGridCsvMatchesPerCellLoop:
         assert serialize.dump_json(arr) == reference_json_fill(arr) + "\n"
         arr = self.values.imag.reshape(2, 4, 5)
         assert serialize.dump_json(arr) == serialize.dump_json(arr.tolist())
+
+    @pytest.mark.parametrize("chunk", [7, 1000, serialize._CHUNK])
+    def test_real_grid_with_flushed_corners(self, monkeypatch, tmp_path, chunk):
+        # preset b's amplitude: im is zero everywhere, and build_jsa
+        # flushes about a quarter of re to +0, in the two corners off its
+        # anti-diagonal ridge
+        monkeypatch.setattr(serialize, "_CHUNK", chunk)
+        jsa = presets.build_state(presets.merge_overrides(
+            presets.preset_config("b"), {"grid": {"count": 40}}))
+        re, im = jsa.amplitudes.real, jsa.amplitudes.imag
+        assert not im.any() and 0.1 < np.mean(re == 0) < 0.5
+        assert re[0, 0] == re[-1, -1] == 0 and re[0, -1] != 0
+        serialize.write_jsa(jsa, tmp_path)
+        assert read(tmp_path / "jsa.csv") == reference_grid_pair_csv(
+            "omega_s,omega_i,real,imag", jsa.signal_grid, jsa.idler_grid, re, im)
+        assert read(tmp_path / "jsi.csv") == reference_grid_pair_csv(
+            "omega_s,omega_i,intensity", jsa.signal_grid, jsa.idler_grid,
+            np.abs(jsa.amplitudes) ** 2)
+        assert read(tmp_path / "jsa.json") == reference_jsa_json(
+            jsa.signal_grid, jsa.idler_grid, reference_json_fill(re),
+            reference_json_fill(im))
+        xi = MappingFunction(jsa.signal_grid, jsa.idler_grid, jsa.amplitudes)
+        serialize.write_text(tmp_path / "mapping.csv", serialize.mapping_csv_chunks(xi))
+        assert read(tmp_path / "mapping.csv") == reference_grid_pair_csv(
+            "omega_in,omega_out,real,imag", jsa.signal_grid, jsa.idler_grid, re, im)
 
     def test_grid_larger_than_a_chunk(self, tmp_path):
         # 181 x 191 lines of 4 fields: neither a multiple of the chunk nor
@@ -480,9 +549,10 @@ class TestCountRecordFormats:
 
 
 class TestSerializeBenchmarks:
-    """Timings of the JSA and mapping writers on a 256 x 256 grid, and of
-    the formatting kernel against one ``%`` call on 512 x 512 values;
-    pytest-benchmark prints them with ``pytest --benchmark-only -k serialize``."""
+    """Timings of the JSA and mapping writers on a 256 x 256 grid, one of
+    them on a real mapping function, and of the formatting kernel against
+    one ``%`` call on 512 x 512 values; pytest-benchmark prints them with
+    ``pytest --benchmark-only -k serialize``."""
 
     jsa = sample_jsa(count=256)
 
@@ -508,6 +578,17 @@ class TestSerializeBenchmarks:
         text = benchmark.pedantic(serialize.mapping_to_csv, args=(xi,),
                                   rounds=3, iterations=1)
         assert text.count("\n") == 1 + 256 * 256
+
+    def test_real_mapping_csv(self, benchmark):
+        # build_mapping's product is real, so half the fields, every imag
+        # one, are zeros that the kernel takes from its template
+        input_grid, output_grid = make_grid(1.223, 0.05, 256), make_grid(2.4, 0.05, 256)
+        xi = build_mapping(HermiteGaussParams(0, 2.4 - 1.223, 0.01),
+                           HermiteGaussParams(0, 2.4, 0.01), input_grid, output_grid)
+        assert not xi.values.imag.any()
+        text = benchmark.pedantic(lambda: b"".join(serialize.mapping_csv_chunks(xi)),
+                                  rounds=3, iterations=1)
+        assert text.count(b"\n") == 1 + 256 * 256
 
     def test_kernel_against_percent_512(self, benchmark):
         values = sample_jsa(count=512).amplitudes.real
