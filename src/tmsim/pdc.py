@@ -197,15 +197,21 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
 
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
-    """Descending mode weights with paired signal/idler mode functions.
+    """Descending mode weights with paired signal/idler mode matrices.
 
     `weights` sum to one over the kept modes; `residual_weight` is the
-    fraction discarded by truncation before renormalization.
+    fraction discarded by truncation before renormalization.  Row k of the
+    read-only (k, n) `signal_modes`, sampled on `signal_grid`, and (k, m)
+    `idler_modes` is the k-th singular vector pair in unit discrete norm,
+    sum |u_j|^2 = 1.  The pair's phase makes the signal row's anchor, its
+    lowest-index sample within 1e-9 (relative, far above rounding) of its
+    largest |u|, real and positive.
     """
 
     weights: np.ndarray
-    signal_modes: tuple
-    idler_modes: tuple
+    signal_modes: np.ndarray
+    idler_modes: np.ndarray
+    signal_grid: FrequencyGrid
     residual_weight: float = 0.0
 
     def __post_init__(self):
@@ -218,12 +224,14 @@ class SchmidtDecomposition:
             raise InvalidArgumentError("weights must be sorted in descending order")
         if not abs(w.sum() - 1.0) <= 1e-8:
             raise InvalidArgumentError(f"weights must sum to 1, got {float(w.sum())}")
-        if not (len(self.signal_modes) == len(self.idler_modes) == w.size):
+        signal = _frozen_complex(self.signal_modes)
+        idler = _frozen_complex(self.idler_modes)
+        if not (signal.ndim == idler.ndim == 2 and len(signal) == len(idler) == w.size):
             raise InvalidArgumentError("one signal and one idler mode per weight")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "signal_modes", tuple(self.signal_modes))
-        object.__setattr__(self, "idler_modes", tuple(self.idler_modes))
+        object.__setattr__(self, "signal_modes", signal)
+        object.__setattr__(self, "idler_modes", idler)
 
 
 #: seed of the range finder's Gaussian test matrix, fixed so that a kernel
@@ -275,15 +283,15 @@ def _leading_triplets(values: np.ndarray, k: int):
 
 
 def _kernel_schmidt(values: np.ndarray, row_grid: FrequencyGrid,
-                    col_grid: FrequencyGrid, max_modes: int):
+                    max_modes: int) -> SchmidtDecomposition:
     """Truncated Schmidt decomposition of a sampled two-frequency kernel.
 
     The leading min(max_modes, m, n) singular triplets come from
-    :func:`_leading_triplets`; no full SVD is taken.  Returns the kept
-    weights renormalized over the kept modes, the kept row/column mode
-    functions (phase-fixed so the largest row-mode sample is real positive)
-    and the truncated weight fraction: the share of ||A||_F^2, which is
-    exact without the spectrum, left in the deflated kernel,
+    :func:`_leading_triplets`; no full SVD is taken.  The modes are the
+    kept columns of U (on `row_grid`) and rows of V^H, phase-fixed by the
+    rule of :class:`SchmidtDecomposition`; the residual is the truncated
+    weight fraction: the share of ||A||_F^2, which is exact without the
+    spectrum, left in the deflated kernel,
     ||A - U_k S_k V_k^H||_F^2 / ||A||_F^2.  That form is never negative and
     free of the cancellation in 1 - sum(kept shares).  The cell area cancels.
     """
@@ -294,19 +302,14 @@ def _kernel_schmidt(values: np.ndarray, row_grid: FrequencyGrid,
     total = np.vdot(values, values).real
     deflated = values - (u_mat * svals) @ vh_mat
     residual = float(np.vdot(deflated, deflated).real / total)
-    kept = svals**2 / np.sum(svals**2)
-
-    row_modes = []
-    col_modes = []
-    for m in range(keep):
-        col_u = u_mat[:, m]
-        anchor = col_u[np.argmax(np.abs(col_u))]
-        phase = anchor / abs(anchor) if abs(anchor) > 0 else 1.0
-        row_modes.append(ComplexSpectrum(
-            row_grid, col_u * np.conj(phase) / np.sqrt(row_grid.spacing)))
-        col_modes.append(ComplexSpectrum(
-            col_grid, vh_mat[m, :] * phase / np.sqrt(col_grid.spacing)))
-    return kept, tuple(row_modes), tuple(col_modes), residual
+    magnitude = np.abs(u_mat)
+    anchor = np.argmax(magnitude >= (1.0 - 1e-9) * magnitude.max(axis=0), axis=0)
+    pivot = u_mat[anchor, np.arange(keep)]
+    phase = pivot / np.abs(pivot)
+    return SchmidtDecomposition(weights=svals**2 / np.sum(svals**2),
+                                signal_modes=u_mat.T * np.conj(phase)[:, None],
+                                idler_modes=vh_mat * phase[:, None],
+                                signal_grid=row_grid, residual_weight=residual)
 
 
 def schmidt_decompose(jsa: JointSpectralAmplitude,
@@ -320,13 +323,10 @@ def schmidt_decompose(jsa: JointSpectralAmplitude,
     a repeated call gives identical bits.  Weights are the squared
     singular values renormalized over the kept modes; the discarded
     fraction of the full spectrum is reported in ``residual_weight``, so
-    ``weights * (1 - residual_weight)`` are the full-spectrum shares.  Mode
-    functions carry unit discrete norm.
+    ``weights * (1 - residual_weight)`` are the full-spectrum shares.  Modes
+    are matrix rows in unit discrete norm (:class:`SchmidtDecomposition`).
     """
-    weights, signal_modes, idler_modes, residual = _kernel_schmidt(
-        jsa.amplitudes, jsa.signal_grid, jsa.idler_grid, max_modes)
-    return SchmidtDecomposition(weights=weights, signal_modes=signal_modes,
-                                idler_modes=idler_modes, residual_weight=residual)
+    return _kernel_schmidt(jsa.amplitudes, jsa.signal_grid, max_modes)
 
 
 def schmidt_weights(jsa: JointSpectralAmplitude) -> np.ndarray:
@@ -479,9 +479,9 @@ def hg_basis(basis: HermiteGaussParams, dimension: int,
 def mode_overlap_matrix(dec: SchmidtDecomposition, basis: HermiteGaussParams,
                         dimension: int) -> np.ndarray:
     """Overlaps <HG_m | psi_k> as an array of shape (modes, dimension)."""
-    grid = dec.signal_modes[0].grid
-    modes = np.array([psi.amplitudes for psi in dec.signal_modes])
-    return grid.spacing * modes @ hg_basis(basis, dimension, grid).conj().T
+    grid = dec.signal_grid
+    hg = hg_basis(basis, dimension, grid)
+    return np.sqrt(grid.spacing) * dec.signal_modes @ hg.conj().T
 
 
 def reduced_density_matrix(jsa: JointSpectralAmplitude, basis: HermiteGaussParams,
@@ -523,11 +523,10 @@ def fit_basis_width(dec: SchmidtDecomposition) -> float:
     function that needs scipy, which only the `test` extra installs."""
     from scipy.optimize import minimize_scalar
 
-    psi0 = dec.signal_modes[0]
-    grid = psi0.grid
+    grid = dec.signal_grid
+    psi0 = ComplexSpectrum(grid, dec.signal_modes[0] / np.sqrt(grid.spacing))
     center = grid.center
-    density = np.abs(psi0.amplitudes) ** 2 * grid.spacing
-    density = density / density.sum()
+    density = np.abs(dec.signal_modes[0]) ** 2  # unit discrete norm
     mean = float(np.sum(grid.points * density))
     std = float(np.sqrt(np.sum((grid.points - mean) ** 2 * density)))
     guess = np.sqrt(2.0) * std  # amplitude width of a Gaussian with that intensity std

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import BasisMismatchError, InvalidArgumentError
 from .pdc import ModalDensityMatrix, _frozen_complex, _kernel_schmidt
-from .spectral import ComplexSpectrum, FrequencyGrid, HermiteGaussParams, hg_envelope
+from .spectral import FrequencyGrid, HermiteGaussParams, hg_envelope
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,10 +69,11 @@ def build_mapping(qpg_pump: HermiteGaussParams, output_pm: HermiteGaussParams,
 
 @dataclass(frozen=True, eq=False)
 class SelectivityReport:
-    """Schmidt view of a mapping function."""
+    """Schmidt view of a mapping function; `input_modes` is the (k, n)
+    `signal_modes` matrix of its :class:`~tmsim.pdc.SchmidtDecomposition`."""
 
     schmidt_weights: np.ndarray
-    dominant_input_mode: ComplexSpectrum
+    input_modes: np.ndarray
     separability: float
 
 
@@ -83,11 +84,10 @@ def separability_report(xi: MappingFunction, max_modes: int = 20) -> Selectivity
     full spectrum, s_0^2 / ||xi||_F^2 (1 for a rank-one, perfectly
     mode-selective gate), not renormalized over the kept modes;
     `schmidt_weights` are renormalized over the kept modes."""
-    weights, input_modes, _, residual = _kernel_schmidt(
-        xi.values, xi.input_grid, xi.output_grid, max_modes)
-    return SelectivityReport(schmidt_weights=weights,
-                             dominant_input_mode=input_modes[0],
-                             separability=float(weights[0] * (1.0 - residual)))
+    dec = _kernel_schmidt(xi.values, xi.input_grid, max_modes)
+    return SelectivityReport(
+        schmidt_weights=dec.weights, input_modes=dec.signal_modes,
+        separability=float(dec.weights[0] * (1.0 - dec.residual_weight)))
 
 
 @dataclass(frozen=True)

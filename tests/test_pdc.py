@@ -295,10 +295,10 @@ class TestNonFiniteRejected:
     @pytest.mark.parametrize("weights", [[np.nan], [np.inf, np.nan]])
     def test_schmidt_weights(self, weights):
         grid = make_grid(0.0, 16.0, 64)
-        modes = [hg_mode(HermiteGaussParams(0, 0.0, 1.0), grid)] * len(weights)
+        modes = np.eye(len(weights), grid.count)
         with pytest.raises(InvalidArgumentError):
             SchmidtDecomposition(weights=weights, signal_modes=modes,
-                                 idler_modes=modes)
+                                 idler_modes=modes, signal_grid=grid)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
     @pytest.mark.parametrize("entries", [np.full((2, 2), np.nan),
@@ -334,19 +334,17 @@ class TestSchmidtDecompose:
     def test_modes_orthonormal(self):
         dec = schmidt_decompose(gaussian_jsa(pump_order=1, count=128), max_modes=6)
         for modes in (dec.signal_modes, dec.idler_modes):
-            for i, a in enumerate(modes):
-                for j, b in enumerate(modes):
-                    expected = 1.0 if i == j else 0.0
-                    got = np.sum(np.conj(a.amplitudes) * b.amplitudes) * a.grid.spacing
-                    assert abs(got - expected) < 1e-6
+            assert modes.shape == (6, 128)
+            assert np.max(np.abs(modes @ modes.conj().T - np.eye(6))) < 1e-6
 
     def test_reconstruction_consistency(self):
+        # unit-discrete-norm rows: the mode functions are u / sqrt(h_s) and
+        # v / sqrt(h_i), so f = sum_k sqrt(w_k) u_k v_k / sqrt(h_s h_i)
         jsa = gaussian_jsa(pump_order=1, count=128)
         dec = schmidt_decompose(jsa, max_modes=40)
         assert dec.residual_weight < 1e-8
-        rebuilt = np.zeros_like(jsa.amplitudes)
-        for w, psi, phi in zip(dec.weights, dec.signal_modes, dec.idler_modes):
-            rebuilt += np.sqrt(w) * np.outer(psi.amplitudes, phi.amplitudes)
+        rebuilt = ((dec.signal_modes.T * np.sqrt(dec.weights)) @ dec.idler_modes
+                   / np.sqrt(jsa.cell_area))
         err = np.sqrt(np.sum(np.abs(jsa.amplitudes - rebuilt) ** 2) * jsa.cell_area)
         assert err < 1e-6
 
@@ -356,42 +354,61 @@ class TestSchmidtDecompose:
         assert dec.residual_weight > 1e-3
         assert abs(dec.weights.sum() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("signal_rows, idler_rows", [(1, 2), (2, 1), (3, 3)])
+    def test_one_mode_per_weight(self, signal_rows, idler_rows):
+        grid = make_grid(0.0, 16.0, 8)
+        with pytest.raises(InvalidArgumentError, match="one signal and one idler"):
+            SchmidtDecomposition(weights=[0.75, 0.25],
+                                 signal_modes=np.eye(signal_rows, grid.count),
+                                 idler_modes=np.eye(idler_rows, 5), signal_grid=grid)
+
+
+def _gapped(full, j):
+    """Whether Schmidt share `full[j]` is >= 1e-8 and its relative gap to
+    its neighbours in the full spectrum `full` is >= 1e-3, so that its
+    singular vectors are well determined."""
+    neighbours = [full[i] for i in (j - 1, j + 1) if 0 <= i < full.size]
+    gap = min((abs(full[j] - w) for w in neighbours), default=np.inf) / full[j]
+    return full[j] >= 1e-8 and gap >= 1e-3
+
+
+def _anchor_phase(mode):
+    """The unit phase of the lowest-index sample of `mode` whose |u| is
+    within 1e-9 (relative) of its largest."""
+    magnitude = np.abs(mode)
+    pivot = mode[np.flatnonzero(magnitude >= (1.0 - 1e-9) * magnitude.max())[0]]
+    return pivot / abs(pivot)
+
 
 def _assert_matches_svd(values, max_modes, reference=None):
     """The truncated decomposition of `values` against its full SVD.
 
     Kept weights taken as shares of the full spectrum, and the residual,
-    must match to 1e-12.  Every mode of weight >= 1e-8 whose relative gap
-    to its neighbours is >= 1e-3 must match to 1e-8 in norm, with the
-    reference phase-fixed on the sample the kernel anchored on (its largest,
-    real positive one).  Mirror-symmetric modes tie in |u| at two samples
-    up to rounding, so the anchor is checked to be a largest sample of the
-    reference mode rather than its argmax."""
+    must match to 1e-12.  Every kept signal mode's anchor must be real
+    positive.  Every mode of weight >= 1e-8 whose relative gap to its
+    neighbours is >= 1e-3 must match to 1e-8 in norm, on both sides, the
+    reference phase-fixed by the same lowest-index rule."""
     rows, cols = values.shape
     row_grid = make_grid(0.0, 2.0, rows)
-    col_grid = make_grid(0.0, 3.0, cols)
     u_ref, s_ref, vh_ref = (np.linalg.svd(values, full_matrices=False)
                             if reference is None else reference)
     full = s_ref**2 / np.sum(s_ref**2)
-    weights, row_modes, col_modes, residual = pdc._kernel_schmidt(
-        values, row_grid, col_grid, max_modes)
+    dec = pdc._kernel_schmidt(values, row_grid, max_modes)
     keep = min(max_modes, rows, cols)
-    assert weights.size == len(row_modes) == len(col_modes) == keep
-    assert np.max(np.abs(weights * (1.0 - residual) - full[:keep])) <= 1e-12
-    assert abs(residual - full[keep:].sum()) <= 1e-12
+    assert dec.signal_grid == row_grid
+    assert dec.weights.shape == (keep,)
+    assert dec.signal_modes.shape == (keep, rows)
+    assert dec.idler_modes.shape == (keep, cols)
+    assert np.max(np.abs(dec.weights * (1.0 - dec.residual_weight)
+                         - full[:keep])) <= 1e-12
+    assert abs(dec.residual_weight - full[keep:].sum()) <= 1e-12
     for j in range(keep):
-        neighbours = [full[i] for i in (j - 1, j + 1) if 0 <= i < full.size]
-        gap = min((abs(full[j] - w) for w in neighbours), default=np.inf) / full[j]
-        if full[j] < 1e-8 or gap < 1e-3:
+        assert _anchor_phase(dec.signal_modes[j]) == pytest.approx(1.0, abs=1e-15)
+        if not _gapped(full, j):
             continue
-        u = row_modes[j].amplitudes * np.sqrt(row_grid.spacing)
-        v = col_modes[j].amplitudes * np.sqrt(col_grid.spacing)
-        anchor = np.argmax(u.real)
-        assert u[anchor].real >= np.max(np.abs(u)) * (1.0 - 1e-12)
-        assert abs(u_ref[anchor, j]) >= np.max(np.abs(u_ref[:, j])) - 2e-8
-        phase = u_ref[anchor, j] / abs(u_ref[anchor, j])
-        assert np.linalg.norm(u - u_ref[:, j] * np.conj(phase)) <= 1e-8
-        assert np.linalg.norm(v - vh_ref[j] * phase) <= 1e-8
+        phase = _anchor_phase(u_ref[:, j])
+        assert np.linalg.norm(dec.signal_modes[j] - u_ref[:, j] * np.conj(phase)) <= 1e-8
+        assert np.linalg.norm(dec.idler_modes[j] - vh_ref[j] * phase) <= 1e-8
 
 
 @st.composite
@@ -484,9 +501,8 @@ class TestTruncatedSchmidt:
         first, second = (schmidt_decompose(jsa, max_modes=20) for _ in range(2))
         assert first.weights.tobytes() == second.weights.tobytes()
         assert first.residual_weight == second.residual_weight
-        for modes in ("signal_modes", "idler_modes"):
-            for a, b in zip(getattr(first, modes), getattr(second, modes)):
-                assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+        assert first.signal_modes.tobytes() == second.signal_modes.tobytes()
+        assert first.idler_modes.tobytes() == second.idler_modes.tobytes()
 
 
 class TestPurityAndG2:
@@ -873,6 +889,23 @@ class TestReducedDensityMatrix:
                                    width=PUMP_SIGMA / np.sqrt(2.0))
         coeffs = mode_overlap_matrix(dec, basis, 5)
         assert coeffs.shape == (4, 5)
+
+        # the values on preset d: |<HG_m|psi_k>|^2 against LAPACK's modes,
+        # |sqrt(h_s) conj(B) u_ref|^2, for every gapped mode
+        config = presets.preset_config("d")
+        jsa = presets.build_state(config)
+        basis = presets.tomography_basis(config)
+        coeffs = mode_overlap_matrix(schmidt_decompose(jsa, max_modes=8), basis, 7)
+        assert coeffs.shape == (8, 7)
+        u_ref, s_ref, _ = np.linalg.svd(jsa.amplitudes, full_matrices=False)
+        full = s_ref**2 / np.sum(s_ref**2)
+        grid = jsa.signal_grid
+        expected = np.sqrt(grid.spacing) * pdc.hg_basis(basis, 7, grid).conj() @ u_ref
+        gapped = [j for j in range(8) if _gapped(full, j)]
+        assert gapped
+        for j in gapped:
+            np.testing.assert_allclose(np.abs(coeffs[j]) ** 2,
+                                       np.abs(expected[:, j]) ** 2, rtol=0, atol=1e-10)
 
 
 class TestFitBasisWidth:

@@ -13,7 +13,6 @@ from tmsim import (
     apply_mode_filter,
     build_mapping,
     hg_mode,
-    inner_product,
     make_grid,
     project_probability,
     separability_report,
@@ -76,7 +75,9 @@ class TestBuildMapping:
         xi, input_grid, sigma_pump = make_qpg_mapping(pump_order=1)
         report = separability_report(xi)
         target = hg_mode(HermiteGaussParams(1, OMEGA_IN, sigma_pump), input_grid)
-        overlap = abs(inner_product(target, report.dominant_input_mode)) ** 2
+        assert report.input_modes.shape == (20, input_grid.count)
+        overlap = abs(np.sqrt(input_grid.spacing)
+                      * np.vdot(target.amplitudes, report.input_modes[0])) ** 2
         assert overlap > 0.98
 
     def test_gaussian_gate_has_geometric_schmidt_spectrum(self):
