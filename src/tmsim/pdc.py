@@ -5,6 +5,7 @@ statistics derived from them.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -50,6 +51,20 @@ class PhasematchingModel:
         if self.shape not in _PM_SHAPES:
             raise InvalidArgumentError(
                 f"phasematching shape must be one of {_PM_SHAPES}, got {self.shape!r}")
+
+    def ridge(self, signal_grid: FrequencyGrid, idler_grid: FrequencyGrid,
+              rows: slice) -> np.ndarray:
+        """The ridge phi(w_s, w_i) on the given `rows` of the signal grid,
+        as a (rows, idler count) float array that the caller may keep."""
+        theta = np.deg2rad(self.angle_deg)
+        u = (-signal_grid.offsets[rows, None] * np.sin(theta)
+             + idler_grid.offsets[None, :] * np.cos(theta))
+        if self.shape == "gaussian":
+            np.square(u, out=u)
+            u /= -2.0 * self.width**2
+            return np.exp(u, out=u)
+        scale = _SINC_HALF_POWER_ARG / (_GAUSS_HALF_POWER_ARG * self.width)
+        return np.sinc(scale * u / np.pi)
 
 
 def matched_phasematching_width(pump_amplitude_sigma: float) -> float:
@@ -102,6 +117,27 @@ class JointSpectralAmplitude:
         intensity = np.abs(self.amplitudes)
         return np.square(intensity, out=intensity)
 
+    @functools.cached_property
+    def marginals(self) -> tuple:
+        """Signal and idler marginals of |f|^2, the row and column sums of
+        re^2 + im^2 over the grid points (no cell area), as read-only
+        arrays; computed on first use (:func:`_intensity_marginals`)."""
+        return _intensity_marginals(self.amplitudes)
+
+
+def _intensity_marginals(values: np.ndarray) -> tuple:
+    """Row and column sums of re^2 + im^2 of a C-contiguous complex array,
+    from two ``einsum`` passes over its float view, as read-only views of
+    one array that is allocated before the passes' temporary, so that a
+    long-lived amplitude pins one small block of the heap, not two."""
+    z = values.view(float)
+    n, m = values.shape
+    sums = np.empty(n + m)
+    np.einsum("ij,ij->i", z, z, out=sums[:n])
+    np.einsum("ij,ij->j", z, z).reshape(-1, 2).sum(axis=1, out=sums[n:])
+    sums.flags.writeable = False
+    return sums[:n], sums[n:]
+
 
 def sum_frequency_grid(signal_grid: FrequencyGrid,
                        idler_grid: FrequencyGrid) -> FrequencyGrid:
@@ -121,7 +157,42 @@ def sum_frequency_grid(signal_grid: FrequencyGrid,
 _BLOCK = 1 << 15
 
 
-def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
+def _row_blocks(signal_grid: FrequencyGrid, idler_grid: FrequencyGrid) -> list:
+    """Slices of whole signal rows of about ``_BLOCK`` cells each."""
+    step = max(1, _BLOCK // idler_grid.count)
+    return [slice(start, start + step)
+            for start in range(0, signal_grid.count, step)]
+
+
+class SampledRidge:
+    """A phasematching ridge sampled once on one signal x idler grid pair.
+
+    It answers :meth:`ridge` as the model does, with the same bits, by
+    reading rows of one read-only array, so a scan that builds many
+    amplitudes on one grid pair evaluates the ridge once.  The array is
+    filled block by block through the model's own :meth:`ridge`.
+    """
+
+    def __init__(self, pm: PhasematchingModel, signal_grid: FrequencyGrid,
+                 idler_grid: FrequencyGrid):
+        values = np.empty((signal_grid.count, idler_grid.count))
+        for rows in _row_blocks(signal_grid, idler_grid):
+            values[rows] = pm.ridge(signal_grid, idler_grid, rows)
+        values.flags.writeable = False
+        self.grids = (signal_grid, idler_grid)
+        self.values = values
+
+    def ridge(self, signal_grid: FrequencyGrid, idler_grid: FrequencyGrid,
+              rows: slice) -> np.ndarray:
+        """Read-only view of the sampled ridge on the given signal `rows`."""
+        if (signal_grid, idler_grid) != self.grids:
+            raise InvalidArgumentError(
+                f"the ridge was sampled on the grids {self.grids[0]} and "
+                f"{self.grids[1]}, not on {signal_grid} and {idler_grid}")
+        return self.values[rows]
+
+
+def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel | SampledRidge,
               signal_grid: FrequencyGrid, idler_grid: FrequencyGrid
               ) -> JointSpectralAmplitude:
     """Joint spectral amplitude = pump(w_s + w_i) x phasematching(w_s, w_i).
@@ -129,29 +200,33 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
     The pump must be sampled on :func:`sum_frequency_grid` of the signal
     and idler grids, so its point i + j is the pump at w_s[i] + w_i[j] and
     the pump factor is read as the Hankel matrix alpha[i, j] = pump[i + j],
-    with no interpolation.
+    with no interpolation.  `pm` is a :class:`PhasematchingModel`, or a
+    :class:`SampledRidge` of one on these grids; both give the same bits
+    through their ``ridge(signal_grid, idler_grid, rows)``.
 
     The amplitude is built in two passes over blocks of whole rows of
     about ``_BLOCK`` cells, so no full-grid temporary is formed besides the
-    result and one float buffer of |alpha phi|^2.  The first pass forms
-    each block's ridge coordinate, phasematching and product with the pump
-    rows straight into the result, and its |.|^2 into the buffer.  The
-    weight is then one ``np.sum`` over the whole buffer, the same pairwise
-    sum as over a whole-grid |alpha phi|^2, so it keeps its bits; every
-    other step acts element by element.  The second pass normalizes each
-    block by multiplying its real and imaginary parts by 1/sqrt(weight),
-    the factor numpy's complex quotient by sqrt(weight) multiplies by, so
-    the parts match that quotient bit for bit without paying for a complex
-    division.  It then sets every part below sqrt(tiny) ~ 1.5e-154 to 0
-    (this also makes every zero +0): products of two such parts
-    underflow, which slows down the BLAS products taken over the
-    amplitude, and they carry no weight.
+    result and one float buffer of |alpha phi|^2.  The first pass takes
+    each block's ridge and its product with the pump rows straight into
+    the result, and its |.|^2 into the buffer.  The weight is then one
+    ``np.sum`` over the whole buffer, the same pairwise sum as over a
+    whole-grid |alpha phi|^2, so it keeps its bits; every other step acts
+    element by element.  The second pass normalizes each block by
+    multiplying its real and imaginary parts by 1/sqrt(weight), the factor
+    numpy's complex quotient by sqrt(weight) multiplies by, so the parts
+    match that quotient bit for bit without paying for a complex division.
+    It then sets every part below sqrt(tiny) ~ 1.5e-154 to 0 (this also
+    makes every zero +0), the real and the imaginary parts each through
+    their own mask, which keeps the scatter's branches predictable on a
+    real amplitude: products of two such parts underflow, which slows down
+    the BLAS products taken over the amplitude, and they carry no weight.
 
     Raises
     ------
     InvalidArgumentError
-        If the two grids differ in spacing, or the pump is sampled on any
-        other grid than their sum-frequency grid.
+        If the two grids differ in spacing, the pump is sampled on any
+        other grid than their sum-frequency grid, or a sampled ridge
+        belongs to other grids.
     """
     sums = sum_frequency_grid(signal_grid, idler_grid)
     if pump.grid != sums:
@@ -160,24 +235,13 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
             f"signal and idler grids, got {pump.grid}")
     n, m = signal_grid.count, idler_grid.count
     alpha = np.lib.stride_tricks.sliding_window_view(pump.amplitudes, m)
-    theta = np.deg2rad(pm.angle_deg)
-    signal = -signal_grid.offsets[:, None] * np.sin(theta)
-    idler = idler_grid.offsets[None, :] * np.cos(theta)
-    step = max(1, _BLOCK // m)
-    blocks = [slice(start, start + step) for start in range(0, n, step)]
+    blocks = _row_blocks(signal_grid, idler_grid)
 
     values = np.empty((n, m), dtype=complex)
     power = np.empty((n, m))
     for rows in blocks:
-        u = signal[rows] + idler
-        if pm.shape == "gaussian":
-            np.square(u, out=u)
-            u /= -2.0 * pm.width**2
-            phi = np.exp(u, out=u)
-        else:
-            scale = _SINC_HALF_POWER_ARG / (_GAUSS_HALF_POWER_ARG * pm.width)
-            phi = np.sinc(scale * u / np.pi)
-        np.multiply(alpha[rows], phi, out=values[rows])
+        np.multiply(alpha[rows], pm.ridge(signal_grid, idler_grid, rows),
+                    out=values[rows])
         np.square(np.abs(values[rows], out=power[rows]), out=power[rows])
     weight = np.sum(power) * signal_grid.spacing * idler_grid.spacing
     del power
@@ -187,10 +251,18 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
 
     factor = 1.0 / np.sqrt(weight)
     tiny = np.sqrt(np.finfo(float).tiny)
+    # one |part| buffer and one mask serve every block: fresh block-sized
+    # temporaries per part come from the heap and grow the resident set
+    magnitude = np.empty(values[blocks[0]].shape)
+    small = np.empty(magnitude.shape, dtype=bool)
     for rows in blocks:
-        parts = values[rows].view(float)
+        block = values[rows]
+        parts = block.view(float)
         parts *= factor
-        parts[np.abs(parts) < tiny] = 0.0
+        k = len(block)
+        for part in (block.real, block.imag):
+            np.less(np.abs(part, out=magnitude[:k]), tiny, out=small[:k])
+            part[small[:k]] = 0.0
     values.flags.writeable = False  # handed over without a copy
     return JointSpectralAmplitude(signal_grid, idler_grid, values)
 
@@ -228,6 +300,10 @@ class SchmidtDecomposition:
         idler = _frozen_complex(self.idler_modes)
         if not (signal.ndim == idler.ndim == 2 and len(signal) == len(idler) == w.size):
             raise InvalidArgumentError("one signal and one idler mode per weight")
+        if signal.shape[1] != self.signal_grid.count:
+            raise InvalidArgumentError(
+                f"signal modes of {signal.shape[1]} samples on a grid of "
+                f"{self.signal_grid.count} points")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "signal_modes", signal)
@@ -352,14 +428,12 @@ def _support_span(weights: np.ndarray, tolerance: float) -> slice:
     return slice(int(start), int(stop))
 
 
-def _support_block(a: np.ndarray) -> tuple:
-    """Row and column slices of the block of the C-contiguous complex
-    kernel `a` that :func:`schmidt_purity` keeps: each of the four border
-    runs it drops carries at most eps ||A||_F^2, eps = 2^-57 / min(n, m)."""
-    z = a.view(float)
-    rows = np.einsum("ij,ij->i", z, z)
-    cols = np.einsum("ij,ij->j", z, z).reshape(-1, 2).sum(axis=1)
-    tolerance = 2.0**-57 / min(a.shape) * rows.sum()
+def _support_block(rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """Row and column slices of the block of a kernel, given its |A|^2 row
+    and column sums, that :func:`schmidt_purity` keeps: each of the four
+    border runs it drops carries at most eps ||A||_F^2,
+    eps = 2^-57 / min(n, m)."""
+    tolerance = 2.0**-57 / min(rows.size, cols.size) * rows.sum()
     return _support_span(rows, tolerance), _support_span(cols, tolerance)
 
 
@@ -374,12 +448,14 @@ def schmidt_purity(jsa: JointSpectralAmplitude) -> float:
     G is formed only over the kernel's non-negligible block.  The longest
     leading and trailing runs of rows, and of columns, whose weight per
     end is at most eps ||A||_F^2, eps = 2^-57 / min(n, m), are dropped
-    (:func:`_support_block`); where no border is that light the block is
-    the whole kernel.  The dropped weight is delta <= 4 eps ||A||_F^2.
-    Removed rows enter ||G||_F^2 only through off-diagonal blocks, and
-    removed columns only through a positive semidefinite term of trace at
-    most delta, so 0 <= ||A A^H||_F^2 - ||A_c A_c^H||_F^2 <= 2 delta
-    ||A||_F^2 + delta^2.  With P >= 1 / min(n, m) this gives
+    (:func:`_support_block`, which reads the amplitude's ``marginals``, the
+    same sums :func:`jsi_marginal_sigmas` reads); where no border is that
+    light the block is the whole kernel.  The dropped weight is
+    delta <= 4 eps ||A||_F^2.  Removed rows enter ||G||_F^2 only through
+    off-diagonal blocks, and removed columns only through a positive
+    semidefinite term of trace at most delta, so
+    0 <= ||A A^H||_F^2 - ||A_c A_c^H||_F^2 <= 2 delta ||A||_F^2 + delta^2.
+    With P >= 1 / min(n, m) this gives
     |P_crop - P| <= 2^-53 P: the reported value is the untruncated purity
     to within one unit roundoff, below the rounding of forming G itself.
     The grids are sized for the tomography basis, so a 1024 x 1024
@@ -393,9 +469,8 @@ def schmidt_purity(jsa: JointSpectralAmplitude) -> float:
     ||Re G||_F^2 + ||Q - Q^T||_F^2 and tr G = tr Re G, at 2n^2 m real
     multiply-adds against 4n^2 m for the complex product.
     """
-    a = jsa.amplitudes
-    rows, cols = _support_block(a)
-    a = a[rows, cols]
+    rows, cols = _support_block(*jsa.marginals)
+    a = jsa.amplitudes[rows, cols]
     if a.shape[0] > a.shape[1]:
         a = a.T  # conj(A^H A): the same spectrum
     a = np.ascontiguousarray(a)
@@ -411,11 +486,14 @@ def schmidt_purity(jsa: JointSpectralAmplitude) -> float:
 
 def jsi_marginal_sigmas(jsa: JointSpectralAmplitude) -> tuple:
     """Intensity standard deviations (rad/fs) of the signal and idler
-    marginals of |f|^2; blind to any spectral phase."""
-    intensity = jsa.intensity()
+    marginals of |f|^2; blind to any spectral phase.
+
+    The marginals are the amplitude's cached ``marginals``, the row and
+    column sums of re^2 + im^2 that :func:`schmidt_purity` crops by, so
+    no n x m intensity array is formed.
+    """
     sigmas = []
-    for axis, grid in ((1, jsa.signal_grid), (0, jsa.idler_grid)):
-        marginal = intensity.sum(axis=axis)
+    for marginal, grid in zip(jsa.marginals, (jsa.signal_grid, jsa.idler_grid)):
         marginal = marginal / marginal.sum()
         mean = float(np.sum(grid.points * marginal))
         sigmas.append(float(np.sqrt(np.sum((grid.points - mean) ** 2 * marginal))))

@@ -28,6 +28,7 @@ from .errors import InvalidArgumentError
 from .pdc import (
     JointSpectralAmplitude,
     PhasematchingModel,
+    SampledRidge,
     build_jsa,
     chirp_purity_analytic,
     g2_from_purity,
@@ -505,26 +506,39 @@ def chirp_scan(chirp_values, config: ExperimentConfig,
     and the g2 after admixing a Poissonian background of the given count
     fraction.  The spectral intensity (hence the marginals) is chirp
     independent; only the phase changes.
+
+    The grids and the phasematching ridge do not depend on the chirp
+    either, so they are made once per call: the ridge is sampled into one
+    read-only :class:`pdc.SampledRidge`, and each row's amplitude is
+    `build_jsa` of that row's pump and the shared ridge, the same bits as
+    `build_state` of the row's configuration.  Each row is built and
+    reduced in its own call, so its amplitude is freed before the next one
+    is allocated.
     """
     if not 0.0 <= background_fraction < 1.0:
         raise InvalidArgumentError(
             f"background fraction must lie in [0, 1), got {background_fraction}")
-    rows = []
-    for chirp in chirp_values:
-        run_cfg = merge_overrides(config, {"pump": {"chirp_fs2": float(chirp)}})
-        jsa = build_state(run_cfg)
-        svd_purity = schmidt_purity(jsa)
-        sigma_s, sigma_i = jsi_marginal_sigmas(jsa)
-        analytic = chirp_purity_analytic(float(chirp), sigma_s, sigma_i)
-        g2 = g2_from_purity(svd_purity)
-        mixed = background_mixed_g2(g2, 1.0 - background_fraction,
-                                    background_fraction)
-        rows.append({"chirp_fs2": float(chirp),
-                     "analytic_purity": analytic,
-                     "svd_purity": svd_purity,
-                     "g2": g2,
-                     "g2_background_mixed": mixed})
-    return rows
+    grids = experiment_grids(config)
+    ridge = SampledRidge(config.phasematching.model(), *grids)
+    return [_scan_row(float(chirp), config, grids, ridge, background_fraction)
+            for chirp in chirp_values]
+
+
+def _scan_row(chirp: float, config: ExperimentConfig, grids, ridge: SampledRidge,
+              background_fraction: float) -> dict:
+    """One row of :func:`chirp_scan`: the configuration at `chirp`, its
+    amplitude on the shared grids and ridge, and the figures read from it."""
+    run_cfg = merge_overrides(config, {"pump": {"chirp_fs2": chirp}})
+    jsa = build_jsa(pump_spectrum(run_cfg, *grids), ridge, *grids)
+    svd_purity = schmidt_purity(jsa)
+    sigma_s, sigma_i = jsi_marginal_sigmas(jsa)
+    g2 = g2_from_purity(svd_purity)
+    return {"chirp_fs2": chirp,
+            "analytic_purity": chirp_purity_analytic(chirp, sigma_s, sigma_i),
+            "svd_purity": svd_purity,
+            "g2": g2,
+            "g2_background_mixed": background_mixed_g2(
+                g2, 1.0 - background_fraction, background_fraction)}
 
 
 def chirp_scan_csv(rows) -> str:

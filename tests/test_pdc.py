@@ -11,6 +11,7 @@ from tmsim import (
     BasisMismatchError,
     BasisMismatchWarning,
     ChirpPhase,
+    ComplexSpectrum,
     HermiteGaussParams,
     InvalidArgumentError,
     JointSpectralAmplitude,
@@ -275,6 +276,62 @@ class TestBuildJsa:
         largest = np.max(np.abs(reference))
         assert np.max(np.abs(values - reference)) <= 1e-13 * largest
 
+    @pytest.mark.parametrize("shape", _PM_SHAPES)
+    @pytest.mark.parametrize("config", [SCAN_ROW_CONFIG, presets.preset_config("d")],
+                             ids=["scan-1024-chirp-1e6", "d"])
+    def test_sampled_ridge_matches_model_bit_for_bit(self, config, shape):
+        config = presets.merge_overrides(config, {"phasematching": {"shape": shape}})
+        pump, pm, signal_grid, idler_grid = scan_inputs(config)
+        ridge = pdc.SampledRidge(pm, signal_grid, idler_grid)
+        assert not ridge.values.flags.writeable
+        built = build_jsa(pump, pm, signal_grid, idler_grid).amplitudes
+        shared = build_jsa(pump, ridge, signal_grid, idler_grid).amplitudes
+        assert np.array_equal(shared.view(np.uint64), built.view(np.uint64))
+
+    def test_sampled_ridge_rejects_other_grids(self):
+        pump, pm, signal_grid, idler_grid = scan_inputs(presets.preset_config("a"))
+        ridge = pdc.SampledRidge(pm, idler_grid, signal_grid)
+        with pytest.raises(InvalidArgumentError, match="ridge was sampled on"):
+            build_jsa(pump, ridge, signal_grid, idler_grid)
+
+
+def _assert_flushed(values):
+    """No part of a built amplitude lies in (0, sqrt(tiny)), and no zero
+    carries a sign."""
+    parts = values.view(float)
+    magnitude = np.abs(parts)
+    assert not np.any((magnitude > 0) & (magnitude < np.sqrt(np.finfo(float).tiny)))
+    assert not np.any((parts == 0) & np.signbit(parts))
+
+
+class TestFlush:
+    """`build_jsa` sets every part below sqrt(tiny) to +0, the real and the
+    imaginary parts each through their own mask."""
+
+    @pytest.mark.parametrize("chirp", SCAN_A_VALUES)
+    def test_scan_rows(self, chirp):
+        config = presets.merge_overrides(SCAN_CONFIG, {"pump": {"chirp_fs2": chirp}})
+        pump, pm, signal_grid, idler_grid = scan_inputs(config)
+        ridge = pdc.SampledRidge(pm, signal_grid, idler_grid)
+        _assert_flushed(build_jsa(pump, ridge, signal_grid, idler_grid).amplitudes)
+
+    @pytest.mark.parametrize("case", "abcd")
+    def test_presets(self, case):
+        # preset d's odd pump gives negative parts that underflow
+        _assert_flushed(presets.build_state(presets.preset_config(case)).amplitudes)
+
+    def test_pump_with_negative_zero_imaginary_parts(self):
+        # a real odd pump, negative on one lobe, whose imaginary parts are
+        # all -0.0
+        pump, pm, signal_grid, idler_grid = scan_inputs(presets.preset_config("d"))
+        values = np.empty_like(pump.amplitudes)
+        values.real = pump.amplitudes.real
+        values.imag = -0.0
+        pump = ComplexSpectrum(pump.grid, values)
+        assert np.all(np.signbit(pump.amplitudes.imag))
+        assert np.any(pump.amplitudes.real < 0)
+        _assert_flushed(build_jsa(pump, pm, signal_grid, idler_grid).amplitudes)
+
 
 NAN_ARRAY = np.full((3, 4), np.nan)
 NAN_NEXT_TO_INF = np.array([[np.nan, np.inf, 0.0, 0.0],
@@ -361,6 +418,14 @@ class TestSchmidtDecompose:
             SchmidtDecomposition(weights=[0.75, 0.25],
                                  signal_modes=np.eye(signal_rows, grid.count),
                                  idler_modes=np.eye(idler_rows, 5), signal_grid=grid)
+
+    def test_signal_modes_span_their_grid(self):
+        # 7-sample rows on an 8-point grid would reach mode_overlap_matrix
+        # and fail there in numpy's matmul
+        grid = make_grid(0.0, 16.0, 8)
+        with pytest.raises(InvalidArgumentError, match="7 samples on a grid of 8"):
+            SchmidtDecomposition(weights=[1.0], signal_modes=np.eye(1, 7),
+                                 idler_modes=np.eye(1, 5), signal_grid=grid)
 
 
 def _gapped(full, j):
@@ -519,12 +584,13 @@ class TestPurityAndG2:
 
 
 def _normalized(values, cell_area):
-    """A normalized kernel carrying the two attributes the weight and purity
-    functions read; it also takes 1 x n and n x 1 shapes, which no frequency
-    grid pair can (a grid needs two points)."""
-    return SimpleNamespace(
-        amplitudes=values / (np.linalg.norm(values) * np.sqrt(cell_area)),
-        cell_area=cell_area)
+    """A normalized kernel carrying the three attributes the weight and
+    purity functions read, its marginals from the helper the amplitude's
+    own ``marginals`` use; it also takes 1 x n and n x 1 shapes, which no
+    frequency grid pair can (a grid needs two points)."""
+    amplitudes = values / (np.linalg.norm(values) * np.sqrt(cell_area))
+    return SimpleNamespace(amplitudes=amplitudes, cell_area=cell_area,
+                           marginals=pdc._intensity_marginals(amplitudes))
 
 
 _ENTRY = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
@@ -623,7 +689,7 @@ class TestSchmidtPurity:
         # to rounding)
         weights = np.abs(a) ** 2
         tolerance = 2.0**-57 / min(a.shape) * weights.sum()
-        for span, axis in zip(pdc._support_block(a), (1, 0)):
+        for span, axis in zip(pdc._support_block(*jsa.marginals), (1, 0)):
             w = weights.sum(axis=axis)
             assert 0 <= span.start < span.stop <= w.size
             assert w[:span.start].sum() <= tolerance * (1 + 1e-12)
@@ -634,8 +700,12 @@ class TestSchmidtPurity:
     def test_scan_row_crops_its_border(self):
         # the 1024 x 1024 grid is sized for the 7-mode basis, so the Gram of
         # a scan row is formed over ~58% of its rows and of its columns
-        a = presets.build_state(SCAN_ROW_CONFIG).amplitudes
-        for span in pdc._support_block(a):
+        jsa = presets.build_state(SCAN_ROW_CONFIG)
+        # the marginals are computed once, read-only, and shared with
+        # jsi_marginal_sigmas
+        assert jsa.marginals is jsa.marginals
+        assert not any(m.flags.writeable for m in jsa.marginals)
+        for span in pdc._support_block(*jsa.marginals):
             assert span.stop - span.start <= 0.6 * 1024
 
     @pytest.mark.parametrize("chirp", (0.0, 1e6))
@@ -706,6 +776,28 @@ class TestChirpScanRows:
             for key in ("svd_purity", "g2", "g2_background_mixed"):
                 assert row[key] == pytest.approx(ref[key], rel=1e-12)
 
+    def test_rows_match_single_state_path(self, scans):
+        # the shared grids and ridge give each row the bits of build_state
+        rows, _ = scans
+        for chirp, row in zip(SCAN_A_VALUES, rows):
+            jsa = presets.build_state(
+                presets.merge_overrides(SCAN_CONFIG, {"pump": {"chirp_fs2": chirp}}))
+            assert row["svd_purity"] == schmidt_purity(jsa)
+            assert row["analytic_purity"] == chirp_purity_analytic(
+                chirp, *jsi_marginal_sigmas(jsa))
+
+    def test_two_row_scan_peak(self):
+        # one shared 8 MiB ridge, one live 16 MiB amplitude with its 8 MiB
+        # buffer of |.|^2, then the purity's cropped Gram; the previous
+        # row's amplitude is freed first (40.7 MiB while it was kept)
+        tracemalloc.start()
+        try:
+            presets.chirp_scan(SCAN_A_VALUES[:2], SCAN_CONFIG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * 2**20
+
     def test_purity_follows_closed_form(self, scans):
         # the pump is evaluated at the JSA's own sums, so only rounding
         # separates the Gram purity from the chirp law
@@ -741,8 +833,8 @@ class TestChirpOracleRegion:
 class TestPurityBenchmarks:
     """Purity from the Gram identity against the full weight spectrum, the
     reduced state and the truncated decompositions, on 512 x 512 kernels,
-    the two halves of a 1024 x 1024 chirp-scan row at chirp 1e6 fs^2 and
-    the purity of the same row at 2048 x 2048;
+    the two halves of a 1024 x 1024 chirp-scan row at chirp 1e6 fs^2, the
+    purity of the same row at 2048 x 2048 and the six-row 1024 x 1024 scan;
     pytest-benchmark prints them with ``pytest --benchmark-only -k
     Benchmarks``."""
 
@@ -767,6 +859,14 @@ class TestPurityBenchmarks:
                                     rounds=3, iterations=1)
         analytic = chirp_purity_analytic(1e6, *jsi_marginal_sigmas(jsa))
         assert abs(purity - analytic) <= 1e-12
+
+    def test_chirp_scan_1024(self, benchmark):
+        # the library cost of the chirp-scan-1024 workload's six rows
+        rows = benchmark.pedantic(presets.chirp_scan, args=(SCAN_A_VALUES, SCAN_CONFIG),
+                                  rounds=3, iterations=1)
+        assert [row["chirp_fs2"] for row in rows] == list(SCAN_A_VALUES)
+        for row in rows:
+            assert abs(row["svd_purity"] - row["analytic_purity"]) <= 1e-12
 
     def test_schmidt_purity(self, benchmark):
         purity = benchmark.pedantic(schmidt_purity, args=(self.jsa,),
