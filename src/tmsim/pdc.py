@@ -90,7 +90,9 @@ def _frozen_complex(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class JointSpectralAmplitude:
-    """Normalized two-photon amplitude f(w_s, w_i) on a signal x idler grid."""
+    """Sampled two-frequency kernel of unit weight: the source's amplitude
+    f(w_s, w_i), and the gate's mapping xi(w_in, w_out) as
+    :data:`tmsim.qpg.MappingFunction`, input on the rows, output on the columns."""
 
     signal_grid: FrequencyGrid
     idler_grid: FrequencyGrid
@@ -152,8 +154,8 @@ def sum_frequency_grid(signal_grid: FrequencyGrid,
                          count=signal_grid.count + idler_grid.count - 1)
 
 
-#: cells per row block of :func:`build_jsa`'s two passes (a 512 kB complex
-#: block), so that each block's temporaries stay in cache
+#: cells per row block of :func:`_build_kernel`'s two passes (a 512 kB
+#: complex block), so that each block's temporaries stay in cache
 _BLOCK = 1 << 15
 
 
@@ -162,6 +164,55 @@ def _row_blocks(signal_grid: FrequencyGrid, idler_grid: FrequencyGrid) -> list:
     step = max(1, _BLOCK // idler_grid.count)
     return [slice(start, start + step)
             for start in range(0, signal_grid.count, step)]
+
+
+def _build_kernel(row_grid: FrequencyGrid, col_grid: FrequencyGrid,
+                  fill) -> JointSpectralAmplitude:
+    """The unit-weight kernel on `row_grid` x `col_grid` whose unnormalized
+    product `fill(rows, out)` writes into `out`, the given `rows` of the
+    complex result.
+
+    Two passes over blocks of whole rows of about ``_BLOCK`` cells form no
+    full-grid temporary besides the result and one float buffer of |.|^2.
+    The first fills each block and its |.|^2; the weight is one ``np.sum``
+    over the buffer, the same pairwise sum as over a whole-grid |.|^2, so
+    it keeps its bits.  The second multiplies each block's real and
+    imaginary parts by 1/sqrt(weight), the factor numpy's complex quotient
+    by sqrt(weight) multiplies by, so the parts match that quotient bit
+    for bit without a complex division.  It then sets every part below
+    sqrt(tiny) ~ 1.5e-154 to +0, the real and the imaginary parts each
+    through their own mask, which keeps the scatter's branches predictable
+    on a real kernel: products of two such parts underflow, which slows
+    down the BLAS products taken over the kernel, and they carry no weight.
+    """
+    blocks = _row_blocks(row_grid, col_grid)
+    values = np.empty((row_grid.count, col_grid.count), dtype=complex)
+    power = np.empty(values.shape)
+    for rows in blocks:
+        fill(rows, values[rows])
+        np.square(np.abs(values[rows], out=power[rows]), out=power[rows])
+    weight = np.sum(power) * row_grid.spacing * col_grid.spacing
+    del power
+    if weight <= 0.0:
+        raise InvalidArgumentError(
+            "pump and phasematching do not overlap on the requested grids")
+
+    factor = 1.0 / np.sqrt(weight)
+    tiny = np.sqrt(np.finfo(float).tiny)
+    # one |part| buffer and one mask serve every block: fresh block-sized
+    # temporaries per part come from the heap and grow the resident set
+    magnitude = np.empty(values[blocks[0]].shape)
+    small = np.empty(magnitude.shape, dtype=bool)
+    for rows in blocks:
+        block = values[rows]
+        parts = block.view(float)
+        parts *= factor
+        k = len(block)
+        for part in (block.real, block.imag):
+            np.less(np.abs(part, out=magnitude[:k]), tiny, out=small[:k])
+            part[small[:k]] = 0.0
+    values.flags.writeable = False  # handed over without a copy
+    return JointSpectralAmplitude(row_grid, col_grid, values)
 
 
 class SampledRidge:
@@ -204,22 +255,7 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel | SampledRidge,
     :class:`SampledRidge` of one on these grids; both give the same bits
     through their ``ridge(signal_grid, idler_grid, rows)``.
 
-    The amplitude is built in two passes over blocks of whole rows of
-    about ``_BLOCK`` cells, so no full-grid temporary is formed besides the
-    result and one float buffer of |alpha phi|^2.  The first pass takes
-    each block's ridge and its product with the pump rows straight into
-    the result, and its |.|^2 into the buffer.  The weight is then one
-    ``np.sum`` over the whole buffer, the same pairwise sum as over a
-    whole-grid |alpha phi|^2, so it keeps its bits; every other step acts
-    element by element.  The second pass normalizes each block by
-    multiplying its real and imaginary parts by 1/sqrt(weight), the factor
-    numpy's complex quotient by sqrt(weight) multiplies by, so the parts
-    match that quotient bit for bit without paying for a complex division.
-    It then sets every part below sqrt(tiny) ~ 1.5e-154 to 0 (this also
-    makes every zero +0), the real and the imaginary parts each through
-    their own mask, which keeps the scatter's branches predictable on a
-    real amplitude: products of two such parts underflow, which slows down
-    the BLAS products taken over the amplitude, and they carry no weight.
+    Each row block of :func:`_build_kernel` is its pump rows times its ridge.
 
     Raises
     ------
@@ -233,38 +269,10 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel | SampledRidge,
         raise InvalidArgumentError(
             f"the pump must be sampled on the sum-frequency grid {sums} of the "
             f"signal and idler grids, got {pump.grid}")
-    n, m = signal_grid.count, idler_grid.count
-    alpha = np.lib.stride_tricks.sliding_window_view(pump.amplitudes, m)
-    blocks = _row_blocks(signal_grid, idler_grid)
-
-    values = np.empty((n, m), dtype=complex)
-    power = np.empty((n, m))
-    for rows in blocks:
-        np.multiply(alpha[rows], pm.ridge(signal_grid, idler_grid, rows),
-                    out=values[rows])
-        np.square(np.abs(values[rows], out=power[rows]), out=power[rows])
-    weight = np.sum(power) * signal_grid.spacing * idler_grid.spacing
-    del power
-    if weight <= 0.0:
-        raise InvalidArgumentError(
-            "pump and phasematching do not overlap on the requested grids")
-
-    factor = 1.0 / np.sqrt(weight)
-    tiny = np.sqrt(np.finfo(float).tiny)
-    # one |part| buffer and one mask serve every block: fresh block-sized
-    # temporaries per part come from the heap and grow the resident set
-    magnitude = np.empty(values[blocks[0]].shape)
-    small = np.empty(magnitude.shape, dtype=bool)
-    for rows in blocks:
-        block = values[rows]
-        parts = block.view(float)
-        parts *= factor
-        k = len(block)
-        for part in (block.real, block.imag):
-            np.less(np.abs(part, out=magnitude[:k]), tiny, out=small[:k])
-            part[small[:k]] = 0.0
-    values.flags.writeable = False  # handed over without a copy
-    return JointSpectralAmplitude(signal_grid, idler_grid, values)
+    alpha = np.lib.stride_tricks.sliding_window_view(pump.amplitudes,
+                                                     idler_grid.count)
+    return _build_kernel(signal_grid, idler_grid, lambda rows, out: np.multiply(
+        alpha[rows], pm.ridge(signal_grid, idler_grid, rows), out=out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,7 +384,8 @@ def _kernel_schmidt(values: np.ndarray, row_grid: FrequencyGrid,
     keep = min(max_modes, *values.shape)
     u_mat, svals, vh_mat = _leading_triplets(values, keep)
     total = np.vdot(values, values).real
-    deflated = values - (u_mat * svals) @ vh_mat
+    deflated = (u_mat * svals) @ vh_mat
+    np.subtract(values, deflated, out=deflated)  # one full-grid temporary
     residual = float(np.vdot(deflated, deflated).real / total)
     magnitude = np.abs(u_mat)
     anchor = np.argmax(magnitude >= (1.0 - 1e-9) * magnitude.max(axis=0), axis=0)

@@ -11,60 +11,48 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BasisMismatchError, InvalidArgumentError
-from .pdc import ModalDensityMatrix, _frozen_complex, _kernel_schmidt
+from .pdc import (
+    JointSpectralAmplitude,
+    ModalDensityMatrix,
+    _build_kernel,
+    _kernel_schmidt,
+)
 from .spectral import FrequencyGrid, HermiteGaussParams, hg_envelope
 
 
-@dataclass(frozen=True, eq=False)
-class MappingFunction:
-    """Sampled sum-frequency kernel xi(w_in, w_out), unit total weight."""
-
-    input_grid: FrequencyGrid
-    output_grid: FrequencyGrid
-    values: np.ndarray  # shape (input count, output count)
-
-    def __post_init__(self):
-        vals = _frozen_complex(self.values)
-        expected = (self.input_grid.count, self.output_grid.count)
-        if vals.shape != expected:
-            raise InvalidArgumentError(
-                f"values shape {vals.shape} does not match grids {expected}")
-        weight = (np.vdot(vals, vals).real
-                  * self.input_grid.spacing * self.output_grid.spacing)
-        if not abs(weight - 1.0) <= 1e-10:
-            raise InvalidArgumentError(
-                f"mapping function not normalized: weight {float(weight)}")
-        object.__setattr__(self, "values", vals)
+#: the gate's sum-frequency kernel xi(w_in, w_out): input frequencies on the
+#: rows (`signal_grid`), output frequencies on the columns (`idler_grid`)
+MappingFunction = JointSpectralAmplitude
 
 
 def build_mapping(qpg_pump: HermiteGaussParams, output_pm: HermiteGaussParams,
                   input_grid: FrequencyGrid, output_grid: FrequencyGrid,
                   group_velocity_mismatch: float = 0.0) -> MappingFunction:
-    """Mapping function xi(w_in, w_out) = pump(w_out - w_in) x phasematching.
+    """Mapping function xi(w_in, w_out) = pump(w_out - w_in) x phasematching,
+    input on the rows and output on the columns.
 
     Both factors are Hermite-Gauss envelopes evaluated exactly at every
-    grid pair, with no sampled spectrum in between.  At zero group-velocity
-    mismatch the phasematching depends on the output frequency alone; a
-    nonzero dimensionless mismatch skews its ridge so the accepted output
-    frequency shifts with the input detuning.
+    grid pair, per row block of :func:`tmsim.pdc._build_kernel`: the grids
+    may differ in spacing, so w_out - w_in need not lie on a grid.  At zero
+    group-velocity mismatch the phasematching depends on the output
+    frequency alone; a nonzero dimensionless mismatch skews its ridge so
+    the accepted output frequency shifts with the input detuning.
     """
+    if not np.isfinite(group_velocity_mismatch):
+        raise InvalidArgumentError(
+            f"group-velocity mismatch must be finite, got {group_velocity_mismatch}")
     d_in = input_grid.offsets[:, None]
     d_out = output_grid.offsets[None, :]
-    alpha = hg_envelope(qpg_pump, d_out - d_in + (
-        output_grid.center - input_grid.center - qpg_pump.center))
-    phi = hg_envelope(output_pm, d_out - group_velocity_mismatch * d_in + (
-        output_grid.center - output_pm.center))
+    pump_shift = output_grid.center - input_grid.center - qpg_pump.center
+    pm_shift = output_grid.center - output_pm.center
 
-    values = alpha * phi
-    power = np.abs(values)
-    weight = (np.sum(np.square(power, out=power))
-              * input_grid.spacing * output_grid.spacing)
-    if weight <= 0.0:
-        raise InvalidArgumentError(
-            "pump and phasematching do not overlap on the requested grids")
-    xi = (values / np.sqrt(weight)).astype(complex)
-    xi.flags.writeable = False  # handed over without a copy
-    return MappingFunction(input_grid, output_grid, xi)
+    def fill(rows, out):
+        d = d_in[rows]
+        alpha = hg_envelope(qpg_pump, d_out - d + pump_shift)
+        phi = hg_envelope(output_pm, d_out - group_velocity_mismatch * d + pm_shift)
+        np.multiply(alpha, phi, out=out)
+
+    return _build_kernel(input_grid, output_grid, fill)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +72,7 @@ def separability_report(xi: MappingFunction, max_modes: int = 20) -> Selectivity
     full spectrum, s_0^2 / ||xi||_F^2 (1 for a rank-one, perfectly
     mode-selective gate), not renormalized over the kept modes;
     `schmidt_weights` are renormalized over the kept modes."""
-    dec = _kernel_schmidt(xi.values, xi.input_grid, max_modes)
+    dec = _kernel_schmidt(xi.amplitudes, xi.signal_grid, max_modes)
     return SelectivityReport(
         schmidt_weights=dec.weights, input_modes=dec.signal_modes,
         separability=float(dec.weights[0] * (1.0 - dec.residual_weight)))

@@ -382,8 +382,8 @@ def jsi_to_csv(jsa: JointSpectralAmplitude) -> str:
 
 def mapping_csv_chunks(xi: MappingFunction):
     """The text of ``mapping.csv`` in chunks of bytes, for ``write_text``."""
-    return _grid_pair_chunks(_MAPPING_HEADER, xi.input_grid, xi.output_grid,
-                             xi.values.real, xi.values.imag)
+    return _grid_pair_chunks(_MAPPING_HEADER, xi.signal_grid, xi.idler_grid,
+                             xi.amplitudes.real, xi.amplitudes.imag)
 
 
 def mapping_to_csv(xi: MappingFunction) -> str:

@@ -510,6 +510,14 @@ class TestPipelineSubcommands:
         assert "bandwidth conversion" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("skew", ["nan", "inf", "-inf"])
+    def test_non_finite_skew_exits_2(self, tmp_path, capsys, skew):
+        rc = main(["qpg", "map", "--count", "64", f"--skew={skew}",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "group-velocity mismatch must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_schmidt_reports_untruncated_purity(self, tmp_path):
         flags = ["--pump-fwhm-nm", "0.54", "--grid-count", "96"]
         assert main(["schmidt", *flags, "--max-modes", "2",

@@ -21,6 +21,7 @@ from tmsim import (
     apply_chirp,
     background_mixed_g2,
     build_jsa,
+    build_mapping,
     chirp_purity_analytic,
     convert_bandwidth,
     g2_from_purity,
@@ -35,8 +36,7 @@ from tmsim import (
     schmidt_purity,
     separability_report,
 )
-from tmsim import cli, pdc, presets
-from tmsim.cli import main
+from tmsim import pdc, presets
 from tmsim.pdc import _PM_SHAPES, fit_basis_width, schmidt_weights
 from tmsim.spectral import FrequencyGrid
 
@@ -305,8 +305,8 @@ def _assert_flushed(values):
 
 
 class TestFlush:
-    """`build_jsa` sets every part below sqrt(tiny) to +0, the real and the
-    imaginary parts each through their own mask."""
+    """`build_jsa` and `build_mapping` set every part below sqrt(tiny) to
+    +0, the real and the imaginary parts each through their own mask."""
 
     @pytest.mark.parametrize("chirp", SCAN_A_VALUES)
     def test_scan_rows(self, chirp):
@@ -331,6 +331,15 @@ class TestFlush:
         assert np.all(np.signbit(pump.amplitudes.imag))
         assert np.any(pump.amplitudes.real < 0)
         _assert_flushed(build_jsa(pump, pm, signal_grid, idler_grid).amplitudes)
+
+    @pytest.mark.parametrize("flags", [(), ("--skew", "0.5"),
+                                       ("--qpg-pump-shape-order", "1")],
+                             ids=["qpg-map", "skew-0.5", "hg1-gate-pump"])
+    def test_qpg_maps(self, qpg_map_inputs, flags):
+        # the skewed map holds ~45 000 nonzero parts below sqrt(tiny)
+        # before the flush
+        args, kwargs = qpg_map_inputs(*flags)
+        _assert_flushed(build_mapping(*args, **kwargs).amplitudes)
 
 
 NAN_ARRAY = np.full((3, 4), np.nan)
@@ -493,20 +502,11 @@ def spectral_kernels(draw):
 
 
 @pytest.fixture(scope="module")
-def qpg_map_kernel(tmp_path_factory):
-    """The 512 x 512 mapping function `tmsim qpg map --count 512` decomposes."""
-    captured = []
-
-    def capture(xi, *args, **kwargs):
-        captured.append(xi)
-        return separability_report(xi, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "separability_report", capture)
-        out = tmp_path_factory.mktemp("qpg-map")
-        assert main(["qpg", "map", "--count", "512", "--out", str(out)]) == 0
-    (xi,) = captured
-    assert xi.values.shape == (512, 512)
+def qpg_map_kernel(qpg_map_inputs):
+    """The 512 x 512 mapping function `tmsim qpg map` decomposes."""
+    args, kwargs = qpg_map_inputs()
+    xi = build_mapping(*args, **kwargs)
+    assert xi.amplitudes.shape == (512, 512)
     return xi
 
 
@@ -538,7 +538,7 @@ class TestTruncatedSchmidt:
 
     @pytest.mark.parametrize("max_modes", (1, 8, 20))
     def test_qpg_map_kernel(self, qpg_map_kernel, max_modes):
-        _assert_matches_svd(qpg_map_kernel.values, max_modes)
+        _assert_matches_svd(qpg_map_kernel.amplitudes, max_modes)
 
     @pytest.fixture(scope="class")
     def scan_svd(self):

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from tmsim import presets, tomography
 from tmsim.cli import main
+from tmsim.pdc import reduced_density_matrix
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,6 +39,31 @@ def test_traced_functions_exist():
                if not callable(getattr(importlib.import_module(f"tmsim.{module}"),
                                        name, None))]
     assert not missing, f"traced but not defined in tmsim: {missing}"
+
+
+def test_notes_read_real_calls():
+    # each hook reads attributes of its function's arguments or result, by
+    # name, only while a traced benchmark runs
+    tracing = _load("tracing")
+    config = presets.merge_overrides(presets.preset_config("a"),
+                                     {"grid": {"count": 64}})
+    jsa = presets.build_state(config)
+    rho = reduced_density_matrix(jsa, presets.tomography_basis(config),
+                                 config.basis.dimension)
+    pset = tomography.mub_bases(config.basis.dimension)
+    records = tomography.simulate_counts(rho, pset, seed=7)
+    calls = {"pdc.schmidt_decompose": [((jsa,), {}), ((), {"jsa": jsa})],
+             "pdc.schmidt_weights": [((jsa,), {})],
+             "tomography.mle_reconstruct": [((records, pset), {})]}
+    assert set(calls) == set(tracing.NOTES)
+    notes = []
+    for name, arguments in calls.items():
+        module, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"tmsim.{module}"), attr)
+        for args, kwargs in arguments:
+            notes.append(tracing.NOTES[name](args, kwargs, fn(*args, **kwargs)))
+    assert notes[:3] == [{"cells": 64 * 64}] * 3
+    assert set(notes[3]) == {"iterations", "converged"}
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

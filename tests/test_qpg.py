@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from tmsim import (
     FilterSpec,
     HermiteGaussParams,
     InvalidArgumentError,
+    JointSpectralAmplitude,
     MappingFunction,
     ModalDensityMatrix,
     SelectivityModel,
@@ -18,6 +21,8 @@ from tmsim import (
     separability_report,
     wavelength_to_omega,
 )
+from tmsim import pdc
+from tmsim.spectral import hg_envelope
 
 OMEGA_IN = wavelength_to_omega(1540.0)
 OMEGA_PUMP = wavelength_to_omega(876.0)
@@ -39,6 +44,26 @@ def make_qpg_mapping(pump_order=0, skew=0.0, count=256,
     pm = HermiteGaussParams(0, OMEGA_OUT, sigma_out)
     return build_mapping(pump, pm, input_grid, output_grid,
                          group_velocity_mismatch=skew), input_grid, sigma_pump
+
+
+def quotient_normalized_mapping(qpg_pump, output_pm, input_grid, output_grid,
+                                group_velocity_mismatch=0.0) -> np.ndarray:
+    """`build_mapping`'s kernel formed over the whole grid at once,
+    normalized by the complex quotient by sqrt(weight) and then flushed
+    below sqrt(tiny): the bits the blocked build and its real reciprocal
+    product must reproduce."""
+    d_in = input_grid.offsets[:, None]
+    d_out = output_grid.offsets[None, :]
+    alpha = hg_envelope(qpg_pump, d_out - d_in + (
+        output_grid.center - input_grid.center - qpg_pump.center))
+    phi = hg_envelope(output_pm, d_out - group_velocity_mismatch * d_in + (
+        output_grid.center - output_pm.center))
+    values = (alpha * phi).astype(complex)
+    weight = np.sum(np.abs(values) ** 2) * input_grid.spacing * output_grid.spacing
+    values /= np.sqrt(weight)
+    parts = values.view(float)
+    parts[np.abs(parts) < np.sqrt(np.finfo(float).tiny)] = 0.0
+    return values
 
 
 def correlated_ridge_mapping():
@@ -89,21 +114,53 @@ class TestBuildMapping:
         ratios = weights[1:7] / weights[:6]
         assert ratios == pytest.approx(np.full(6, ratios[0]), rel=1e-3)
 
-    def test_values_cannot_change_after_construction(self):
+    def test_is_the_joint_amplitude_type(self):
+        # the type's checks and copy rules are tested in test_pdc
+        assert MappingFunction is JointSpectralAmplitude
         xi = make_qpg_mapping(count=64)[0]
-        grids = xi.input_grid, xi.output_grid
-        assert xi.values.dtype == complex and not xi.values.flags.writeable
-        # a read-only array that owns its buffer is taken as is
-        assert MappingFunction(*grids, xi.values).values is xi.values
-        # a writeable array, or a read-only view of one, is copied
-        values = np.array(xi.values)
-        view = values.view()
-        view.flags.writeable = False
-        copies = [MappingFunction(*grids, v) for v in (values, view)]
-        values[...] = 0.0
-        for copy in copies:
-            assert copy.values.tobytes() == xi.values.tobytes()
-            assert not copy.values.flags.writeable
+        assert type(xi) is JointSpectralAmplitude
+        assert xi.amplitudes.dtype == complex and not xi.amplitudes.flags.writeable
+        # the built array is handed over without a copy
+        assert MappingFunction(xi.signal_grid, xi.idler_grid,
+                               xi.amplitudes).amplitudes is xi.amplitudes
+
+    @pytest.mark.parametrize("flags", [(), ("--skew", "0.5"),
+                                       ("--qpg-pump-shape-order", "1")],
+                             ids=["qpg-map", "skew-0.5", "hg1-gate-pump"])
+    def test_normalization_matches_complex_quotient_bit_for_bit(
+            self, qpg_map_inputs, flags):
+        args, kwargs = qpg_map_inputs(*flags)
+        built = build_mapping(*args, **kwargs).amplitudes
+        reference = quotient_normalized_mapping(*args, **kwargs)
+        assert np.array_equal(built.view(np.uint64), reference.view(np.uint64))
+
+    @pytest.mark.parametrize("pump_order", [0, 1])
+    @pytest.mark.parametrize("skew", [0.0, 0.5])
+    def test_blocked_build_matches_whole_grid_bit_for_bit(self, pump_order, skew):
+        # 300 input rows of 200 outputs end in a partial row block
+        sigma_pump, sigma_out = _sigma(620.0), _sigma(59.0)
+        input_grid = make_grid(OMEGA_IN, 12 * sigma_pump, 300)
+        output_grid = make_grid(OMEGA_OUT, 14 * sigma_out, 200)
+        inputs = (HermiteGaussParams(pump_order, OMEGA_PUMP, sigma_pump),
+                  HermiteGaussParams(0, OMEGA_OUT, sigma_out),
+                  input_grid, output_grid, skew)
+        assert input_grid.count % (pdc._BLOCK // output_grid.count) != 0
+        built = build_mapping(*inputs).amplitudes
+        reference = quotient_normalized_mapping(*inputs)
+        assert np.array_equal(built.view(np.uint64), reference.view(np.uint64))
+
+    def test_qpg_map_build_peak(self, qpg_map_inputs):
+        # the 4.2 MB mapping and the 2.1 MB buffer of |.|^2 are the floor; a
+        # build through whole-grid temporaries peaked at 14.7 MB
+        args, kwargs = qpg_map_inputs()
+        assert args[2].count == args[3].count == 512
+        tracemalloc.start()
+        try:
+            build_mapping(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9e6
 
     def test_zero_mismatch_beats_any_skew(self):
         base = separability_report(make_qpg_mapping()[0]).separability
@@ -140,7 +197,7 @@ class TestSeparabilityReport:
         # 20 kept modes hold ~92% of this kernel; renormalizing over them
         # would read 0.0772 against the true 0.0711
         xi = correlated_ridge_mapping()
-        svals = np.linalg.svd(xi.values, compute_uv=False)
+        svals = np.linalg.svd(xi.amplitudes, compute_uv=False)
         report = separability_report(xi)
         assert report.separability == pytest.approx(
             svals[0] ** 2 / np.sum(svals**2), abs=1e-12)

@@ -329,8 +329,8 @@ class TestGridCsvMatchesPerCellLoop:
         assert "null" in read(tmp_path / "jsa.json")
 
     def test_mapping(self, tmp_path):
-        xi = unchecked(MappingFunction, input_grid=self.signal,
-                       output_grid=self.idler, values=self.values)
+        xi = unchecked(MappingFunction, signal_grid=self.signal,
+                       idler_grid=self.idler, amplitudes=self.values)
         expected = reference_grid_pair_csv(
             "omega_in,omega_out,real,imag", self.signal, self.idler,
             self.values.real, self.values.imag)
@@ -394,8 +394,8 @@ class TestGridCsvMatchesPerCellLoop:
         assert read(tmp_path / "jsa.json") == reference_jsa_json(
             signal, idler, reference_json_fill(values.real),
             reference_json_fill(values.imag))
-        xi = unchecked(MappingFunction, input_grid=signal, output_grid=idler,
-                       values=values)
+        xi = unchecked(MappingFunction, signal_grid=signal, idler_grid=idler,
+                       amplitudes=values)
         serialize.write_text(tmp_path / "mapping.csv", serialize.mapping_csv_chunks(xi))
         assert read(tmp_path / "mapping.csv") == reference_grid_pair_csv(
             "omega_in,omega_out,real,imag", signal, idler, values.real, values.imag)
@@ -585,7 +585,7 @@ class TestSerializeBenchmarks:
         input_grid, output_grid = make_grid(1.223, 0.05, 256), make_grid(2.4, 0.05, 256)
         xi = build_mapping(HermiteGaussParams(0, 2.4 - 1.223, 0.01),
                            HermiteGaussParams(0, 2.4, 0.01), input_grid, output_grid)
-        assert not xi.values.imag.any()
+        assert not xi.amplitudes.imag.any()
         text = benchmark.pedantic(lambda: b"".join(serialize.mapping_csv_chunks(xi)),
                                   rounds=3, iterations=1)
         assert text.count(b"\n") == 1 + 256 * 256
