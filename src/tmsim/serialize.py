@@ -30,13 +30,14 @@ output is identical to ``format_float`` per value by construction.  Where
 the ``%`` path, and a product that overflows fails the range check and
 takes it too; the output stays exact.
 
-The layout step puts each field's separator after it and drops the NUL
-padding, in chunks of about ``_CHUNK`` values, each returned as ASCII
-bytes, so that the working set stays small.  The text of a grid artifact
-never exists whole: ``write_text`` writes such chunks to the file as they
-are laid out, and ``write_jsa`` lays out each block of the joint
-amplitude's formatted values as CSV lines and JSON array text side by
-side.  JSON arrays render NaN and infinity as ``null``.
+Text is laid out in chunks of about ``_CHUNK`` values, each in buffers
+that an artifact allocates once, over ``bytearray`` objects, and reuses;
+``bytearray.translate`` on a buffer drops its NULs.  A grid CSV
+(``_GridLines``) formats each frequency once per grid and writes the
+column texts and separators into its line buffer once, so a block copies
+in only its row texts and its values' slots.  The text of a grid artifact
+never exists whole, and ``write_jsa`` writes its CSV lines and JSON
+arrays side by side.  JSON arrays render NaN and infinity as ``null``.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ def format_float(value: float) -> str:
 
 _SLOT = 24        # slot bytes: "-d.dddddddddddde-ddd" is 20, in three uint64 words
 _SEP_AT = 21      # separators start here: past the kernel's and %'s text
+_CELL = _SEP_AT + 1  # a value and its separator in a grid line
 _CHUNK = 1 << 15  # values per layout step
 _E_LO, _E_HI = -325, 309  # exponents the kernel can reach, correction included
 # A mantissa below 1e13 is off by at most 1e13 * eps; four times that is a
@@ -136,13 +138,14 @@ def _mantissas(x: np.ndarray):
     return e, n, slow
 
 
-def _float_slots(values) -> np.ndarray:
+def _float_slots(values, out=None) -> np.ndarray:
     """An ``(n, _SLOT)`` uint8 array whose row i holds the ASCII bytes of
     ``FLOAT_FORMAT % values[i]``, NUL-padded, for the n values of the
-    flattened float64 array ``values``.  Zeros keep the template the array
-    starts as; only the nonzero values are converted."""
+    flattened float64 array ``values``: the first n rows of the C-ordered
+    array ``out`` if given, else a new array.  Zeros keep the template
+    every slot starts as; only the nonzero values are converted."""
     v = np.asarray(values, dtype=np.float64).ravel()
-    slots = np.empty((v.size, _SLOT), np.uint8)
+    slots = np.empty((v.size, _SLOT), np.uint8) if out is None else out[:v.size]
     words64 = slots.view(np.uint64)
     for k, word in enumerate(_ZERO_WORDS):
         words64[:, k] = word
@@ -173,8 +176,8 @@ def _float_slots(values) -> np.ndarray:
     return slots
 
 
-def _separators(texts) -> np.ndarray:
-    """One NUL-padded row of bytes per separator text."""
+def _text_rows(texts) -> np.ndarray:
+    """One row of ASCII bytes per text, NUL-padded to the longest."""
     width = max(map(len, texts))
     return np.frombuffer("".join(t.ljust(width, "\0") for t in texts).encode("ascii"),
                          np.uint8).reshape(len(texts), width)
@@ -182,11 +185,23 @@ def _separators(texts) -> np.ndarray:
 
 # indexed by the number of axes a field closes: 0 inside a line, 1 at its
 # end, 2 at the end of the table
-_CSV_SEPARATORS = _separators([",", "\n", "\n"])
+_CSV_SEPARATORS = _text_rows([",", "\n", "\n"])
 
 
 def _json_separators(rank: int) -> np.ndarray:
-    return _separators(["]" * z + "," + "[" * z for z in range(rank)] + ["]" * rank])
+    return _text_rows(["]" * z + "," + "[" * z for z in range(rank)] + ["]" * rank])
+
+
+def _byte_array(*shape):
+    """A zeroed uint8 array of ``shape`` and the bytearray it views, from
+    which ``_nul_free`` takes its text."""
+    buffer = bytearray(int(np.prod(shape)))
+    return np.frombuffer(buffer, np.uint8).reshape(shape), buffer
+
+
+def _nul_free(buffer: bytearray, size: int) -> bytearray:
+    """The first ``size`` bytes of ``buffer`` with the NULs dropped."""
+    return (buffer if size == len(buffer) else buffer[:size]).translate(None, b"\0")
 
 
 _NULL_SLOT = np.frombuffer(b"null".ljust(_SLOT, b"\0"), np.uint8)
@@ -199,16 +214,17 @@ def _nulled(slots: np.ndarray, values) -> np.ndarray:
     return slots
 
 
-def _json_slots(values) -> np.ndarray:
-    return _nulled(_float_slots(values), values)
+def _json_slots(values, out) -> np.ndarray:
+    return _nulled(_float_slots(values, out), values)
 
 
-def _layout(slots: np.ndarray, start: int, shape: tuple, seps: np.ndarray) -> bytes:
+def _layout(slots: np.ndarray, start: int, shape: tuple, seps: np.ndarray,
+            buffer: bytearray) -> bytearray:
     """The text of the whole last-axis rows of a C-ordered array of
-    ``shape`` whose fields from flat index ``start`` on have ``slots``:
-    each field followed by ``seps[z]``, z being the number of axes it
-    closes, with the NULs dropped.  The separators may be written into
-    ``slots``."""
+    ``shape`` whose fields from flat index ``start`` on have ``slots``, the
+    leading rows of an array over ``buffer``: each field followed by
+    ``seps[z]``, z being the number of axes it closes, with the NULs
+    dropped.  The separators may be written into ``slots``."""
     width = shape[-1] if shape else 1
     rows = len(slots) // width
     row_ends = np.arange(start // width + 1, start // width + rows + 1)
@@ -219,20 +235,26 @@ def _layout(slots: np.ndarray, start: int, shape: tuple, seps: np.ndarray) -> by
         closed += row_ends % period == 0
     stop = _SEP_AT + seps.shape[1]
     if stop > _SLOT:
-        slots = np.pad(slots, ((0, 0), (0, stop - _SLOT)))
+        padded, buffer = _byte_array(len(slots), stop)
+        padded[:, :_SLOT] = slots
+        slots = padded
     cells = slots.reshape(rows, width, -1)
-    cells[:, :-1, _SEP_AT:stop] = seps[0]
+    # the separator inside a row, seps[0], is a comma, and a slot is NUL
+    # from _SEP_AT on, so it takes one byte
+    cells[:, :-1, _SEP_AT] = ord(",")
     cells[:, -1, _SEP_AT:stop] = seps[closed]
-    return slots.tobytes().translate(None, b"\0")
+    return _nul_free(buffer, slots.nbytes)
 
 
 def _float_chunks(values: np.ndarray, seps: np.ndarray, slots=_float_slots):
     """The text of the float array ``values``, each field's slot made by
-    ``slots``, yielded in chunks of whole last-axis rows."""
+    ``slots`` into one reused slot array, yielded in chunks of whole
+    last-axis rows."""
     flat = values.reshape(-1)
     step = max(1, _CHUNK // values.shape[-1]) * values.shape[-1] if values.ndim else 1
+    out, buffer = _byte_array(min(step, flat.size), _SLOT)
     for a in range(0, flat.size, step):
-        yield _layout(slots(flat[a:a + step]), a, values.shape, seps)
+        yield _layout(slots(flat[a:a + step], out), a, values.shape, seps, buffer)
 
 
 def _text(chunks) -> str:
@@ -338,22 +360,49 @@ def _row_blocks(shape: tuple, fields_per_point: int):
     return [(a, min(a + step, shape[0])) for a in range(0, shape[0], step)]
 
 
-def _grid_lines(row_slots: np.ndarray, col_slots: np.ndarray, first: int,
-                *columns: np.ndarray) -> bytes:
-    """The CSV lines of the grid rows from ``first`` on, one per point: its
-    row and column frequencies, then its slot in each of ``columns``.  The
-    frequencies are formatted once per grid and their slots repeated on
-    every line."""
-    cols = len(col_slots)
-    rows = len(columns[0]) // cols
-    width = 2 + len(columns)
-    slots = np.empty((rows, cols, width, _SLOT), np.uint8)
-    slots[:, :, 0] = row_slots[first:first + rows, None]
-    slots[:, :, 1] = col_slots
-    for k, column in enumerate(columns, start=2):
-        slots[:, :, k] = column.reshape(rows, cols, _SLOT)
-    return _layout(slots.reshape(-1, _SLOT), first * cols * width,
-                   (len(row_slots) * cols, width), _CSV_SEPARATORS)
+def _items(array: np.ndarray) -> np.ndarray:
+    """Each last-axis row of the uint8 ``array`` as one void item, which
+    numpy copies about twice as fast as its bytes one by one."""
+    return array.view(f"V{array.shape[-1]}")
+
+
+class _GridLines:
+    """The CSV lines of a grid, one per point: its row and column
+    frequencies, then its value in each of ``columns`` arrays, laid out
+    ``rows`` grid rows at a time in one reused line buffer.
+
+    Each frequency's text with its comma is formatted once per grid and
+    NUL-padded to the longest of its axis.  The column texts and every
+    separator are written into the buffer once; a block copies in only its
+    rows' texts and the slots of its values, each into a cell of
+    ``_SEP_AT + 1`` bytes whose last byte is the separator.  ``slots``
+    holds each column's reused slot array with its bytearray."""
+
+    def __init__(self, row_grid: FrequencyGrid, col_grid: FrequencyGrid, rows: int,
+                 columns: int):
+        row_texts = _text_rows([format_float(w) + "," for w in row_grid.points.tolist()])
+        col_texts = _text_rows([format_float(w) + "," for w in col_grid.points.tolist()])
+        width = row_texts.shape[1]
+        start = width + col_texts.shape[1]  # the first value cell
+        self.lines, self.buffer = _byte_array(rows, col_grid.count, start + columns * _CELL)
+        self.lines[:, :, width:start] = col_texts
+        ends = np.arange(start + _SEP_AT, self.lines.shape[2], _CELL)
+        self.lines[:, :, ends[:-1]] = ord(",")
+        self.lines[:, :, ends[-1]] = ord("\n")
+        self.row_texts = _items(row_texts)
+        self.prefixes = _items(self.lines[:, :, :width])
+        self.cells = [_items(self.lines[:, :, at:at + _SEP_AT]) for at in ends - _SEP_AT]
+        self.slots = [_byte_array(rows * col_grid.count, _SLOT) for _ in range(columns)]
+
+    def text(self, first: int, *blocks: np.ndarray) -> bytearray:
+        """The lines of the grid rows from ``first`` on, whose values are
+        the rows of ``blocks``, one per column."""
+        rows = len(blocks[0])
+        self.prefixes[:rows] = self.row_texts[first:first + rows, None]
+        for block, (out, _), cells in zip(blocks, self.slots, self.cells):
+            slots = _float_slots(block, out)
+            cells[:rows] = _items(slots[:, :_SEP_AT]).reshape(rows, -1, 1)
+        return _nul_free(self.buffer, self.lines[:rows].nbytes)
 
 
 def _grid_pair_chunks(header: bytes, row_grid: FrequencyGrid, col_grid: FrequencyGrid,
@@ -361,12 +410,11 @@ def _grid_pair_chunks(header: bytes, row_grid: FrequencyGrid, col_grid: Frequenc
     """``header``, then one line per grid point: the row and column
     frequencies, then each (row count, column count) array's value there,
     yielded in blocks of grid rows."""
-    row_slots = _float_slots(row_grid.points)
-    col_slots = _float_slots(col_grid.points)
+    blocks = _row_blocks(columns[0].shape, 2 + len(columns))
+    lines = _GridLines(row_grid, col_grid, blocks[0][1], len(columns))
     yield header
-    for a, b in _row_blocks(columns[0].shape, 2 + len(columns)):
-        yield _grid_lines(row_slots, col_slots, a,
-                          *(_float_slots(column[a:b]) for column in columns))
+    for a, b in blocks:
+        yield lines.text(a, *(column[a:b] for column in columns))
 
 
 def jsa_to_csv(jsa: JointSpectralAmplitude) -> str:
@@ -396,14 +444,17 @@ def write_jsa(jsa: JointSpectralAmplitude, out: Path) -> None:
 
     The three files are written side by side, one block of grid rows at a
     time, so each real part, imaginary part and intensity is formatted
-    once.  jsa.json's keys are sorted, so its "im" array streams with the
-    CSV files and only the laid-out "re" array is held until "im" is
+    once: jsa.json's arrays are laid out from the slots of jsa.csv's
+    columns.  jsa.json's keys are sorted, so its "im" array streams with
+    the CSV files and only the laid-out "re" array is held until "im" is
     complete.
     """
     amplitudes = jsa.amplitudes
     shape = amplitudes.shape
-    row_slots = _float_slots(jsa.signal_grid.points)
-    col_slots = _float_slots(jsa.idler_grid.points)
+    blocks = _row_blocks(shape, 4)
+    jsa_lines = _GridLines(jsa.signal_grid, jsa.idler_grid, blocks[0][1], 2)
+    jsi_lines = _GridLines(jsa.signal_grid, jsa.idler_grid, blocks[0][1], 1)
+    (re, re_buffer), (im, im_buffer) = jsa_lines.slots
     seps = _json_separators(2)
     re_text = [b"[["]
     with (_artifact(out / "jsa.csv") as csv, _artifact(out / "jsi.csv") as jsi,
@@ -414,14 +465,17 @@ def write_jsa(jsa: JointSpectralAmplitude, out: Path) -> None:
         def im_text():
             # rendering "im" drives the CSV files
             yield b"[["
-            for a, b in _row_blocks(shape, 4):
+            for a, b in blocks:
                 block = amplitudes[a:b]
-                re, im = _float_slots(block.real), _float_slots(block.imag)
-                csv.write(_grid_lines(row_slots, col_slots, a, re, im))
-                jsi.write(_grid_lines(row_slots, col_slots, a,
-                                      _float_slots(np.abs(block) ** 2)))
-                re_text.append(_layout(_nulled(re, block.real), a * shape[1], shape, seps))
-                yield _layout(_nulled(im, block.imag), a * shape[1], shape, seps)
+                csv.write(jsa_lines.text(a, block.real, block.imag))
+                jsi.write(jsi_lines.text(a, np.abs(block) ** 2))
+                start = a * shape[1]
+                # held until "im" is complete: as bytes, which keep no room
+                # for the NULs that the bytearray dropped
+                re_text.append(bytes(_layout(_nulled(re[:block.size], block.real), start,
+                                             shape, seps, re_buffer)))
+                yield _layout(_nulled(im[:block.size], block.imag), start, shape, seps,
+                              im_buffer)
 
         _render_json(dict(jsa_to_dict(jsa), re=_Rendered(re_text),
                           im=_Rendered(im_text())), js.write)

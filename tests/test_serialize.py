@@ -1,4 +1,5 @@
 import json
+import os
 import time
 import tracemalloc
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from tmsim import (
     ComplexSpectrum,
     CountRecord,
+    FrequencyGrid,
     HermiteGaussParams,
     InvalidArgumentError,
     JointSpectralAmplitude,
@@ -401,6 +403,88 @@ class TestGridCsvMatchesPerCellLoop:
             "omega_in,omega_out,real,imag", signal, idler, values.real, values.imag)
 
 
+def long_then_zero_grid(rows, cols, long_rows, seed=11):
+    """Complex (rows, cols) values whose first ``long_rows`` rows hold the
+    longest texts, negative parts with 3-digit exponents and NaN and
+    infinite cells, and whose other rows are all zeros."""
+    rng = np.random.default_rng(seed)
+    size = (long_rows, cols)
+    values = np.zeros((rows, cols), complex)
+    values.real[:long_rows] = -rng.uniform(1, 10, size) * 10.0 ** -rng.integers(100, 150, size)
+    values.imag[:long_rows] = -rng.uniform(1, 10, size) * 10.0 ** rng.integers(100, 150, size)
+    values[0, 0] = complex(np.nan, -np.inf)
+    values[long_rows - 1, cols - 1] = complex(np.inf, np.nan)
+    return values
+
+
+def first_difference(text, expected):
+    """None where ``text == expected``, else where they first differ and
+    both texts around it: a short report where pytest would diff whole
+    grid files."""
+    if text == expected:
+        return None
+    at = len(os.path.commonprefix([text, expected]))
+    return at, text[max(0, at - 40):at + 40], expected[max(0, at - 40):at + 40]
+
+
+def assert_grid_files(tmp_path, signal, idler, values):
+    """``write_jsa`` and the mapping chunks of ``values`` on the grids
+    against the per-cell loop, NaN and infinity as null in jsa.json."""
+    jsa = unchecked(JointSpectralAmplitude, signal_grid=signal, idler_grid=idler,
+                    amplitudes=values)
+    with np.errstate(invalid="ignore", over="ignore"):
+        serialize.write_jsa(jsa, tmp_path)
+        intensity = np.abs(values) ** 2
+    assert first_difference(read(tmp_path / "jsa.csv"), reference_grid_pair_csv(
+        "omega_s,omega_i,real,imag", signal, idler, values.real, values.imag)) is None
+    assert first_difference(read(tmp_path / "jsi.csv"), reference_grid_pair_csv(
+        "omega_s,omega_i,intensity", signal, idler, intensity)) is None
+    assert first_difference(read(tmp_path / "jsa.json"), reference_jsa_json(
+        signal, idler, serialize.dump_json(values.real.tolist())[:-1],
+        serialize.dump_json(values.imag.tolist())[:-1])) is None
+    xi = unchecked(MappingFunction, signal_grid=signal, idler_grid=idler,
+                   amplitudes=values)
+    serialize.write_text(tmp_path / "mapping.csv", serialize.mapping_csv_chunks(xi))
+    assert first_difference(read(tmp_path / "mapping.csv"), reference_grid_pair_csv(
+        "omega_in,omega_out,real,imag", signal, idler, values.real, values.imag)) is None
+
+
+class TestReusedLineBuffers:
+    """The grid writers lay out every block of rows in one reused line
+    buffer, from one reused slot array per column, so no text of an
+    earlier block may show in a later or shorter one."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, serialize._CHUNK])
+    def test_long_texts_then_zeros(self, monkeypatch, tmp_path, chunk):
+        # 5 columns: 1, 1, 3 and 1638 rows per block, the last one short
+        # at 64 and at the default
+        monkeypatch.setattr(serialize, "_CHUNK", chunk)
+        signal, idler = make_grid(1.223, 0.02, 3500), make_grid(1.220, 0.03, 5)
+        values = long_then_zero_grid(3500, 5, long_rows=1700)
+        blocks = serialize._row_blocks(values.shape, 4)
+        assert values[blocks[-1][0]:].any() == (len(blocks) == 1)
+        assert_grid_files(tmp_path, signal, idler, values)
+        text = read(tmp_path / "jsa.csv")
+        assert "-9." in text and "e-1" in text and "nan" in text and "-inf" in text
+
+    @pytest.mark.parametrize("chunk", [1, 64, serialize._CHUNK])
+    def test_frequencies_straddling_zero(self, monkeypatch, tmp_path, chunk):
+        # "-5.000000000000e-01," is one byte longer than "5.000000000000e-01,"
+        monkeypatch.setattr(serialize, "_CHUNK", chunk)
+        signal = FrequencyGrid(center=0.0, spacing=0.5, count=7)
+        idler = FrequencyGrid(center=0.05, spacing=0.1, count=6)
+        rng = np.random.default_rng(2)
+        values = rng.normal(size=(7, 6)) + 1j * rng.normal(size=(7, 6))
+        values /= np.sqrt(np.vdot(values, values).real * signal.spacing * idler.spacing)
+        jsa = JointSpectralAmplitude(signal, idler, values)
+        for grid in (signal, idler):
+            assert len({len(serialize.format_float(w)) for w in grid.points}) == 2
+        assert_grid_files(tmp_path, signal, idler, jsa.amplitudes)
+        lines = read(tmp_path / "jsa.csv").splitlines()
+        assert lines[1].startswith("-1.500000000000e+00,-2.000000000000e-01,")
+        assert lines[-1].startswith("1.500000000000e+00,3.000000000000e-01,")
+
+
 def traced_peak(write) -> int:
     """The peak of memory traced while ``write()`` runs, in bytes."""
     tracemalloc.start()
@@ -416,13 +500,13 @@ def failing_on_second_block(monkeypatch, error, calls_per_block, directory, seen
     rows is formatted, after listing ``directory`` into ``seen``."""
     real, blocks = serialize._float_slots, []
 
-    def slots(values):
+    def slots(values, out=None):
         if np.ndim(values) == 2:  # grid rows, not grid points
             blocks.append(None)
             if len(blocks) > calls_per_block:
                 seen.extend(sorted(p.name for p in directory.iterdir()))
                 raise error
-        return real(values)
+        return real(values, out)
 
     monkeypatch.setattr(serialize, "_CHUNK", 64)
     monkeypatch.setattr(serialize, "_float_slots", slots)
