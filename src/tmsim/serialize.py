@@ -3,8 +3,13 @@
 All floating-point data is rendered as %.12e with sorted JSON keys, so
 identical inputs always produce identical bytes.
 
-Float arrays reach text through one numpy kernel (``_float_slots``) and
-one layout step (``_layout``) instead of one ``%`` conversion per value.
+Each artifact shape has one text path.  The grid files (``jsa.csv``,
+``jsi.csv``, ``jsa.json`` and ``mapping.csv``, 512 x 512 values and more)
+are laid out from one numpy kernel (``_float_slots``) in reused line
+buffers.  Every other number, a density matrix, a projector, a weight or
+a row of a chirp scan, is one ``%`` conversion, which costs less than
+the kernel's fixed numpy overhead on arrays of a few values.
+
 The kernel writes ``FLOAT_FORMAT % v`` for every value into a fixed-width,
 NUL-padded slot of ASCII bytes.  The slot array starts as the template of
 ``0.000000000000e+00``, so zeros cost no arithmetic: ``-0.0`` only gets
@@ -30,20 +35,24 @@ output is identical to ``format_float`` per value by construction.  Where
 the ``%`` path, and a product that overflows fails the range check and
 takes it too; the output stays exact.
 
-Text is laid out in chunks of about ``_CHUNK`` values, each in buffers
-that an artifact allocates once, over ``bytearray`` objects, and reuses;
-``bytearray.translate`` on a buffer drops its NULs.  A grid CSV
-(``_GridLines``) formats each frequency once per grid and writes the
-column texts and separators into its line buffer once, so a block copies
-in only its row texts and its values' slots.  The text of a grid artifact
-never exists whole, and ``write_jsa`` writes its CSV lines and JSON
-arrays side by side.  JSON arrays render NaN and infinity as ``null``.
+Grid text is laid out in blocks of whole grid rows, about ``_CHUNK``
+values each, in buffers that an artifact allocates once, over
+``bytearray`` objects, and reuses; ``bytearray.translate`` on a buffer
+drops its NULs.  A grid CSV (``_GridLines``) formats each frequency once
+per grid and writes the column texts and separators into its line buffer
+once, so a block copies in only its row texts and its values' slots.
+jsa.json's two arrays (``_ArrayRows``) hold their brackets and commas in
+the same way, and copy in the slots of jsa.csv's columns, with ``null``
+in place of NaN and infinity.  The text of a grid artifact never exists
+whole, and ``write_jsa`` writes its CSV lines and JSON arrays side by
+side.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -183,15 +192,6 @@ def _text_rows(texts) -> np.ndarray:
                          np.uint8).reshape(len(texts), width)
 
 
-# indexed by the number of axes a field closes: 0 inside a line, 1 at its
-# end, 2 at the end of the table
-_CSV_SEPARATORS = _text_rows([",", "\n", "\n"])
-
-
-def _json_separators(rank: int) -> np.ndarray:
-    return _text_rows(["]" * z + "," + "[" * z for z in range(rank)] + ["]" * rank])
-
-
 def _byte_array(*shape):
     """A zeroed uint8 array of ``shape`` and the bytearray it views, from
     which ``_nul_free`` takes its text."""
@@ -214,49 +214,6 @@ def _nulled(slots: np.ndarray, values) -> np.ndarray:
     return slots
 
 
-def _json_slots(values, out) -> np.ndarray:
-    return _nulled(_float_slots(values, out), values)
-
-
-def _layout(slots: np.ndarray, start: int, shape: tuple, seps: np.ndarray,
-            buffer: bytearray) -> bytearray:
-    """The text of the whole last-axis rows of a C-ordered array of
-    ``shape`` whose fields from flat index ``start`` on have ``slots``, the
-    leading rows of an array over ``buffer``: each field followed by
-    ``seps[z]``, z being the number of axes it closes, with the NULs
-    dropped.  The separators may be written into ``slots``."""
-    width = shape[-1] if shape else 1
-    rows = len(slots) // width
-    row_ends = np.arange(start // width + 1, start // width + rows + 1)
-    closed = np.full(rows, 1 if shape else 0)  # a 0-d array closes no axis
-    period = 1
-    for size in reversed(shape[:-1]):
-        period *= size
-        closed += row_ends % period == 0
-    stop = _SEP_AT + seps.shape[1]
-    if stop > _SLOT:
-        padded, buffer = _byte_array(len(slots), stop)
-        padded[:, :_SLOT] = slots
-        slots = padded
-    cells = slots.reshape(rows, width, -1)
-    # the separator inside a row, seps[0], is a comma, and a slot is NUL
-    # from _SEP_AT on, so it takes one byte
-    cells[:, :-1, _SEP_AT] = ord(",")
-    cells[:, -1, _SEP_AT:stop] = seps[closed]
-    return _nul_free(buffer, slots.nbytes)
-
-
-def _float_chunks(values: np.ndarray, seps: np.ndarray, slots=_float_slots):
-    """The text of the float array ``values``, each field's slot made by
-    ``slots`` into one reused slot array, yielded in chunks of whole
-    last-axis rows."""
-    flat = values.reshape(-1)
-    step = max(1, _CHUNK // values.shape[-1]) * values.shape[-1] if values.ndim else 1
-    out, buffer = _byte_array(min(step, flat.size), _SLOT)
-    for a in range(0, flat.size, step):
-        yield _layout(slots(flat[a:a + step], out), a, values.shape, seps, buffer)
-
-
 def _text(chunks) -> str:
     return b"".join(chunks).decode("ascii")
 
@@ -265,69 +222,41 @@ def float_rows_to_csv(header: str, rows) -> str:
     """``header``, then one line per row of ``rows``, one float per column
     the header names."""
     values = np.asarray(rows, dtype=float).reshape(-1, header.count(",") + 1)
-    return header + "\n" + _text(_float_chunks(values, _CSV_SEPARATORS))
-
-
-class _Rendered:
-    """A JSON value given as the chunks of its text, which ``_render_json``
-    writes as they come."""
-
-    def __init__(self, chunks):
-        self.chunks = chunks
+    return header + "\n" + "".join([",".join(map(format_float, row)) + "\n"
+                                    for row in values.tolist()])
 
 
 def dump_json(obj) -> str:
     """Render a plain dict/list tree with sorted keys and %.12e floats."""
-    parts = []
-    _render_json(obj, parts.append)
-    parts.append(b"\n")
-    return _text(parts)
+    return _render_json(obj) + "\n"
 
 
-def _render_json(obj, write) -> None:
-    """Pass the ASCII text of ``obj`` to ``write`` in chunks of bytes."""
-    if obj is None:
-        write(b"null")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        write(b"true" if obj else b"false")
-    elif isinstance(obj, (int, np.integer)):
-        write(b"%d" % int(obj))
-    elif isinstance(obj, (float, np.floating)):
+def _render_json(obj) -> str:
+    """The JSON text of ``obj``."""
+    if isinstance(obj, (float, np.floating)):
         # JSON has no NaN/inf; empty-branch statistics serialize as null
-        write(format_float(obj).encode("ascii") if np.isfinite(obj) else b"null")
-    elif isinstance(obj, str):
-        write(json.dumps(obj).encode("ascii"))
-    elif isinstance(obj, dict):
-        write(b"{")
-        for i, key in enumerate(sorted(obj)):
+        return format_float(obj) if math.isfinite(obj) else "null"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return "%d" % int(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        items = []
+        for key in sorted(obj):
             if not isinstance(key, str):
                 raise InvalidArgumentError("JSON object keys must be strings")
-            if i:
-                write(b",")
-            write(json.dumps(key).encode("ascii") + b":")
-            _render_json(obj[key], write)
-        write(b"}")
-    elif isinstance(obj, _Rendered):
-        for chunk in obj.chunks:
-            write(chunk)
-    elif isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.size:
-            write(b"[" * obj.ndim)
-            for chunk in _float_chunks(obj, _json_separators(obj.ndim), _json_slots):
-                write(chunk)
-        else:
-            # integers, booleans and empty shapes element-wise
-            _render_json(obj.tolist(), write)
-    elif isinstance(obj, (list, tuple)):
-        write(b"[")
-        for i, item in enumerate(obj):
-            if i:
-                write(b",")
-            _render_json(item, write)
-        write(b"]")
-    else:
-        raise InvalidArgumentError(
-            f"cannot serialize object of type {type(obj).__name__}")
+            items.append(json.dumps(key) + ":" + _render_json(obj[key]))
+        return "{" + ",".join(items) + "}"
+    if isinstance(obj, np.ndarray):
+        # a 0-d array becomes its scalar, and a complex entry is rejected
+        return _render_json(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join([_render_json(item) for item in obj]) + "]"
+    raise InvalidArgumentError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def grid_to_dict(grid: FrequencyGrid) -> dict:
@@ -338,13 +267,6 @@ def spectrum_to_csv(spectrum: ComplexSpectrum) -> str:
     amp = spectrum.amplitudes
     return float_rows_to_csv("omega_rad_per_fs,real,imag",
                              np.column_stack([spectrum.grid.points, amp.real, amp.imag]))
-
-
-def jsa_to_dict(jsa: JointSpectralAmplitude) -> dict:
-    return {"signal_grid": grid_to_dict(jsa.signal_grid),
-            "idler_grid": grid_to_dict(jsa.idler_grid),
-            "re": jsa.amplitudes.real,
-            "im": jsa.amplitudes.imag}
 
 
 _JSA_HEADER = b"omega_s,omega_i,real,imag\n"
@@ -438,6 +360,35 @@ def mapping_to_csv(xi: MappingFunction) -> str:
     return _text(mapping_csv_chunks(xi))
 
 
+class _ArrayRows:
+    """The rows of the JSON array of a grid of ``count`` rows and ``cols``
+    columns, ``[v,...,v],`` each and ``[v,...,v]]`` the last, laid out
+    ``rows`` grid rows at a time in one reused line buffer.
+
+    The brackets and commas are written into the buffer once; a block
+    copies in only the first ``_SEP_AT`` bytes of its values' slots, each
+    into a cell of ``_SEP_AT + 1`` bytes whose last byte is the separator."""
+
+    def __init__(self, count: int, rows: int, cols: int):
+        self.count = count
+        self.lines, self.buffer = _byte_array(rows, cols * _CELL + 2)
+        self.lines[:, 0] = ord("[")
+        self.lines[:, _SEP_AT + 1:-1:_CELL] = ord(",")
+        self.lines[:, -2] = ord("]")
+        self.lines[:, -1] = ord(",")
+        cells = self.lines[:, 1:-1].reshape(rows, cols, _CELL)
+        self.cells = _items(cells[:, :, :_SEP_AT])
+
+    def text(self, first: int, slots: np.ndarray) -> bytearray:
+        """The lines of the grid rows from ``first`` on, whose values'
+        slots are the rows of ``slots``."""
+        rows = len(slots) // self.cells.shape[1]
+        self.cells[:rows] = _items(slots[:, :_SEP_AT]).reshape(rows, -1, 1)
+        if first + rows == self.count:
+            self.lines[rows - 1, -1] = ord("]")
+        return _nul_free(self.buffer, self.lines[:rows].nbytes)
+
+
 def write_jsa(jsa: JointSpectralAmplitude, out: Path) -> None:
     """Write the joint amplitude's grid files, jsa.csv, jsi.csv and
     jsa.json, into the directory ``out``.
@@ -445,41 +396,38 @@ def write_jsa(jsa: JointSpectralAmplitude, out: Path) -> None:
     The three files are written side by side, one block of grid rows at a
     time, so each real part, imaginary part and intensity is formatted
     once: jsa.json's arrays are laid out from the slots of jsa.csv's
-    columns.  jsa.json's keys are sorted, so its "im" array streams with
-    the CSV files and only the laid-out "re" array is held until "im" is
-    complete.
+    columns, with NaN and infinity as ``null``.  jsa.json's keys are
+    sorted, so its "im" array streams with the CSV files and only the
+    laid-out "re" array is held until "im" is complete.
     """
     amplitudes = jsa.amplitudes
-    shape = amplitudes.shape
-    blocks = _row_blocks(shape, 4)
-    jsa_lines = _GridLines(jsa.signal_grid, jsa.idler_grid, blocks[0][1], 2)
-    jsi_lines = _GridLines(jsa.signal_grid, jsa.idler_grid, blocks[0][1], 1)
-    (re, re_buffer), (im, im_buffer) = jsa_lines.slots
-    seps = _json_separators(2)
-    re_text = [b"[["]
+    count, cols = amplitudes.shape
+    blocks = _row_blocks(amplitudes.shape, 4)
+    rows = blocks[0][1]
+    jsa_lines = _GridLines(jsa.signal_grid, jsa.idler_grid, rows, 2)
+    jsi_lines = _GridLines(jsa.signal_grid, jsa.idler_grid, rows, 1)
+    (re, _), (im, _) = jsa_lines.slots
+    # one line buffer for both arrays: "re" is copied out before "im" is laid out
+    json_rows = _ArrayRows(count, rows, cols)
+    re_text = []
     with (_artifact(out / "jsa.csv") as csv, _artifact(out / "jsi.csv") as jsi,
           _artifact(out / "jsa.json") as js):
         csv.write(_JSA_HEADER)
         jsi.write(_JSI_HEADER)
-
-        def im_text():
-            # rendering "im" drives the CSV files
-            yield b"[["
-            for a, b in blocks:
-                block = amplitudes[a:b]
-                csv.write(jsa_lines.text(a, block.real, block.imag))
-                jsi.write(jsi_lines.text(a, np.abs(block) ** 2))
-                start = a * shape[1]
-                # held until "im" is complete: as bytes, which keep no room
-                # for the NULs that the bytearray dropped
-                re_text.append(bytes(_layout(_nulled(re[:block.size], block.real), start,
-                                             shape, seps, re_buffer)))
-                yield _layout(_nulled(im[:block.size], block.imag), start, shape, seps,
-                              im_buffer)
-
-        _render_json(dict(jsa_to_dict(jsa), re=_Rendered(re_text),
-                          im=_Rendered(im_text())), js.write)
-        js.write(b"\n")
+        js.write(b'{"idler_grid":%s,"im":[' % _render_json(
+            grid_to_dict(jsa.idler_grid)).encode("ascii"))
+        for a, b in blocks:
+            block = amplitudes[a:b]
+            csv.write(jsa_lines.text(a, block.real, block.imag))
+            jsi.write(jsi_lines.text(a, np.abs(block) ** 2))
+            # held until "im" is complete: as bytes, which keep no room
+            # for the NULs that the bytearray dropped
+            re_text.append(bytes(json_rows.text(a, _nulled(re[:block.size], block.real))))
+            js.write(json_rows.text(a, _nulled(im[:block.size], block.imag)))
+        js.write(b',"re":[')
+        js.writelines(re_text)
+        js.write(b',"signal_grid":%s}\n' % _render_json(
+            grid_to_dict(jsa.signal_grid)).encode("ascii"))
 
 
 def density_to_dict(rho: ModalDensityMatrix) -> dict:
@@ -493,6 +441,9 @@ def density_from_dict(data: dict) -> ModalDensityMatrix:
     """Parse ``density_to_dict`` output, naming any malformed entry."""
     if not isinstance(data, dict):
         raise InvalidArgumentError("density matrix must be a JSON object")
+    for key in ("d", "re", "im"):
+        if key not in data:
+            raise InvalidArgumentError(f"density matrix is missing the {key!r} entry")
     d, leakage = data["d"], data.get("leakage", 0.0)
     if type(d) is not int:
         raise InvalidArgumentError(f"density matrix 'd': must be an integer, got {d!r}")

@@ -824,6 +824,9 @@ class TestPipelineSubcommands:
         ('{"d": 2.7, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}',
          "'d': must be an integer"),
         ('[1]', "must be a JSON object"),
+        ('{"re": [[1]], "im": [[0]]}', "density matrix is missing the 'd' entry"),
+        ('{"d": 1, "im": [[0]]}', "density matrix is missing the 're' entry"),
+        ('{"d": 1, "re": [[1]], "leakage": 0}', "density matrix is missing the 'im' entry"),
         ('{"d": 1, "re": [["a"]], "im": [[0]]}', "'re': could not convert"),
         ('{"d": 1, "re": [[1]], "im": [[0]], "leakage": "x"}',
          "'leakage': must be a number"),

@@ -96,10 +96,15 @@ def non_finite_grid(rows, cols, seed=3):
     return values
 
 
+def slot_texts(slots):
+    """The text of each slot of ``slots``."""
+    return [row.tobytes().rstrip(b"\0").replace(b"\0", b"").decode("ascii")
+            for row in slots]
+
+
 def kernel_texts(values):
     """The text of each slot the formatting kernel writes for ``values``."""
-    return [row.tobytes().rstrip(b"\0").replace(b"\0", b"").decode("ascii")
-            for row in serialize._float_slots(values)]
+    return slot_texts(serialize._float_slots(values))
 
 
 def percent_texts(values):
@@ -184,6 +189,9 @@ class TestDumpJson:
     @example(np.arange(24.0).reshape(2, 3, 4) - 11.5)
     @example(np.full((2, 1, 2, 1, 2), -1e-310))
     @example(np.array([[5e-324, -1e-300], [1e300, -1e300]]))
+    @example(non_finite_grid(5, 8).imag.reshape(2, 4, 5))
+    @example(np.nan_to_num(non_finite_grid(5, 8).imag.reshape(2, 4, 5), posinf=2.5,
+                           neginf=-1e-310))
     def test_float_arrays_match_the_list_path(self, arr):
         text = serialize.dump_json(arr)
         assert text == serialize.dump_json(arr.tolist())
@@ -314,20 +322,20 @@ class TestGridCsvMatchesPerCellLoop:
         expected_jsa = reference_grid_pair_csv(
             "omega_s,omega_i,real,imag", self.signal, self.idler,
             self.values.real, self.values.imag)
-        assert serialize.jsa_to_csv(jsa) == expected_jsa
+        assert first_difference(serialize.jsa_to_csv(jsa), expected_jsa) is None
         with np.errstate(invalid="ignore", over="ignore"):
             intensity = jsa.intensity()
             expected_jsi = reference_grid_pair_csv(
                 "omega_s,omega_i,intensity", self.signal, self.idler, intensity)
-            assert serialize.jsi_to_csv(jsa) == expected_jsi
+            assert first_difference(serialize.jsi_to_csv(jsa), expected_jsi) is None
             serialize.write_jsa(jsa, tmp_path)
         assert np.isnan(intensity).any() and np.isinf(intensity).any()
-        assert read(tmp_path / "jsa.csv") == expected_jsa
-        assert read(tmp_path / "jsi.csv") == expected_jsi
+        assert first_difference(read(tmp_path / "jsa.csv"), expected_jsa) is None
+        assert first_difference(read(tmp_path / "jsi.csv"), expected_jsi) is None
         # non-finite parts render as null, value by value
-        assert read(tmp_path / "jsa.json") == reference_jsa_json(
+        assert first_difference(read(tmp_path / "jsa.json"), reference_jsa_json(
             self.signal, self.idler, serialize.dump_json(self.values.real.tolist())[:-1],
-            serialize.dump_json(self.values.imag.tolist())[:-1])
+            serialize.dump_json(self.values.imag.tolist())[:-1])) is None
         assert "null" in read(tmp_path / "jsa.json")
 
     def test_mapping(self, tmp_path):
@@ -336,22 +344,15 @@ class TestGridCsvMatchesPerCellLoop:
         expected = reference_grid_pair_csv(
             "omega_in,omega_out,real,imag", self.signal, self.idler,
             self.values.real, self.values.imag)
-        assert serialize.mapping_to_csv(xi) == expected
+        assert first_difference(serialize.mapping_to_csv(xi), expected) is None
         serialize.write_text(tmp_path / "mapping.csv", serialize.mapping_csv_chunks(xi))
-        assert read(tmp_path / "mapping.csv") == expected
+        assert first_difference(read(tmp_path / "mapping.csv"), expected) is None
 
     @pytest.mark.parametrize("chunk", [1, 5, 7, 64])
     def test_chunks_that_split_the_grid(self, monkeypatch, tmp_path, chunk):
         monkeypatch.setattr(serialize, "_CHUNK", chunk)
         self.test_jsa_and_jsi(tmp_path)
         self.test_mapping(tmp_path)
-        rows = self.values.real[:, :3]
-        assert serialize.float_rows_to_csv("a,b,c", rows) == "a,b,c\n" + "".join(
-            ",".join(percent_texts(row)) + "\n" for row in rows)
-        arr = np.nan_to_num(self.values.imag.reshape(2, 4, 5), posinf=2.5, neginf=-1e-310)
-        assert serialize.dump_json(arr) == reference_json_fill(arr) + "\n"
-        arr = self.values.imag.reshape(2, 4, 5)
-        assert serialize.dump_json(arr) == serialize.dump_json(arr.tolist())
 
     @pytest.mark.parametrize("chunk", [7, 1000, serialize._CHUNK])
     def test_real_grid_with_flushed_corners(self, monkeypatch, tmp_path, chunk):
@@ -365,18 +366,18 @@ class TestGridCsvMatchesPerCellLoop:
         assert not im.any() and 0.1 < np.mean(re == 0) < 0.5
         assert re[0, 0] == re[-1, -1] == 0 and re[0, -1] != 0
         serialize.write_jsa(jsa, tmp_path)
-        assert read(tmp_path / "jsa.csv") == reference_grid_pair_csv(
-            "omega_s,omega_i,real,imag", jsa.signal_grid, jsa.idler_grid, re, im)
-        assert read(tmp_path / "jsi.csv") == reference_grid_pair_csv(
+        assert first_difference(read(tmp_path / "jsa.csv"), reference_grid_pair_csv(
+            "omega_s,omega_i,real,imag", jsa.signal_grid, jsa.idler_grid, re, im)) is None
+        assert first_difference(read(tmp_path / "jsi.csv"), reference_grid_pair_csv(
             "omega_s,omega_i,intensity", jsa.signal_grid, jsa.idler_grid,
-            np.abs(jsa.amplitudes) ** 2)
-        assert read(tmp_path / "jsa.json") == reference_jsa_json(
+            np.abs(jsa.amplitudes) ** 2)) is None
+        assert first_difference(read(tmp_path / "jsa.json"), reference_jsa_json(
             jsa.signal_grid, jsa.idler_grid, reference_json_fill(re),
-            reference_json_fill(im))
+            reference_json_fill(im))) is None
         xi = MappingFunction(jsa.signal_grid, jsa.idler_grid, jsa.amplitudes)
         serialize.write_text(tmp_path / "mapping.csv", serialize.mapping_csv_chunks(xi))
-        assert read(tmp_path / "mapping.csv") == reference_grid_pair_csv(
-            "omega_in,omega_out,real,imag", jsa.signal_grid, jsa.idler_grid, re, im)
+        assert first_difference(read(tmp_path / "mapping.csv"), reference_grid_pair_csv(
+            "omega_in,omega_out,real,imag", jsa.signal_grid, jsa.idler_grid, re, im)) is None
 
     def test_grid_larger_than_a_chunk(self, tmp_path):
         # 181 x 191 lines of 4 fields: neither a multiple of the chunk nor
@@ -388,19 +389,19 @@ class TestGridCsvMatchesPerCellLoop:
                         idler_grid=idler, amplitudes=values)
         expected = reference_grid_pair_csv(
             "omega_s,omega_i,real,imag", signal, idler, values.real, values.imag)
-        assert serialize.jsa_to_csv(jsa) == expected
+        assert first_difference(serialize.jsa_to_csv(jsa), expected) is None
         serialize.write_jsa(jsa, tmp_path)
-        assert read(tmp_path / "jsa.csv") == expected
-        assert read(tmp_path / "jsi.csv") == reference_grid_pair_csv(
-            "omega_s,omega_i,intensity", signal, idler, np.abs(values) ** 2)
-        assert read(tmp_path / "jsa.json") == reference_jsa_json(
+        assert first_difference(read(tmp_path / "jsa.csv"), expected) is None
+        assert first_difference(read(tmp_path / "jsi.csv"), reference_grid_pair_csv(
+            "omega_s,omega_i,intensity", signal, idler, np.abs(values) ** 2)) is None
+        assert first_difference(read(tmp_path / "jsa.json"), reference_jsa_json(
             signal, idler, reference_json_fill(values.real),
-            reference_json_fill(values.imag))
+            reference_json_fill(values.imag))) is None
         xi = unchecked(MappingFunction, signal_grid=signal, idler_grid=idler,
                        amplitudes=values)
         serialize.write_text(tmp_path / "mapping.csv", serialize.mapping_csv_chunks(xi))
-        assert read(tmp_path / "mapping.csv") == reference_grid_pair_csv(
-            "omega_in,omega_out,real,imag", signal, idler, values.real, values.imag)
+        assert first_difference(read(tmp_path / "mapping.csv"), reference_grid_pair_csv(
+            "omega_in,omega_out,real,imag", signal, idler, values.real, values.imag)) is None
 
 
 def long_then_zero_grid(rows, cols, long_rows, seed=11):
@@ -483,6 +484,14 @@ class TestReusedLineBuffers:
         lines = read(tmp_path / "jsa.csv").splitlines()
         assert lines[1].startswith("-1.500000000000e+00,-2.000000000000e-01,")
         assert lines[-1].startswith("1.500000000000e+00,3.000000000000e-01,")
+        # the narrowest grid: one comma in a JSON row, and "]]" closing each
+        # array on its last row, which at chunk 1 is a block of its own
+        signal = FrequencyGrid(center=0.0, spacing=0.5, count=2)
+        idler = FrequencyGrid(center=-0.05, spacing=0.2, count=2)
+        for grid in (signal, idler):
+            assert len({len(serialize.format_float(w)) for w in grid.points}) == 2
+        values = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        assert_grid_files(tmp_path, signal, idler, values)
 
 
 def traced_peak(write) -> int:
@@ -545,7 +554,7 @@ class TestStreamedWrites:
         assert jsa.amplitudes.shape == (512, 512)
         peak = traced_peak(lambda: serialize.write_jsa(jsa, tmp_path))
         assert peak <= self.MAX_PEAK
-        assert read(tmp_path / "jsa.csv") == serialize.jsa_to_csv(jsa)
+        assert first_difference(read(tmp_path / "jsa.csv"), serialize.jsa_to_csv(jsa)) is None
 
     def test_mapping_csv_peak_memory(self, monkeypatch, tmp_path):
         mappings = []
@@ -561,7 +570,7 @@ class TestStreamedWrites:
         peak = traced_peak(lambda: serialize.write_text(again,
                                                         serialize.mapping_csv_chunks(xi)))
         assert peak <= self.MAX_PEAK
-        assert again.read_bytes() == (tmp_path / "mapping.csv").read_bytes()
+        assert first_difference(read(again), read(tmp_path / "mapping.csv")) is None
 
 
 class TestChirpScanCsv:
@@ -583,6 +592,11 @@ class TestChirpScanCsv:
     def test_no_rows(self):
         assert presets.chirp_scan_csv([]) == self.reference([]) == \
             ",".join(self.columns) + "\n"
+
+    def test_float_rows_match_percent(self):
+        rows = non_finite_grid(5, 8).real[:, :3]
+        assert serialize.float_rows_to_csv("a,b,c", rows) == "a,b,c\n" + "".join(
+            ",".join(percent_texts(row)) + "\n" for row in rows)
 
 
 class TestDensityFormats:
@@ -635,16 +649,15 @@ class TestCountRecordFormats:
 class TestSerializeBenchmarks:
     """Timings of the JSA and mapping writers on a 256 x 256 grid, one of
     them on a real mapping function, and of the formatting kernel against
-    one ``%`` call on 512 x 512 values; pytest-benchmark prints them with
-    ``pytest --benchmark-only -k serialize``."""
+    one ``%`` per value on 512 x 512 values; pytest-benchmark prints them
+    with ``pytest --benchmark-only -k serialize``."""
 
     jsa = sample_jsa(count=256)
 
-    def test_jsa_json(self, benchmark):
-        text = benchmark.pedantic(
-            lambda: serialize.dump_json(serialize.jsa_to_dict(self.jsa)),
-            rounds=3, iterations=1)
-        assert len(json.loads(text)["re"]) == 256
+    def test_jsa_json(self, benchmark, tmp_path):
+        benchmark.pedantic(serialize.write_jsa, args=(self.jsa, tmp_path),
+                           rounds=3, iterations=1)
+        assert len(json.loads(read(tmp_path / "jsa.json"))["re"]) == 256
 
     def test_jsa_csv(self, benchmark):
         text = benchmark.pedantic(serialize.jsa_to_csv, args=(self.jsa,),
@@ -677,10 +690,8 @@ class TestSerializeBenchmarks:
     def test_kernel_against_percent_512(self, benchmark):
         values = sample_jsa(count=512).amplitudes.real
         start = time.perf_counter()
-        reference = "v" + ("\n" + serialize.FLOAT_FORMAT) * values.size % tuple(
-            values.ravel().tolist()) + "\n"
+        reference = percent_texts(values)
         benchmark.extra_info["percent_s"] = time.perf_counter() - start
-        text = benchmark.pedantic(serialize.float_rows_to_csv,
-                                  args=("v", values.reshape(-1, 1)),
-                                  rounds=1, iterations=1)
-        assert text == reference
+        slots = benchmark.pedantic(serialize._float_slots, args=(values,),
+                                   rounds=1, iterations=1)
+        assert first_difference("\n".join(slot_texts(slots)), "\n".join(reference)) is None
