@@ -34,7 +34,6 @@ from .qpg import (
     MappingFunction,
     ModeFilterResult,
     SelectivityModel,
-    SelectivityReport,
     apply_mode_filter,
     build_mapping,
     gate_operators,

@@ -162,8 +162,7 @@ def _cmd_schmidt(args) -> int:
     payload = dict(serialize.schmidt_to_dict(dec),
                    purity=purity, g2=g2_from_purity(purity))
     write_text(Path(args.out) / "schmidt.json", serialize.dump_json(payload))
-    dominant = dec.weights[0] * (1.0 - dec.residual_weight)
-    print(f"purity {purity:.6f}, dominant weight {dominant:.6f}")
+    print(f"purity {purity:.6f}, dominant weight {dec.separability:.6f}")
     return EXIT_OK
 
 

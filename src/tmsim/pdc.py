@@ -154,16 +154,17 @@ def sum_frequency_grid(signal_grid: FrequencyGrid,
                          count=signal_grid.count + idler_grid.count - 1)
 
 
-#: cells per row block of :func:`_build_kernel`'s two passes (a 512 kB
-#: complex block), so that each block's temporaries stay in cache
+#: values per row block, so that each block's temporaries stay in cache:
+#: a 512 kB complex block of :func:`_build_kernel`'s two passes, or the
+#: text fields of one layout step of :mod:`tmsim.serialize`'s grid files
 _BLOCK = 1 << 15
 
 
-def _row_blocks(signal_grid: FrequencyGrid, idler_grid: FrequencyGrid) -> list:
-    """Slices of whole signal rows of about ``_BLOCK`` cells each."""
-    step = max(1, _BLOCK // idler_grid.count)
-    return [slice(start, start + step)
-            for start in range(0, signal_grid.count, step)]
+def _row_blocks(count: int, per_row: int) -> list:
+    """Slices of whole rows, about ``_BLOCK`` values each, of a grid of
+    `count` rows of `per_row` values; the last one stops at `count`."""
+    step = max(1, _BLOCK // per_row)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def _build_kernel(row_grid: FrequencyGrid, col_grid: FrequencyGrid,
@@ -185,7 +186,7 @@ def _build_kernel(row_grid: FrequencyGrid, col_grid: FrequencyGrid,
     on a real kernel: products of two such parts underflow, which slows
     down the BLAS products taken over the kernel, and they carry no weight.
     """
-    blocks = _row_blocks(row_grid, col_grid)
+    blocks = _row_blocks(row_grid.count, col_grid.count)
     values = np.empty((row_grid.count, col_grid.count), dtype=complex)
     power = np.empty(values.shape)
     for rows in blocks:
@@ -227,7 +228,7 @@ class SampledRidge:
     def __init__(self, pm: PhasematchingModel, signal_grid: FrequencyGrid,
                  idler_grid: FrequencyGrid):
         values = np.empty((signal_grid.count, idler_grid.count))
-        for rows in _row_blocks(signal_grid, idler_grid):
+        for rows in _row_blocks(signal_grid.count, idler_grid.count):
             values[rows] = pm.ridge(signal_grid, idler_grid, rows)
         values.flags.writeable = False
         self.grids = (signal_grid, idler_grid)
@@ -317,6 +318,13 @@ class SchmidtDecomposition:
         object.__setattr__(self, "signal_modes", signal)
         object.__setattr__(self, "idler_modes", idler)
 
+    @property
+    def separability(self) -> float:
+        """The leading mode's share of the full spectrum,
+        s_0^2 / ||A||_F^2: 1 for a rank-one kernel, such as a perfectly
+        mode-selective gate's mapping; not renormalized over the kept modes."""
+        return float(self.weights[0] * (1.0 - self.residual_weight))
+
 
 #: seed of the range finder's Gaussian test matrix, fixed so that a kernel
 #: always gets the same decomposition and the artifacts built from it repeat
@@ -328,9 +336,10 @@ _POWER_ITERATIONS = 2
 _TRIPLET_TOL = 1e-10
 
 
-def _leading_triplets(values: np.ndarray, k: int):
-    """Leading `k` singular triplets of a matrix by a seeded randomized range
-    finder (Halko, Martinsson & Tropp, SIAM Rev. 53, 217, 2011).
+def _leading_triplets(values: np.ndarray, k: int, total: float):
+    """Leading `k` singular triplets of a matrix of squared Frobenius norm
+    `total` by a seeded randomized range finder (Halko, Martinsson &
+    Tropp, SIAM Rev. 53, 217, 2011).
 
     A complex Gaussian sketch of width l = max(2k, k + 10) is refined by
     two QR-stabilized subspace iterations into an orthonormal basis Q of
@@ -345,7 +354,6 @@ def _leading_triplets(values: np.ndarray, k: int):
     full = min(rows, cols)
     width = min(max(2 * k, k + 10), full)
     adjoint = values.conj().T
-    total = np.vdot(values, values).real
     while True:
         rng = np.random.default_rng(_SKETCH_SEED)
         sketch = (rng.standard_normal((cols, width))
@@ -366,24 +374,31 @@ def _leading_triplets(values: np.ndarray, k: int):
         width = min(2 * width, full)
 
 
-def _kernel_schmidt(values: np.ndarray, row_grid: FrequencyGrid,
-                    max_modes: int) -> SchmidtDecomposition:
-    """Truncated Schmidt decomposition of a sampled two-frequency kernel.
+def schmidt_decompose(jsa: JointSpectralAmplitude,
+                      max_modes: int = 20) -> SchmidtDecomposition:
+    """Leading Schmidt modes of a joint amplitude, or of any two-frequency
+    kernel such as a gate's mapping, truncated to `max_modes`.
 
-    The leading min(max_modes, m, n) singular triplets come from
-    :func:`_leading_triplets`; no full SVD is taken.  The modes are the
-    kept columns of U (on `row_grid`) and rows of V^H, phase-fixed by the
-    rule of :class:`SchmidtDecomposition`; the residual is the truncated
-    weight fraction: the share of ||A||_F^2, which is exact without the
-    spectrum, left in the deflated kernel,
-    ||A - U_k S_k V_k^H||_F^2 / ||A||_F^2.  That form is never negative and
-    free of the cancellation in 1 - sum(kept shares).  The cell area cancels.
+    The leading min(max_modes, m, n) singular triplets of the sampled
+    matrix come from :func:`_leading_triplets`, a seeded randomized range
+    finder that stops once every kept triplet satisfies
+    ||A v_j - s_j u_j|| <= 1e-10 s_0 and the sketch misses less energy
+    than the smallest kept weight, so no full SVD is taken and a repeated
+    call gives identical bits.  Weights are the squared singular values
+    renormalized over the kept modes.  The discarded fraction of the full
+    spectrum is ``residual_weight``, the share of ||A||_F^2 left in the
+    deflated kernel, ||A - U_k S_k V_k^H||_F^2 / ||A||_F^2, a form that is
+    never negative and free of the cancellation in 1 - sum(kept shares);
+    so ``weights * (1 - residual_weight)`` are the full-spectrum shares.
+    The cell area cancels.  Modes are the kept columns of U and rows of
+    V^H, phase-fixed by the rule of :class:`SchmidtDecomposition`.
     """
     if max_modes < 1:
         raise InvalidArgumentError(f"max_modes must be >= 1, got {max_modes}")
+    values = jsa.amplitudes
     keep = min(max_modes, *values.shape)
-    u_mat, svals, vh_mat = _leading_triplets(values, keep)
     total = np.vdot(values, values).real
+    u_mat, svals, vh_mat = _leading_triplets(values, keep, total)
     deflated = (u_mat * svals) @ vh_mat
     np.subtract(values, deflated, out=deflated)  # one full-grid temporary
     residual = float(np.vdot(deflated, deflated).real / total)
@@ -394,24 +409,7 @@ def _kernel_schmidt(values: np.ndarray, row_grid: FrequencyGrid,
     return SchmidtDecomposition(weights=svals**2 / np.sum(svals**2),
                                 signal_modes=u_mat.T * np.conj(phase)[:, None],
                                 idler_modes=vh_mat * phase[:, None],
-                                signal_grid=row_grid, residual_weight=residual)
-
-
-def schmidt_decompose(jsa: JointSpectralAmplitude,
-                      max_modes: int = 20) -> SchmidtDecomposition:
-    """Leading Schmidt modes of a joint amplitude, truncated to `max_modes`.
-
-    The singular triplets of the sampled matrix come from a seeded
-    randomized range finder that stops once every kept triplet satisfies
-    ||A v_j - s_j u_j|| <= 1e-10 s_0 and the sketch misses less energy
-    than the smallest kept weight, so only the kept modes are computed and
-    a repeated call gives identical bits.  Weights are the squared
-    singular values renormalized over the kept modes; the discarded
-    fraction of the full spectrum is reported in ``residual_weight``, so
-    ``weights * (1 - residual_weight)`` are the full-spectrum shares.  Modes
-    are matrix rows in unit discrete norm (:class:`SchmidtDecomposition`).
-    """
-    return _kernel_schmidt(jsa.amplitudes, jsa.signal_grid, max_modes)
+                                signal_grid=jsa.signal_grid, residual_weight=residual)
 
 
 def schmidt_weights(jsa: JointSpectralAmplitude) -> np.ndarray:
@@ -489,6 +487,7 @@ def schmidt_purity(jsa: JointSpectralAmplitude) -> float:
     total = np.vdot(real, real)
     del real  # free Re G before Q is formed
     q = a.real @ a.imag.T
+    del a, z  # free the cropped copy before Q - Q^T is formed
     imag = q - q.T
     return float((total + np.vdot(imag, imag)) / trace ** 2)
 

@@ -14,8 +14,9 @@ from .errors import BasisMismatchError, InvalidArgumentError
 from .pdc import (
     JointSpectralAmplitude,
     ModalDensityMatrix,
+    SchmidtDecomposition,
     _build_kernel,
-    _kernel_schmidt,
+    schmidt_decompose,
 )
 from .spectral import FrequencyGrid, HermiteGaussParams, hg_envelope
 
@@ -55,27 +56,14 @@ def build_mapping(qpg_pump: HermiteGaussParams, output_pm: HermiteGaussParams,
     return _build_kernel(input_grid, output_grid, fill)
 
 
-@dataclass(frozen=True, eq=False)
-class SelectivityReport:
-    """Schmidt view of a mapping function; `input_modes` is the (k, n)
-    `signal_modes` matrix of its :class:`~tmsim.pdc.SchmidtDecomposition`."""
-
-    schmidt_weights: np.ndarray
-    input_modes: np.ndarray
-    separability: float
-
-
-def separability_report(xi: MappingFunction, max_modes: int = 20) -> SelectivityReport:
-    """Decompose a mapping function into its `max_modes` leading modes.
-
-    Separability is the largest squared singular value as a share of the
-    full spectrum, s_0^2 / ||xi||_F^2 (1 for a rank-one, perfectly
-    mode-selective gate), not renormalized over the kept modes;
-    `schmidt_weights` are renormalized over the kept modes."""
-    dec = _kernel_schmidt(xi.amplitudes, xi.signal_grid, max_modes)
-    return SelectivityReport(
-        schmidt_weights=dec.weights, input_modes=dec.signal_modes,
-        separability=float(dec.weights[0] * (1.0 - dec.residual_weight)))
+def separability_report(xi: MappingFunction,
+                        max_modes: int = 20) -> SchmidtDecomposition:
+    """The mapping's Schmidt decomposition into its `max_modes` leading
+    modes, the source's :func:`~tmsim.pdc.schmidt_decompose`: input modes
+    on `signal_modes`, output modes on `idler_modes`, and the leading share
+    of the full spectrum as ``separability`` (1 for a rank-one, perfectly
+    mode-selective gate)."""
+    return schmidt_decompose(xi, max_modes)
 
 
 @dataclass(frozen=True)

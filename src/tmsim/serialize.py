@@ -35,17 +35,17 @@ output is identical to ``format_float`` per value by construction.  Where
 the ``%`` path, and a product that overflows fails the range check and
 takes it too; the output stays exact.
 
-Grid text is laid out in blocks of whole grid rows, about ``_CHUNK``
-values each, in buffers that an artifact allocates once, over
-``bytearray`` objects, and reuses; ``bytearray.translate`` on a buffer
-drops its NULs.  A grid CSV (``_GridLines``) formats each frequency once
-per grid and writes the column texts and separators into its line buffer
-once, so a block copies in only its row texts and its values' slots.
-jsa.json's two arrays (``_ArrayRows``) hold their brackets and commas in
-the same way, and copy in the slots of jsa.csv's columns, with ``null``
-in place of NaN and infinity.  The text of a grid artifact never exists
-whole, and ``write_jsa`` writes its CSV lines and JSON arrays side by
-side.
+Grid text is laid out in the row blocks of ``pdc._row_blocks``, whole
+grid rows of about ``pdc._BLOCK`` values each, in buffers that an
+artifact allocates once, over ``bytearray`` objects, and reuses;
+``bytearray.translate`` on a buffer drops its NULs.  A grid CSV
+(``_GridLines``) formats each frequency once per grid and writes the
+column texts and separators into its line buffer once, so a block copies
+in only its row texts and its values' slots.  jsa.json's two arrays
+(``_ArrayRows``) hold their brackets and commas in the same way, and
+copy in the slots of jsa.csv's columns, with ``null`` in place of NaN
+and infinity.  The text of a grid artifact never exists whole, and
+``write_jsa`` writes its CSV lines and JSON arrays side by side.
 """
 
 from __future__ import annotations
@@ -59,8 +59,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .pdc import JointSpectralAmplitude, ModalDensityMatrix, SchmidtDecomposition
-from .qpg import MappingFunction, ModeFilterResult, SelectivityReport
+from .pdc import (
+    JointSpectralAmplitude,
+    ModalDensityMatrix,
+    SchmidtDecomposition,
+    _row_blocks,
+)
+from .qpg import MappingFunction, ModeFilterResult
 from .spectral import ComplexSpectrum, FrequencyGrid
 from .tomography import CountRecord, ProjectorSet, ReconstructionResult
 
@@ -74,7 +79,6 @@ def format_float(value: float) -> str:
 _SLOT = 24        # slot bytes: "-d.dddddddddddde-ddd" is 20, in three uint64 words
 _SEP_AT = 21      # separators start here: past the kernel's and %'s text
 _CELL = _SEP_AT + 1  # a value and its separator in a grid line
-_CHUNK = 1 << 15  # values per layout step
 _E_LO, _E_HI = -325, 309  # exponents the kernel can reach, correction included
 # A mantissa below 1e13 is off by at most 1e13 * eps; four times that is a
 # safe distance from a rounding tie.
@@ -274,14 +278,6 @@ _JSI_HEADER = b"omega_s,omega_i,intensity\n"
 _MAPPING_HEADER = b"omega_in,omega_out,real,imag\n"
 
 
-def _row_blocks(shape: tuple, fields_per_point: int):
-    """``(first, stop)`` of each block of whole grid rows, about ``_CHUNK``
-    fields each, of a grid of ``shape`` written ``fields_per_point`` fields
-    per point."""
-    step = max(1, _CHUNK // (shape[1] * fields_per_point))
-    return [(a, min(a + step, shape[0])) for a in range(0, shape[0], step)]
-
-
 def _items(array: np.ndarray) -> np.ndarray:
     """Each last-axis row of the uint8 ``array`` as one void item, which
     numpy copies about twice as fast as its bytes one by one."""
@@ -332,11 +328,12 @@ def _grid_pair_chunks(header: bytes, row_grid: FrequencyGrid, col_grid: Frequenc
     """``header``, then one line per grid point: the row and column
     frequencies, then each (row count, column count) array's value there,
     yielded in blocks of grid rows."""
-    blocks = _row_blocks(columns[0].shape, 2 + len(columns))
-    lines = _GridLines(row_grid, col_grid, blocks[0][1], len(columns))
+    count, cols = columns[0].shape
+    blocks = _row_blocks(count, cols * (2 + len(columns)))
+    lines = _GridLines(row_grid, col_grid, blocks[0].stop, len(columns))
     yield header
-    for a, b in blocks:
-        yield lines.text(a, *(column[a:b] for column in columns))
+    for rows in blocks:
+        yield lines.text(rows.start, *(column[rows] for column in columns))
 
 
 def jsa_to_csv(jsa: JointSpectralAmplitude) -> str:
@@ -402,8 +399,8 @@ def write_jsa(jsa: JointSpectralAmplitude, out: Path) -> None:
     """
     amplitudes = jsa.amplitudes
     count, cols = amplitudes.shape
-    blocks = _row_blocks(amplitudes.shape, 4)
-    rows = blocks[0][1]
+    blocks = _row_blocks(count, cols * 4)
+    rows = blocks[0].stop
     jsa_lines = _GridLines(jsa.signal_grid, jsa.idler_grid, rows, 2)
     jsi_lines = _GridLines(jsa.signal_grid, jsa.idler_grid, rows, 1)
     (re, _), (im, _) = jsa_lines.slots
@@ -416,8 +413,8 @@ def write_jsa(jsa: JointSpectralAmplitude, out: Path) -> None:
         jsi.write(_JSI_HEADER)
         js.write(b'{"idler_grid":%s,"im":[' % _render_json(
             grid_to_dict(jsa.idler_grid)).encode("ascii"))
-        for a, b in blocks:
-            block = amplitudes[a:b]
+        for block_rows in blocks:
+            a, block = block_rows.start, amplitudes[block_rows]
             csv.write(jsa_lines.text(a, block.real, block.imag))
             jsi.write(jsi_lines.text(a, np.abs(block) ** 2))
             # held until "im" is complete: as bytes, which keep no room
@@ -527,9 +524,8 @@ def count_records_to_dict(records) -> dict:
                         for rec in records]}
 
 
-def selectivity_report_to_dict(report: SelectivityReport) -> dict:
-    return {"schmidt_weights": report.schmidt_weights,
-            "separability": report.separability}
+def selectivity_report_to_dict(dec: SchmidtDecomposition) -> dict:
+    return {"schmidt_weights": dec.weights, "separability": dec.separability}
 
 
 def filter_result_to_dict(result: ModeFilterResult) -> dict:

@@ -980,6 +980,17 @@ class TestReadme:
             exec(block.split("```", 1)[0], {})
 
 
+def run_fresh(script: str) -> str:
+    """The stdout of `script` run in a fresh interpreter on this checkout."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestImports:
     def test_pipeline_imports_no_optimizer(self, tmp_path):
         # the benchmark's warm-up call, in a fresh interpreter
@@ -990,13 +1001,37 @@ class TestImports:
             f"    code = tmsim.cli.main(['rho', '-d', '3', '--grid-count', '64',"
             f" '--out', {str(tmp_path)!r}])\n"
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "[]"]
+        assert run_fresh(script).split() == ["0", "[]"]
+
+    def test_no_command_imports_scipy(self, tmp_path):
+        # every subcommand, on small grids, in one fresh interpreter; only
+        # pdc.fit_basis_width, which no command calls, needs scipy
+        out = str(tmp_path)
+        steps = [
+            ["rho", "-d", "3", "--grid-count", "64", "--out", out],
+            ["schmidt", "--grid-count", "64", "--out", out],
+            ["jsa", "--grid-count", "64", "--out", out],
+            ["chirp-scan", "--a-values", "0,1e5", "--grid-count", "64", "--out", out],
+            ["preset", "a", "--grid-count", "128", "--resamples", "2",
+             "--out", f"{out}/preset"],
+            ["qpg", "map", "--count", "64", "--out", out],
+            ["qpg", "project", "--rho", f"{out}/rho.json", "--mode-order", "0",
+             "--out", out],
+            ["qpg", "filter", "--weights", "0.8,0.2", "--filter-order", "0",
+             "--out", out],
+            ["tomo", "mubs", "-d", "3", "--out", out],
+            ["tomo", "simulate", "--rho", f"{out}/rho.json", "--seed", "7", "--out", out],
+            ["tomo", "reconstruct", "--counts", f"{out}/counts.csv", "--out", out],
+            ["tomo", "bootstrap", "--counts", f"{out}/counts.csv", "--resamples", "2",
+             "--seed", "7", "--out", out],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import tmsim.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [tmsim.cli.main(argv) for argv in {steps!r}]\n"
+            "print(json.dumps([codes, 'scipy' in sys.modules]))\n")
+        assert json.loads(run_fresh(script)) == [[0] * len(steps), False]
 
 
 class TestModuleEntryPoint:

@@ -12,6 +12,7 @@ from tmsim import (
     JointSpectralAmplitude,
     MappingFunction,
     ModalDensityMatrix,
+    SchmidtDecomposition,
     SelectivityModel,
     apply_mode_filter,
     build_mapping,
@@ -100,9 +101,9 @@ class TestBuildMapping:
         xi, input_grid, sigma_pump = make_qpg_mapping(pump_order=1)
         report = separability_report(xi)
         target = hg_mode(HermiteGaussParams(1, OMEGA_IN, sigma_pump), input_grid)
-        assert report.input_modes.shape == (20, input_grid.count)
+        assert report.signal_modes.shape == (20, input_grid.count)
         overlap = abs(np.sqrt(input_grid.spacing)
-                      * np.vdot(target.amplitudes, report.input_modes[0])) ** 2
+                      * np.vdot(target.amplitudes, report.signal_modes[0])) ** 2
         assert overlap > 0.98
 
     def test_gaussian_gate_has_geometric_schmidt_spectrum(self):
@@ -110,7 +111,7 @@ class TestBuildMapping:
         # fall geometrically (2.254e-3 per mode here); a sampled, interpolated
         # pump stops that at its own noise floor
         xi = make_qpg_mapping()[0]
-        weights = separability_report(xi, max_modes=8).schmidt_weights
+        weights = separability_report(xi, max_modes=8).weights
         ratios = weights[1:7] / weights[:6]
         assert ratios == pytest.approx(np.full(6, ratios[0]), rel=1e-3)
 
@@ -170,6 +171,15 @@ class TestBuildMapping:
 
 
 class TestSeparabilityReport:
+    def test_is_the_source_decomposition(self):
+        # the gate's modes in the source's form: input modes on the rows,
+        # output modes on the columns
+        xi = make_qpg_mapping(count=128)[0]
+        report = separability_report(xi, max_modes=6)
+        assert type(report) is SchmidtDecomposition
+        assert report.signal_modes.shape == report.idler_modes.shape == (6, 128)
+        assert report.signal_grid is xi.signal_grid
+
     def test_rank_one_product(self):
         input_grid = make_grid(0.0, 14.0, 96)
         output_grid = make_grid(10.0, 15.0, 96)
@@ -201,7 +211,7 @@ class TestSeparabilityReport:
         report = separability_report(xi)
         assert report.separability == pytest.approx(
             svals[0] ** 2 / np.sum(svals**2), abs=1e-12)
-        assert report.schmidt_weights[0] > report.separability + 1e-3
+        assert report.weights[0] > report.separability + 1e-3
 
 
 class TestProjectProbability:

@@ -22,7 +22,7 @@ from tmsim import (
     hg_mode,
     make_grid,
 )
-from tmsim import cli, presets, serialize
+from tmsim import cli, pdc, presets, serialize
 from tmsim.cli import main
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300,
@@ -350,16 +350,16 @@ class TestGridCsvMatchesPerCellLoop:
 
     @pytest.mark.parametrize("chunk", [1, 5, 7, 64])
     def test_chunks_that_split_the_grid(self, monkeypatch, tmp_path, chunk):
-        monkeypatch.setattr(serialize, "_CHUNK", chunk)
+        monkeypatch.setattr(pdc, "_BLOCK", chunk)
         self.test_jsa_and_jsi(tmp_path)
         self.test_mapping(tmp_path)
 
-    @pytest.mark.parametrize("chunk", [7, 1000, serialize._CHUNK])
+    @pytest.mark.parametrize("chunk", [7, 1000, pdc._BLOCK])
     def test_real_grid_with_flushed_corners(self, monkeypatch, tmp_path, chunk):
         # preset b's amplitude: im is zero everywhere, and build_jsa
         # flushes about a quarter of re to +0, in the two corners off its
         # anti-diagonal ridge
-        monkeypatch.setattr(serialize, "_CHUNK", chunk)
+        monkeypatch.setattr(pdc, "_BLOCK", chunk)
         jsa = presets.build_state(presets.merge_overrides(
             presets.preset_config("b"), {"grid": {"count": 40}}))
         re, im = jsa.amplitudes.real, jsa.amplitudes.imag
@@ -455,23 +455,23 @@ class TestReusedLineBuffers:
     buffer, from one reused slot array per column, so no text of an
     earlier block may show in a later or shorter one."""
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64, serialize._CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 7, 64, pdc._BLOCK])
     def test_long_texts_then_zeros(self, monkeypatch, tmp_path, chunk):
         # 5 columns: 1, 1, 3 and 1638 rows per block, the last one short
         # at 64 and at the default
-        monkeypatch.setattr(serialize, "_CHUNK", chunk)
+        monkeypatch.setattr(pdc, "_BLOCK", chunk)
         signal, idler = make_grid(1.223, 0.02, 3500), make_grid(1.220, 0.03, 5)
         values = long_then_zero_grid(3500, 5, long_rows=1700)
-        blocks = serialize._row_blocks(values.shape, 4)
-        assert values[blocks[-1][0]:].any() == (len(blocks) == 1)
+        blocks = pdc._row_blocks(values.shape[0], values.shape[1] * 4)
+        assert values[blocks[-1].start:].any() == (len(blocks) == 1)
         assert_grid_files(tmp_path, signal, idler, values)
         text = read(tmp_path / "jsa.csv")
         assert "-9." in text and "e-1" in text and "nan" in text and "-inf" in text
 
-    @pytest.mark.parametrize("chunk", [1, 64, serialize._CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 64, pdc._BLOCK])
     def test_frequencies_straddling_zero(self, monkeypatch, tmp_path, chunk):
         # "-5.000000000000e-01," is one byte longer than "5.000000000000e-01,"
-        monkeypatch.setattr(serialize, "_CHUNK", chunk)
+        monkeypatch.setattr(pdc, "_BLOCK", chunk)
         signal = FrequencyGrid(center=0.0, spacing=0.5, count=7)
         idler = FrequencyGrid(center=0.05, spacing=0.1, count=6)
         rng = np.random.default_rng(2)
@@ -517,7 +517,7 @@ def failing_on_second_block(monkeypatch, error, calls_per_block, directory, seen
                 raise error
         return real(values, out)
 
-    monkeypatch.setattr(serialize, "_CHUNK", 64)
+    monkeypatch.setattr(pdc, "_BLOCK", 64)
     monkeypatch.setattr(serialize, "_float_slots", slots)
 
 
