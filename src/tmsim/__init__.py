@@ -31,6 +31,7 @@ from .pdc import (
 )
 from .qpg import (
     FilterSpec,
+    GateSpec,
     MappingFunction,
     ModeFilterResult,
     SelectivityModel,
@@ -45,11 +46,13 @@ from .spectral import (
     ComplexSpectrum,
     FrequencyGrid,
     HermiteGaussParams,
+    amplitude_width,
     apply_chirp,
     convert_bandwidth,
     hg_mode,
     inner_product,
     make_grid,
+    omega_to_wavelength,
     wavelength_to_omega,
 )
 from .tomography import (

@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from .pdc import (
 )
 from .qpg import (
     FilterSpec,
+    GateSpec,
     SelectivityModel,
     apply_mode_filter,
     build_mapping,
@@ -36,13 +38,6 @@ from .qpg import (
     separability_report,
 )
 from .serialize import write_text
-from .spectral import (
-    SPEED_OF_LIGHT_M_PER_S,
-    HermiteGaussParams,
-    convert_bandwidth,
-    make_grid,
-    wavelength_to_omega,
-)
 from .tomography import (
     MLEConfig,
     mle_reconstruct,
@@ -178,23 +173,8 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_qpg_map(args) -> int:
-    omega_in = wavelength_to_omega(args.input_center_nm)
-    omega_pump = wavelength_to_omega(args.qpg_pump_center_nm)
-    omega_out = omega_in + omega_pump
-    sigma_in = np.sqrt(2.0) * convert_bandwidth(
-        args.input_center_nm, args.input_fwhm_nm)
-    sigma_pump = np.sqrt(2.0) * convert_bandwidth(
-        args.qpg_pump_center_nm, args.qpg_pump_fwhm_nm)
-    out_center_nm = 2.0 * np.pi * SPEED_OF_LIGHT_M_PER_S * 1e-6 / omega_out
-    sigma_out = np.sqrt(2.0) * convert_bandwidth(
-        out_center_nm, args.output_fwhm_nm)
-
-    input_grid = make_grid(omega_in, 12.0 * max(sigma_in, sigma_pump), args.count)
-    output_grid = make_grid(omega_out, 14.0 * sigma_out, args.count)
-    xi = build_mapping(HermiteGaussParams(order=args.qpg_pump_shape_order,
-                                          center=omega_pump, width=sigma_pump),
-                       HermiteGaussParams(order=0, center=omega_out, width=sigma_out),
-                       input_grid, output_grid, group_velocity_mismatch=args.skew)
+    gate = GateSpec(**{f.name: getattr(args, f.name) for f in fields(GateSpec)})
+    xi = build_mapping(*gate.inputs(), group_velocity_mismatch=args.skew)
     report = separability_report(xi)
     out = Path(args.out)
     write_text(out / "mapping.csv", serialize.mapping_csv_chunks(xi))
@@ -372,14 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     qpg_sub = p_qpg.add_subparsers(dest="qpg_command", required=True)
 
     p_map = qpg_sub.add_parser("map", help="mapping function and separability")
-    p_map.add_argument("--input-center-nm", type=float, default=1540.0)
-    p_map.add_argument("--input-fwhm-nm", type=float, default=4.9)
-    p_map.add_argument("--qpg-pump-center-nm", type=float, default=876.0)
-    p_map.add_argument("--qpg-pump-fwhm-nm", type=float, default=1.54)
-    p_map.add_argument("--qpg-pump-shape-order", type=int, default=0)
-    p_map.add_argument("--output-fwhm-nm", type=float, default=0.061)
-    p_map.add_argument("--skew", type=float, default=0.0)
-    p_map.add_argument("--count", type=int, default=512)
+    for field in fields(GateSpec):  # --skew, not a field of the gate, before --count
+        if field.name == "count":
+            p_map.add_argument("--skew", type=float, default=0.0)
+        p_map.add_argument("--" + field.name.replace("_", "-"), type=type(field.default),
+                           default=field.default)
     _add_out_flag(p_map)
     p_map.set_defaults(handler=_cmd_qpg_map)
 
@@ -475,7 +452,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (InvalidArgumentError, ToolkitError, json.JSONDecodeError,
-            UnicodeDecodeError, KeyError) as exc:
+            UnicodeDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

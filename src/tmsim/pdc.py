@@ -475,21 +475,26 @@ def schmidt_purity(jsa: JointSpectralAmplitude) -> float:
     buffer, and Im G = Q^T - Q with Q = X Y^T.  So ||G||_F^2 =
     ||Re G||_F^2 + ||Q - Q^T||_F^2 and tr G = tr Re G, at 2n^2 m real
     multiply-adds against 4n^2 m for the complex product.
+    Q - Q^T overwrites Q one strip of rows and its mirrored columns at a
+    time (:func:`_row_blocks`), so a wide block, read in place, holds one
+    n x n product and one strip.
     """
     rows, cols = _support_block(*jsa.marginals)
     a = jsa.amplitudes[rows, cols]
     if a.shape[0] > a.shape[1]:
-        a = a.T  # conj(A^H A): the same spectrum
-    a = np.ascontiguousarray(a)
+        a = np.ascontiguousarray(a.T)  # conj(A^H A): the same spectrum
     z = a.view(float)
     real = z @ z.T
     trace = np.trace(real)
     total = np.vdot(real, real)
     del real  # free Re G before Q is formed
     q = a.real @ a.imag.T
-    del a, z  # free the cropped copy before Q - Q^T is formed
-    imag = q - q.T
-    return float((total + np.vdot(imag, imag)) / trace ** 2)
+    n = len(q)
+    for strip in _row_blocks(n, n):
+        diff = q[strip, strip.start:] - q[strip.start:, strip].T
+        q[strip, strip.start:] = diff
+        np.negative(diff.T, out=q[strip.start:, strip])
+    return float((total + np.vdot(q, q)) / trace ** 2)
 
 
 def jsi_marginal_sigmas(jsa: JointSpectralAmplitude) -> tuple:

@@ -46,8 +46,8 @@ from .spectral import (
     ChirpPhase,
     ComplexSpectrum,
     HermiteGaussParams,
+    amplitude_width,
     apply_chirp,
-    convert_bandwidth,
     hg_mode,
     make_grid,
     wavelength_to_omega,
@@ -140,8 +140,7 @@ class PumpConfig:
                  f"must be positive, got {self.fwhm_nm}")
 
     def amplitude_sigma(self) -> float:
-        # intensity std -> amplitude width parameter of the field envelope
-        return np.sqrt(2.0) * convert_bandwidth(self.center_nm, self.fwhm_nm)
+        return amplitude_width(self.center_nm, self.fwhm_nm)
 
 
 #: the reference source (default pump, matched 45-degree Gaussian ridge) is

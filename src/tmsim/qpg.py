@@ -1,6 +1,7 @@
-"""Quantum pulse gate model: sum-frequency mapping functions and their
-separability, projective measurements with imperfect selectivity, and
-add-drop temporal-mode filtering.
+"""Quantum pulse gate model: the gate's specification in lab units, its
+sum-frequency mapping functions and their separability, projective
+measurements with imperfect selectivity, and add-drop temporal-mode
+filtering.
 """
 
 from __future__ import annotations
@@ -18,12 +19,54 @@ from .pdc import (
     _build_kernel,
     schmidt_decompose,
 )
-from .spectral import FrequencyGrid, HermiteGaussParams, hg_envelope
+from .spectral import (
+    FrequencyGrid,
+    HermiteGaussParams,
+    amplitude_width,
+    hg_envelope,
+    make_grid,
+    omega_to_wavelength,
+    wavelength_to_omega,
+)
 
 
 #: the gate's sum-frequency kernel xi(w_in, w_out): input frequencies on the
 #: rows (`signal_grid`), output frequencies on the columns (`idler_grid`)
 MappingFunction = JointSpectralAmplitude
+
+
+@dataclass(frozen=True)
+class GateSpec:
+    """A sum-frequency pulse gate in lab units (nm): the input band, the
+    gate pump (a Hermite-Gauss pulse of the given order) and the output
+    phasematching's FWHM at the sum frequency, sampled on two grids of
+    `count` points.  The defaults are those of ``tmsim qpg map``."""
+
+    input_center_nm: float = 1540.0
+    input_fwhm_nm: float = 4.9
+    qpg_pump_center_nm: float = 876.0
+    qpg_pump_fwhm_nm: float = 1.54
+    qpg_pump_shape_order: int = 0
+    output_fwhm_nm: float = 0.061
+    count: int = 512
+
+    def inputs(self) -> tuple:
+        """The gate pump, the output phasematching, the input grid and the
+        output grid, the leading arguments of :func:`build_mapping`.  The
+        input grid spans 12 amplitude widths of the wider of the input and
+        the gate pump, the output grid 14 widths of the phasematching."""
+        omega_in = wavelength_to_omega(self.input_center_nm)
+        omega_pump = wavelength_to_omega(self.qpg_pump_center_nm)
+        omega_out = omega_in + omega_pump
+        sigma_in = amplitude_width(self.input_center_nm, self.input_fwhm_nm)
+        sigma_pump = amplitude_width(self.qpg_pump_center_nm, self.qpg_pump_fwhm_nm)
+        sigma_out = amplitude_width(omega_to_wavelength(omega_out), self.output_fwhm_nm)
+        input_grid = make_grid(omega_in, 12.0 * max(sigma_in, sigma_pump), self.count)
+        output_grid = make_grid(omega_out, 14.0 * sigma_out, self.count)
+        return (HermiteGaussParams(order=self.qpg_pump_shape_order,
+                                   center=omega_pump, width=sigma_pump),
+                HermiteGaussParams(order=0, center=omega_out, width=sigma_out),
+                input_grid, output_grid)
 
 
 def build_mapping(qpg_pump: HermiteGaussParams, output_pm: HermiteGaussParams,

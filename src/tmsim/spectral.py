@@ -3,7 +3,8 @@ conversions: the shared numerical substrate of the toolkit.
 
 Internal units are angular frequency in rad/fs, time in fs and chirp in fs^2,
 which keeps all magnitudes O(1) for femtosecond pulses.  Conversions from
-nm live only in :func:`convert_bandwidth` and :func:`wavelength_to_omega`.
+and to nm live only in :func:`convert_bandwidth`, :func:`amplitude_width`,
+:func:`wavelength_to_omega` and :func:`omega_to_wavelength`.
 """
 
 from __future__ import annotations
@@ -220,12 +221,28 @@ def convert_bandwidth(center_wavelength_nm: float,
     return sigma_rad_per_fs
 
 
+def amplitude_width(center_wavelength_nm: float, fwhm_wavelength_nm: float) -> float:
+    """Amplitude width parameter sigma (rad/fs) of the Hermite-Gauss field
+    envelope whose intensity has the given FWHM wavelength bandwidth: the
+    intensity standard deviation of :func:`convert_bandwidth` times sqrt(2)."""
+    return convert_bandwidth(center_wavelength_nm, fwhm_wavelength_nm) * np.sqrt(2.0)
+
+
 def wavelength_to_omega(wavelength_nm: float) -> float:
     """Vacuum wavelength in nm to angular frequency in rad/fs."""
     if not 0 < wavelength_nm < np.inf:
         raise InvalidArgumentError(
             f"wavelength must be finite and positive, got {wavelength_nm}")
     return 2.0 * np.pi * SPEED_OF_LIGHT_M_PER_S * 1e-6 / wavelength_nm
+
+
+def omega_to_wavelength(omega_rad_per_fs: float) -> float:
+    """Angular frequency in rad/fs to vacuum wavelength in nm, the inverse
+    of :func:`wavelength_to_omega`."""
+    if not 0 < omega_rad_per_fs < np.inf:
+        raise InvalidArgumentError(
+            f"angular frequency must be finite and positive, got {omega_rad_per_fs}")
+    return 2.0 * np.pi * SPEED_OF_LIGHT_M_PER_S * 1e-6 / omega_rad_per_fs
 
 
 def inner_product(a: ComplexSpectrum, b: ComplexSpectrum) -> complex:

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import runpy
 import shlex
 import subprocess
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmsim import (
+    GateSpec,
     HermiteGaussParams,
+    build_mapping,
     cli,
     hg_mode,
     pdc,
@@ -593,6 +596,40 @@ class TestPipelineSubcommands:
         assert report["separability"] > 0.99
         header = (tmp_path / "mapping.csv").read_text().splitlines()[0]
         assert header == "omega_in,omega_out,real,imag"
+
+    def test_qpg_map_maps_the_flagged_gate(self, tmp_path):
+        assert main(["qpg", "map", "--qpg-pump-shape-order", "1", "--skew", "0.5",
+                     "--count", "64", "--out", str(tmp_path)]) == 0
+        xi = build_mapping(*GateSpec(qpg_pump_shape_order=1, count=64).inputs(), 0.5)
+        assert read(tmp_path / "mapping.csv") == b"".join(
+            serialize.mapping_csv_chunks(xi))
+
+    def test_qpg_map_flags_and_defaults(self, capsys):
+        # written out: the command's flags, their order and defaults are
+        # fixed, wherever they are read from
+        defaults = vars(build_parser().parse_args(["qpg", "map"]))
+        del defaults["handler"]
+        assert defaults == {
+            "command": "qpg", "qpg_command": "map", "input_center_nm": 1540.0,
+            "input_fwhm_nm": 4.9, "qpg_pump_center_nm": 876.0, "qpg_pump_fwhm_nm": 1.54,
+            "qpg_pump_shape_order": 0, "output_fwhm_nm": 0.061, "skew": 0.0,
+            "count": 512, "out": "."}
+        with pytest.raises(SystemExit):
+            main(["qpg", "map", "--help"])
+        assert re.findall(r"^  (-\S+)", capsys.readouterr().out, re.M) == [
+            "-h,", "--input-center-nm", "--input-fwhm-nm", "--qpg-pump-center-nm",
+            "--qpg-pump-fwhm-nm", "--qpg-pump-shape-order", "--output-fwhm-nm",
+            "--skew", "--count", "--out"]
+
+    def test_key_error_in_a_handler_propagates(self, tmp_path, monkeypatch):
+        # every malformed input has its own check and exits 2, so a KeyError
+        # is a fault of the program, not a configuration error
+        def fault(dimension):
+            raise KeyError("fault")
+
+        monkeypatch.setattr(cli, "mub_bases", fault)
+        with pytest.raises(KeyError, match="fault"):
+            main(["tomo", "mubs", "-d", "2", "--out", str(tmp_path)])
 
     def test_qpg_project_and_filter(self, tmp_path):
         main(["rho", "--grid-count", "160", "--out", str(tmp_path)])

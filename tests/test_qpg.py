@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from tmsim import (
     BasisMismatchError,
     FilterSpec,
+    FrequencyGrid,
+    GateSpec,
     HermiteGaussParams,
     InvalidArgumentError,
     JointSpectralAmplitude,
@@ -30,21 +32,10 @@ OMEGA_PUMP = wavelength_to_omega(876.0)
 OMEGA_OUT = OMEGA_IN + OMEGA_PUMP
 
 
-def _sigma(fwhm_ghz):
-    # intensity FWHM in GHz -> amplitude width parameter in rad/fs
-    return np.sqrt(2.0) * 2 * np.pi * fwhm_ghz * 1e9 * 1e-15 / (2 * np.sqrt(2 * np.log(2)))
-
-
-def make_qpg_mapping(pump_order=0, skew=0.0, count=256,
-                     pump_fwhm_ghz=620.0, output_fwhm_ghz=59.0):
-    sigma_pump = _sigma(pump_fwhm_ghz)
-    sigma_out = _sigma(output_fwhm_ghz)
-    input_grid = make_grid(OMEGA_IN, 12 * sigma_pump, count)
-    output_grid = make_grid(OMEGA_OUT, 14 * sigma_out, count)
-    pump = HermiteGaussParams(pump_order, OMEGA_PUMP, sigma_pump)
-    pm = HermiteGaussParams(0, OMEGA_OUT, sigma_out)
-    return build_mapping(pump, pm, input_grid, output_grid,
-                         group_velocity_mismatch=skew), input_grid, sigma_pump
+def make_qpg_mapping(pump_order=0, skew=0.0, count=256):
+    """The gate of `tmsim qpg map` on `count` x `count` grids."""
+    gate = GateSpec(qpg_pump_shape_order=pump_order, count=count)
+    return build_mapping(*gate.inputs(), group_velocity_mismatch=skew)
 
 
 def quotient_normalized_mapping(qpg_pump, output_pm, input_grid, output_grid,
@@ -91,16 +82,16 @@ def basis_vector(order, dimension=7):
 
 class TestBuildMapping:
     def test_narrow_output_is_mode_selective(self):
-        xi, _, _ = make_qpg_mapping()
+        xi = make_qpg_mapping()
         assert separability_report(xi).separability > 0.99
 
     def test_correlated_ridge_is_inseparable(self):
         assert separability_report(correlated_ridge_mapping()).separability < 0.2
 
     def test_shaped_pump_selects_matching_mode(self):
-        xi, input_grid, sigma_pump = make_qpg_mapping(pump_order=1)
-        report = separability_report(xi)
-        target = hg_mode(HermiteGaussParams(1, OMEGA_IN, sigma_pump), input_grid)
+        pump, _, input_grid, _ = GateSpec(qpg_pump_shape_order=1, count=256).inputs()
+        report = separability_report(make_qpg_mapping(pump_order=1))
+        target = hg_mode(HermiteGaussParams(1, OMEGA_IN, pump.width), input_grid)
         assert report.signal_modes.shape == (20, input_grid.count)
         overlap = abs(np.sqrt(input_grid.spacing)
                       * np.vdot(target.amplitudes, report.signal_modes[0])) ** 2
@@ -108,9 +99,9 @@ class TestBuildMapping:
 
     def test_gaussian_gate_has_geometric_schmidt_spectrum(self):
         # two Gaussian envelopes make a Gaussian kernel, whose Schmidt weights
-        # fall geometrically (2.254e-3 per mode here); a sampled, interpolated
+        # fall geometrically (2.365e-3 per mode here); a sampled, interpolated
         # pump stops that at its own noise floor
-        xi = make_qpg_mapping()[0]
+        xi = make_qpg_mapping()
         weights = separability_report(xi, max_modes=8).weights
         ratios = weights[1:7] / weights[:6]
         assert ratios == pytest.approx(np.full(6, ratios[0]), rel=1e-3)
@@ -118,63 +109,82 @@ class TestBuildMapping:
     def test_is_the_joint_amplitude_type(self):
         # the type's checks and copy rules are tested in test_pdc
         assert MappingFunction is JointSpectralAmplitude
-        xi = make_qpg_mapping(count=64)[0]
+        xi = make_qpg_mapping(count=64)
         assert type(xi) is JointSpectralAmplitude
         assert xi.amplitudes.dtype == complex and not xi.amplitudes.flags.writeable
         # the built array is handed over without a copy
         assert MappingFunction(xi.signal_grid, xi.idler_grid,
                                xi.amplitudes).amplitudes is xi.amplitudes
 
-    @pytest.mark.parametrize("flags", [(), ("--skew", "0.5"),
-                                       ("--qpg-pump-shape-order", "1")],
+    @pytest.mark.parametrize("gate, skew", [(GateSpec(), 0.0), (GateSpec(), 0.5),
+                                            (GateSpec(qpg_pump_shape_order=1), 0.0)],
                              ids=["qpg-map", "skew-0.5", "hg1-gate-pump"])
-    def test_normalization_matches_complex_quotient_bit_for_bit(
-            self, qpg_map_inputs, flags):
-        args, kwargs = qpg_map_inputs(*flags)
-        built = build_mapping(*args, **kwargs).amplitudes
-        reference = quotient_normalized_mapping(*args, **kwargs)
+    def test_normalization_matches_complex_quotient_bit_for_bit(self, gate, skew):
+        built = build_mapping(*gate.inputs(), skew).amplitudes
+        reference = quotient_normalized_mapping(*gate.inputs(), skew)
         assert np.array_equal(built.view(np.uint64), reference.view(np.uint64))
 
     @pytest.mark.parametrize("pump_order", [0, 1])
     @pytest.mark.parametrize("skew", [0.0, 0.5])
     def test_blocked_build_matches_whole_grid_bit_for_bit(self, pump_order, skew):
         # 300 input rows of 200 outputs end in a partial row block
-        sigma_pump, sigma_out = _sigma(620.0), _sigma(59.0)
-        input_grid = make_grid(OMEGA_IN, 12 * sigma_pump, 300)
-        output_grid = make_grid(OMEGA_OUT, 14 * sigma_out, 200)
-        inputs = (HermiteGaussParams(pump_order, OMEGA_PUMP, sigma_pump),
-                  HermiteGaussParams(0, OMEGA_OUT, sigma_out),
-                  input_grid, output_grid, skew)
+        pump, pm, input_grid, _ = GateSpec(qpg_pump_shape_order=pump_order,
+                                           count=300).inputs()
+        output_grid = make_grid(pm.center, 14 * pm.width, 200)
+        inputs = (pump, pm, input_grid, output_grid, skew)
         assert input_grid.count % (pdc._BLOCK // output_grid.count) != 0
         built = build_mapping(*inputs).amplitudes
         reference = quotient_normalized_mapping(*inputs)
         assert np.array_equal(built.view(np.uint64), reference.view(np.uint64))
 
-    def test_qpg_map_build_peak(self, qpg_map_inputs):
+    def test_qpg_map_build_peak(self):
         # the 4.2 MB mapping and the 2.1 MB buffer of |.|^2 are the floor; a
         # build through whole-grid temporaries peaked at 14.7 MB
-        args, kwargs = qpg_map_inputs()
-        assert args[2].count == args[3].count == 512
+        inputs = GateSpec().inputs()
+        assert inputs[2].count == inputs[3].count == 512
         tracemalloc.start()
         try:
-            build_mapping(*args, **kwargs)
+            build_mapping(*inputs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 9e6
 
     def test_zero_mismatch_beats_any_skew(self):
-        base = separability_report(make_qpg_mapping()[0]).separability
+        base = separability_report(make_qpg_mapping()).separability
         for skew in (0.2, 1.0, 3.0):
-            skewed = separability_report(make_qpg_mapping(skew=skew)[0]).separability
+            skewed = separability_report(make_qpg_mapping(skew=skew)).separability
             assert base >= skewed
+
+
+class TestGateSpec:
+    """`inputs()` gives, equal as floats, the arguments `tmsim qpg map`
+    has always passed to `build_mapping` for these flags."""
+
+    PUMP = HermiteGaussParams(0, 2.1502871772932113, 0.0022702325887662546)
+    INPUT = FrequencyGrid(1.2231503683823721, 5.488742154842347e-05, 512)
+    OUTPUT = FrequencyGrid(3.3734375456755834, 6.063718360236089e-06, 512)
+
+    @pytest.mark.parametrize("gate, expected", [
+        (GateSpec(), (PUMP, HermiteGaussParams(0, OUTPUT.center, 0.00022132572014861725),
+                      INPUT, OUTPUT)),
+        (GateSpec(qpg_pump_shape_order=1),
+         (HermiteGaussParams(1, PUMP.center, PUMP.width),
+          HermiteGaussParams(0, OUTPUT.center, 0.00022132572014861725), INPUT, OUTPUT)),
+        (GateSpec(output_fwhm_nm=0.5, count=300),
+         (PUMP, HermiteGaussParams(0, OUTPUT.center, 0.0018141452471198136),
+          FrequencyGrid(INPUT.center, 9.380425555600131e-05, 300),
+          FrequencyGrid(OUTPUT.center, 8.494325571798458e-05, 300))),
+    ], ids=["defaults", "hg1-gate-pump", "wide-output-300"])
+    def test_inputs_are_the_commands_former_arguments(self, gate, expected):
+        assert gate.inputs() == expected
 
 
 class TestSeparabilityReport:
     def test_is_the_source_decomposition(self):
         # the gate's modes in the source's form: input modes on the rows,
         # output modes on the columns
-        xi = make_qpg_mapping(count=128)[0]
+        xi = make_qpg_mapping(count=128)
         report = separability_report(xi, max_modes=6)
         assert type(report) is SchmidtDecomposition
         assert report.signal_modes.shape == report.idler_modes.shape == (6, 128)
@@ -385,21 +395,10 @@ class TestApplyModeFilter:
             FilterSpec(mode=[1.0, 0.0], efficiency=1.2)
 
 
-NAN_ARRAY = np.full((3, 4), np.nan)
-NAN_NEXT_TO_INF = np.array([[np.nan, np.inf, 0.0, 0.0],
-                            [0.0, 0.0, 0.0, 0.0],
-                            [0.0, 0.0, 0.0, 0.0]])
-
-
 class TestNonFiniteRejected:
     """NaN compares False against any tolerance, so every check must be
-    written to pass only on a finite value within it."""
-
-    @pytest.mark.parametrize("values", [NAN_ARRAY, NAN_NEXT_TO_INF])
-    def test_mapping_function(self, values):
-        grids = make_grid(0.0, 1.0, 3), make_grid(0.0, 1.0, 4)
-        with pytest.raises(InvalidArgumentError, match="not normalized"):
-            MappingFunction(*grids, values)
+    written to pass only on a finite value within it.  The mapping
+    function's own checks are those of the joint amplitude, in test_pdc."""
 
     @pytest.mark.parametrize("mode", [[np.nan, np.nan], [np.nan, np.inf]])
     def test_modes(self, mode):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tmsim import (
     ChirpPhase,
@@ -9,11 +10,13 @@ from tmsim import (
     IncompatibleGridError,
     InvalidArgumentError,
     UnsupportedOrderError,
+    amplitude_width,
     apply_chirp,
     convert_bandwidth,
     hg_mode,
     inner_product,
     make_grid,
+    omega_to_wavelength,
 )
 from tmsim.spectral import FWHM_PER_SIGMA, SPEED_OF_LIGHT_M_PER_S, wavelength_to_omega
 
@@ -138,10 +141,10 @@ class TestConvertBandwidth:
             2 * np.pi * 58.733e-6 / FWHM_PER_SIGMA, rel=1e-4)
 
     def test_sizes_the_mode_it_describes(self):
-        # an HG0 of amplitude width sqrt(2) sigma has the |psi|^2 FWHM
-        # 2 pi c dlambda / lambda^2 that sigma was converted from
+        # an HG0 of amplitude width sqrt(2) sigma (amplitude_width) has the
+        # |psi|^2 FWHM 2 pi c dlambda / lambda^2 that sigma was converted from
         fwhm = 2 * np.pi * SPEED_OF_LIGHT_M_PER_S * 1.72e-9 / (769e-9) ** 2 * 1e-15
-        width = np.sqrt(2.0) * convert_bandwidth(769.0, 1.72)
+        width = amplitude_width(769.0, 1.72)
         grid = make_grid(0.0, 10 * width, 20001)
         mode = hg_mode(HermiteGaussParams(0, 0.0, width), grid)
         intensity = np.abs(mode.amplitudes) ** 2
@@ -183,9 +186,17 @@ class TestConvertBandwidth:
             convert_bandwidth(np.float64(1e-300), np.float64(1.72))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0, -1.0])
-    def test_wavelength_to_omega_rejects(self, bad):
+    @pytest.mark.parametrize("convert", [wavelength_to_omega, omega_to_wavelength])
+    def test_wavelength_to_omega_rejects(self, bad, convert):
         with pytest.raises(InvalidArgumentError, match="finite and positive"):
-            wavelength_to_omega(bad)
+            convert(bad)
+
+    @given(st.floats(1e-3, 1e7))
+    def test_omega_to_wavelength_inverts_within_one_ulp(self, wavelength_nm):
+        # two correctly rounded quotients by the same constant: the second
+        # lands within x u / (1 - u) < ulp(x) of x before it is rounded
+        back = omega_to_wavelength(wavelength_to_omega(wavelength_nm))
+        assert abs(back - wavelength_nm) <= np.spacing(wavelength_nm)
 
     def test_wavelength_to_omega(self):
         # 2 pi c / 1540 nm
