@@ -46,13 +46,11 @@ from .spectral import (
     ComplexSpectrum,
     FrequencyGrid,
     HermiteGaussParams,
-    amplitude_width,
     apply_chirp,
     convert_bandwidth,
     hg_mode,
     inner_product,
     make_grid,
-    omega_to_wavelength,
     wavelength_to_omega,
 )
 from .tomography import (

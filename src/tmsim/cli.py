@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -173,7 +172,9 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_qpg_map(args) -> int:
-    gate = GateSpec(**{f.name: getattr(args, f.name) for f in fields(GateSpec)})
+    gate = GateSpec(args.input_center_nm, args.input_fwhm_nm, args.qpg_pump_center_nm,
+                    args.qpg_pump_fwhm_nm, args.qpg_pump_shape_order,
+                    args.output_fwhm_nm, args.count)
     xi = build_mapping(*gate.inputs(), group_velocity_mismatch=args.skew)
     report = separability_report(xi)
     out = Path(args.out)
@@ -352,11 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
     qpg_sub = p_qpg.add_subparsers(dest="qpg_command", required=True)
 
     p_map = qpg_sub.add_parser("map", help="mapping function and separability")
-    for field in fields(GateSpec):  # --skew, not a field of the gate, before --count
-        if field.name == "count":
-            p_map.add_argument("--skew", type=float, default=0.0)
-        p_map.add_argument("--" + field.name.replace("_", "-"), type=type(field.default),
-                           default=field.default)
+    p_map.add_argument("--input-center-nm", type=float, default=GateSpec.input_center_nm)
+    p_map.add_argument("--input-fwhm-nm", type=float, default=GateSpec.input_fwhm_nm)
+    p_map.add_argument("--qpg-pump-center-nm", type=float,
+                       default=GateSpec.qpg_pump_center_nm)
+    p_map.add_argument("--qpg-pump-fwhm-nm", type=float, default=GateSpec.qpg_pump_fwhm_nm)
+    p_map.add_argument("--qpg-pump-shape-order", type=int,
+                       default=GateSpec.qpg_pump_shape_order)
+    p_map.add_argument("--output-fwhm-nm", type=float, default=GateSpec.output_fwhm_nm)
+    p_map.add_argument("--skew", type=float, default=0.0)
+    p_map.add_argument("--count", type=int, default=GateSpec.count)
     _add_out_flag(p_map)
     p_map.set_defaults(handler=_cmd_qpg_map)
 

@@ -228,21 +228,21 @@ def amplitude_width(center_wavelength_nm: float, fwhm_wavelength_nm: float) -> f
     return convert_bandwidth(center_wavelength_nm, fwhm_wavelength_nm) * np.sqrt(2.0)
 
 
+def _reciprocal_nm(value: float, name: str) -> float:
+    # 2 pi c / x takes nm to rad/fs and rad/fs back to nm: its own inverse
+    if not 0 < value < np.inf:
+        raise InvalidArgumentError(f"{name} must be finite and positive, got {value}")
+    return 2.0 * np.pi * SPEED_OF_LIGHT_M_PER_S * 1e-6 / value
+
+
 def wavelength_to_omega(wavelength_nm: float) -> float:
     """Vacuum wavelength in nm to angular frequency in rad/fs."""
-    if not 0 < wavelength_nm < np.inf:
-        raise InvalidArgumentError(
-            f"wavelength must be finite and positive, got {wavelength_nm}")
-    return 2.0 * np.pi * SPEED_OF_LIGHT_M_PER_S * 1e-6 / wavelength_nm
+    return _reciprocal_nm(wavelength_nm, "wavelength")
 
 
 def omega_to_wavelength(omega_rad_per_fs: float) -> float:
-    """Angular frequency in rad/fs to vacuum wavelength in nm, the inverse
-    of :func:`wavelength_to_omega`."""
-    if not 0 < omega_rad_per_fs < np.inf:
-        raise InvalidArgumentError(
-            f"angular frequency must be finite and positive, got {omega_rad_per_fs}")
-    return 2.0 * np.pi * SPEED_OF_LIGHT_M_PER_S * 1e-6 / omega_rad_per_fs
+    """Angular frequency in rad/fs to vacuum wavelength in nm."""
+    return _reciprocal_nm(omega_rad_per_fs, "angular frequency")
 
 
 def inner_product(a: ComplexSpectrum, b: ComplexSpectrum) -> complex:

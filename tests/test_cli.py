@@ -598,9 +598,15 @@ class TestPipelineSubcommands:
         assert header == "omega_in,omega_out,real,imag"
 
     def test_qpg_map_maps_the_flagged_gate(self, tmp_path):
-        assert main(["qpg", "map", "--qpg-pump-shape-order", "1", "--skew", "0.5",
-                     "--count", "64", "--out", str(tmp_path)]) == 0
-        xi = build_mapping(*GateSpec(qpg_pump_shape_order=1, count=64).inputs(), 0.5)
+        # every flag off its default, so each lands in its own field
+        assert main(["qpg", "map", "--input-center-nm", "1550", "--input-fwhm-nm", "5",
+                     "--qpg-pump-center-nm", "870", "--qpg-pump-fwhm-nm", "1.6",
+                     "--qpg-pump-shape-order", "1", "--output-fwhm-nm", "0.07",
+                     "--skew", "0.5", "--count", "64", "--out", str(tmp_path)]) == 0
+        gate = GateSpec(input_center_nm=1550.0, input_fwhm_nm=5.0, qpg_pump_center_nm=870.0,
+                        qpg_pump_fwhm_nm=1.6, qpg_pump_shape_order=1,
+                        output_fwhm_nm=0.07, count=64)
+        xi = build_mapping(*gate.inputs(), group_velocity_mismatch=0.5)
         assert read(tmp_path / "mapping.csv") == b"".join(
             serialize.mapping_csv_chunks(xi))
 

@@ -20,7 +20,6 @@ from tmsim import (
     ModalDensityMatrix,
     PhasematchingModel,
     SchmidtDecomposition,
-    amplitude_width,
     apply_chirp,
     background_mixed_g2,
     build_jsa,
@@ -41,7 +40,7 @@ from tmsim import (
 )
 from tmsim import pdc, presets
 from tmsim.pdc import _PM_SHAPES, fit_basis_width, schmidt_weights
-from tmsim.spectral import FrequencyGrid
+from tmsim.spectral import FrequencyGrid, amplitude_width
 
 # decorrelated-source parameters: 1.72 nm pump at 769 nm
 PUMP_SIGMA = amplitude_width(769.0, 1.72)

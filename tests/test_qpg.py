@@ -395,10 +395,21 @@ class TestApplyModeFilter:
             FilterSpec(mode=[1.0, 0.0], efficiency=1.2)
 
 
+NAN_ARRAY = np.full((3, 4), np.nan)
+NAN_NEXT_TO_INF = np.array([[np.nan, np.inf, 0.0, 0.0],
+                            [0.0, 0.0, 0.0, 0.0],
+                            [0.0, 0.0, 0.0, 0.0]])
+
+
 class TestNonFiniteRejected:
     """NaN compares False against any tolerance, so every check must be
-    written to pass only on a finite value within it.  The mapping
-    function's own checks are those of the joint amplitude, in test_pdc."""
+    written to pass only on a finite value within it."""
+
+    @pytest.mark.parametrize("values", [NAN_ARRAY, NAN_NEXT_TO_INF])
+    def test_mapping_function(self, values):
+        grids = make_grid(0.0, 1.0, 3), make_grid(0.0, 1.0, 4)
+        with pytest.raises(InvalidArgumentError, match="not normalized"):
+            MappingFunction(*grids, values)
 
     @pytest.mark.parametrize("mode", [[np.nan, np.nan], [np.nan, np.inf]])
     def test_modes(self, mode):

@@ -10,15 +10,14 @@ from tmsim import (
     IncompatibleGridError,
     InvalidArgumentError,
     UnsupportedOrderError,
-    amplitude_width,
     apply_chirp,
     convert_bandwidth,
     hg_mode,
     inner_product,
     make_grid,
-    omega_to_wavelength,
 )
-from tmsim.spectral import FWHM_PER_SIGMA, SPEED_OF_LIGHT_M_PER_S, wavelength_to_omega
+from tmsim.spectral import (FWHM_PER_SIGMA, SPEED_OF_LIGHT_M_PER_S, amplitude_width,
+                            omega_to_wavelength, wavelength_to_omega)
 
 
 class TestMakeGrid:
