@@ -199,52 +199,46 @@ def _build_kernel(row_grid: FrequencyGrid, col_grid: FrequencyGrid,
             "pump and phasematching do not overlap on the requested grids")
 
     factor = 1.0 / np.sqrt(weight)
-    tiny = np.sqrt(np.finfo(float).tiny)
-    # one |part| buffer and one mask serve every block: fresh block-sized
-    # temporaries per part come from the heap and grow the resident set
-    magnitude = np.empty(values[blocks[0]].shape)
-    small = np.empty(magnitude.shape, dtype=bool)
+    flush = _flusher(values[blocks[0]].shape)
     for rows in blocks:
         block = values[rows]
         parts = block.view(float)
         parts *= factor
-        k = len(block)
-        for part in (block.real, block.imag):
-            np.less(np.abs(part, out=magnitude[:k]), tiny, out=small[:k])
-            part[small[:k]] = 0.0
+        flush(block)
     values.flags.writeable = False  # handed over without a copy
     return JointSpectralAmplitude(row_grid, col_grid, values)
 
 
-class SampledRidge:
-    """A phasematching ridge sampled once on one signal x idler grid pair.
+def _flusher(shape: tuple):
+    """A function that sets every part below sqrt(tiny) of a complex row
+    block of at most `shape` to +0, the real and the imaginary parts each
+    through their own mask.  One |part| buffer and one mask serve every
+    block: fresh block-sized temporaries per part come from the heap and
+    grow the resident set."""
+    tiny = np.sqrt(np.finfo(float).tiny)
+    magnitude = np.empty(shape)
+    small = np.empty(shape, dtype=bool)
 
-    It answers :meth:`ridge` as the model does, with the same bits, by
-    reading rows of one read-only array, so a scan that builds many
-    amplitudes on one grid pair evaluates the ridge once.  The array is
-    filled block by block through the model's own :meth:`ridge`.
-    """
-
-    def __init__(self, pm: PhasematchingModel, signal_grid: FrequencyGrid,
-                 idler_grid: FrequencyGrid):
-        values = np.empty((signal_grid.count, idler_grid.count))
-        for rows in _row_blocks(signal_grid.count, idler_grid.count):
-            values[rows] = pm.ridge(signal_grid, idler_grid, rows)
-        values.flags.writeable = False
-        self.grids = (signal_grid, idler_grid)
-        self.values = values
-
-    def ridge(self, signal_grid: FrequencyGrid, idler_grid: FrequencyGrid,
-              rows: slice) -> np.ndarray:
-        """Read-only view of the sampled ridge on the given signal `rows`."""
-        if (signal_grid, idler_grid) != self.grids:
-            raise InvalidArgumentError(
-                f"the ridge was sampled on the grids {self.grids[0]} and "
-                f"{self.grids[1]}, not on {signal_grid} and {idler_grid}")
-        return self.values[rows]
+    def flush(block: np.ndarray) -> None:
+        k = len(block)
+        for part in (block.real, block.imag):
+            np.less(np.abs(part, out=magnitude[:k]), tiny, out=small[:k])
+            part[small[:k]] = 0.0
+    return flush
 
 
-def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel | SampledRidge,
+def _check_pump_grid(pump: ComplexSpectrum, signal_grid: FrequencyGrid,
+                     idler_grid: FrequencyGrid) -> None:
+    """Reject a pump sampled on any other grid than the sum-frequency grid
+    of the signal and idler grids, whose point i + j is w_s[i] + w_i[j]."""
+    sums = sum_frequency_grid(signal_grid, idler_grid)
+    if pump.grid != sums:
+        raise InvalidArgumentError(
+            f"the pump must be sampled on the sum-frequency grid {sums} of the "
+            f"signal and idler grids, got {pump.grid}")
+
+
+def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
               signal_grid: FrequencyGrid, idler_grid: FrequencyGrid
               ) -> JointSpectralAmplitude:
     """Joint spectral amplitude = pump(w_s + w_i) x phasematching(w_s, w_i).
@@ -252,28 +246,107 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel | SampledRidge,
     The pump must be sampled on :func:`sum_frequency_grid` of the signal
     and idler grids, so its point i + j is the pump at w_s[i] + w_i[j] and
     the pump factor is read as the Hankel matrix alpha[i, j] = pump[i + j],
-    with no interpolation.  `pm` is a :class:`PhasematchingModel`, or a
-    :class:`SampledRidge` of one on these grids; both give the same bits
-    through their ``ridge(signal_grid, idler_grid, rows)``.
+    with no interpolation.
 
-    Each row block of :func:`_build_kernel` is its pump rows times its ridge.
+    Each row block of :func:`_build_kernel` is its pump rows times the
+    ridge ``pm.ridge(signal_grid, idler_grid, rows)``.
 
     Raises
     ------
     InvalidArgumentError
-        If the two grids differ in spacing, the pump is sampled on any
-        other grid than their sum-frequency grid, or a sampled ridge
-        belongs to other grids.
+        If the two grids differ in spacing, or the pump is sampled on any
+        other grid than their sum-frequency grid.
     """
-    sums = sum_frequency_grid(signal_grid, idler_grid)
-    if pump.grid != sums:
-        raise InvalidArgumentError(
-            f"the pump must be sampled on the sum-frequency grid {sums} of the "
-            f"signal and idler grids, got {pump.grid}")
+    _check_pump_grid(pump, signal_grid, idler_grid)
     alpha = np.lib.stride_tricks.sliding_window_view(pump.amplitudes,
                                                      idler_grid.count)
     return _build_kernel(signal_grid, idler_grid, lambda rows, out: np.multiply(
         alpha[rows], pm.ridge(signal_grid, idler_grid, rows), out=out))
+
+
+class ScanSupport:
+    """What a scan over the pump's spectral phase keeps fixed on one
+    signal x idler grid pair: the crop of :func:`schmidt_purity`, the
+    marginal widths of :func:`jsi_marginal_sigmas` and the ridge.
+
+    A spectral phase multiplies the pump by a unit phase, so |f|^2, its
+    marginals, the crop (:func:`_support_block`) and the marginal widths
+    are the same for every pump of one modulus.  They are taken once, from
+    the intensity (|pump| x ridge)^2, sampled block by block; only the
+    ridge on the crop is kept, scaled by 1/sqrt(weight), so that
+    :meth:`block` has the scale of the unit-weight amplitude.  A pump then
+    costs its Hankel window on the crop times that ridge and the Gram
+    product of :meth:`purity`; no full-grid amplitude is formed.
+
+    Since |e^{i phi}| = 1 +- one ulp, the border runs the crop drops from
+    any pump of this modulus weigh what they weigh in the intensity, to
+    rounding, so :func:`schmidt_purity`'s bound |P_crop - P| <= 2^-53 P
+    still holds.
+
+    Raises
+    ------
+    InvalidArgumentError
+        If the pump is not on the grids' sum-frequency grid, or it does not
+        overlap the ridge.
+    """
+
+    def __init__(self, pump: ComplexSpectrum, pm: PhasematchingModel,
+                 signal_grid: FrequencyGrid, idler_grid: FrequencyGrid):
+        _check_pump_grid(pump, signal_grid, idler_grid)
+        n, m = signal_grid.count, idler_grid.count
+        modulus = np.abs(pump.amplitudes)
+        alpha = np.lib.stride_tricks.sliding_window_view(modulus, m)
+        ridge = np.empty((n, m))
+        row_sums, col_sums = np.empty(n), np.zeros(m)
+        for rows in _row_blocks(n, m):
+            ridge[rows] = pm.ridge(signal_grid, idler_grid, rows)
+            power = alpha[rows] * ridge[rows]
+            np.square(power, out=power)
+            power.sum(axis=1, out=row_sums[rows])
+            col_sums += power.sum(axis=0)
+        weight = row_sums.sum() * signal_grid.spacing * idler_grid.spacing
+        if not weight > 0.0:
+            raise InvalidArgumentError(
+                "pump and phasematching do not overlap on the requested grids")
+        self.grids = (signal_grid, idler_grid)
+        self.sigmas = _marginal_sigmas((row_sums, col_sums), self.grids)
+        self.rows, self.cols = _support_block(row_sums, col_sums)
+        self.ridge = ridge[self.rows, self.cols] * (1.0 / np.sqrt(weight))
+        self.ridge.flags.writeable = False
+        modulus.flags.writeable = False
+        self.modulus = modulus
+
+    def block(self, pump: ComplexSpectrum) -> np.ndarray:
+        """The unit-weight amplitude of `pump` on the crop: its Hankel
+        window there times the kept ridge, formed over row blocks and
+        flushed below sqrt(tiny) as :func:`_build_kernel` flushes.
+
+        `pump` must be sampled on the grids' sum-frequency grid and differ
+        from the support's pump only by a phase: its modulus must match to
+        4 ulp (plus the smallest normal double, for subnormal tails)."""
+        _check_pump_grid(pump, *self.grids)
+        drift = np.abs(np.abs(pump.amplitudes) - self.modulus)
+        if not np.all(drift <= 4.0 * np.finfo(float).eps * self.modulus
+                      + np.finfo(float).tiny):
+            raise InvalidArgumentError(
+                "the pump's modulus differs from that of the pump the scan "
+                "support was sampled with; only its phase may change")
+        first = self.rows.start + self.cols.start
+        window = np.lib.stride_tricks.sliding_window_view(
+            pump.amplitudes[first:self.rows.stop + self.cols.stop - 1],
+            self.ridge.shape[1])
+        values = np.empty(self.ridge.shape, dtype=complex)
+        blocks = _row_blocks(*values.shape)
+        flush = _flusher(values[blocks[0]].shape)
+        for rows in blocks:
+            np.multiply(window[rows], self.ridge[rows], out=values[rows])
+            flush(values[rows])
+        return values
+
+    def purity(self, pump: ComplexSpectrum) -> float:
+        """:func:`schmidt_purity` of the amplitude of `pump`, from the Gram
+        product over :meth:`block`."""
+        return _block_purity(self.block(pump))
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,10 +550,16 @@ def schmidt_purity(jsa: JointSpectralAmplitude) -> float:
     multiply-adds against 4n^2 m for the complex product.
     Q - Q^T overwrites Q one strip of rows and its mirrored columns at a
     time (:func:`_row_blocks`), so a wide block, read in place, holds one
-    n x n product and one strip.
+    n x n product and one strip (:func:`_block_purity`, which a
+    :class:`ScanSupport` row calls on its own block).
     """
     rows, cols = _support_block(*jsa.marginals)
-    a = jsa.amplitudes[rows, cols]
+    return _block_purity(jsa.amplitudes[rows, cols])
+
+
+def _block_purity(a: np.ndarray) -> float:
+    """||G||_F^2 / (tr G)^2 of the Gram matrix G of the complex block `a`
+    over its shorter axis, in the real arithmetic of :func:`schmidt_purity`."""
     if a.shape[0] > a.shape[1]:
         a = np.ascontiguousarray(a.T)  # conj(A^H A): the same spectrum
     z = a.view(float)
@@ -505,8 +584,14 @@ def jsi_marginal_sigmas(jsa: JointSpectralAmplitude) -> tuple:
     column sums of re^2 + im^2 that :func:`schmidt_purity` crops by, so
     no n x m intensity array is formed.
     """
+    return _marginal_sigmas(jsa.marginals, (jsa.signal_grid, jsa.idler_grid))
+
+
+def _marginal_sigmas(marginals: tuple, grids: tuple) -> tuple:
+    """Standard deviations of the two marginals, of any common scale, each
+    over the points of its grid."""
     sigmas = []
-    for marginal, grid in zip(jsa.marginals, (jsa.signal_grid, jsa.idler_grid)):
+    for marginal, grid in zip(marginals, grids):
         marginal = marginal / marginal.sum()
         mean = float(np.sum(grid.points * marginal))
         sigmas.append(float(np.sqrt(np.sum((grid.points - mean) ** 2 * marginal))))

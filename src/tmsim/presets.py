@@ -7,6 +7,12 @@ tomography basis, simulates a full mutually-unbiased measurement, and
 reconstructs the state with bootstrap error bars.  Every run writes a
 manifest with the fully resolved configuration; re-running from a manifest
 reproduces all outputs byte for byte.
+
+A chirp scan builds no joint amplitude.  The chirp only sets the pump's
+phase, so the scan samples the intensity, its marginal widths and the
+purity's crop once (`pdc.ScanSupport`), and each row takes the Gram purity
+of its pump's amplitude on that crop; a row agrees with the single-state
+path, `build_state`, to within rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .errors import InvalidArgumentError
 from .pdc import (
     JointSpectralAmplitude,
     PhasematchingModel,
-    SampledRidge,
+    ScanSupport,
     build_jsa,
     chirp_purity_analytic,
     g2_from_purity,
@@ -336,7 +342,7 @@ def pump_spectrum(config: ExperimentConfig, signal_grid, idler_grid
                   ) -> ComplexSpectrum:
     """Pump envelope, chirped, sampled at the sum frequencies w_s + w_i of
     the signal and idler grids (`pdc.sum_frequency_grid`), the points at
-    which `build_jsa` reads it."""
+    which `build_jsa` and `pdc.ScanSupport` read it."""
     grid = sum_frequency_grid(signal_grid, idler_grid)
     pump = hg_mode(HermiteGaussParams(order=config.pump.shape_order,
                                       center=grid.center,
@@ -503,41 +509,36 @@ def chirp_scan(chirp_values, config: ExperimentConfig,
     Each row carries the closed-form purity evaluated at the state's
     marginal widths, the purity of the full Schmidt spectrum, the implied g2
     and the g2 after admixing a Poissonian background of the given count
-    fraction.  The spectral intensity (hence the marginals) is chirp
-    independent; only the phase changes.
+    fraction.
 
-    The grids and the phasematching ridge do not depend on the chirp
-    either, so they are made once per call: the ridge is sampled into one
-    read-only :class:`pdc.SampledRidge`, and each row's amplitude is
-    `build_jsa` of that row's pump and the shared ridge, the same bits as
-    `build_state` of the row's configuration.  Each row is built and
-    reduced in its own call, so its amplitude is freed before the next one
-    is allocated.
+    A chirp only multiplies the pump by a unit phase, so the grids, the
+    intensity |f|^2, its marginal widths and the purity's crop are the
+    same for every row: one :class:`pdc.ScanSupport` takes them once per
+    call, and every row's analytic purity reads its widths.  A row then
+    forms its pump, the Hankel window of that pump on the crop times the
+    kept ridge, and the Gram purity of that block; no row builds a
+    full-grid amplitude.  Each row matches `schmidt_purity` and
+    `jsi_marginal_sigmas` of `build_state` of the row's configuration to
+    within a few units of roundoff, not bit for bit.
     """
     if not 0.0 <= background_fraction < 1.0:
         raise InvalidArgumentError(
             f"background fraction must lie in [0, 1), got {background_fraction}")
     grids = experiment_grids(config)
-    ridge = SampledRidge(config.phasematching.model(), *grids)
-    return [_scan_row(float(chirp), config, grids, ridge, background_fraction)
-            for chirp in chirp_values]
-
-
-def _scan_row(chirp: float, config: ExperimentConfig, grids, ridge: SampledRidge,
-              background_fraction: float) -> dict:
-    """One row of :func:`chirp_scan`: the configuration at `chirp`, its
-    amplitude on the shared grids and ridge, and the figures read from it."""
-    run_cfg = merge_overrides(config, {"pump": {"chirp_fs2": chirp}})
-    jsa = build_jsa(pump_spectrum(run_cfg, *grids), ridge, *grids)
-    svd_purity = schmidt_purity(jsa)
-    sigma_s, sigma_i = jsi_marginal_sigmas(jsa)
-    g2 = g2_from_purity(svd_purity)
-    return {"chirp_fs2": chirp,
-            "analytic_purity": chirp_purity_analytic(chirp, sigma_s, sigma_i),
-            "svd_purity": svd_purity,
-            "g2": g2,
-            "g2_background_mixed": background_mixed_g2(
-                g2, 1.0 - background_fraction, background_fraction)}
+    support = ScanSupport(pump_spectrum(config, *grids),
+                          config.phasematching.model(), *grids)
+    rows = []
+    for chirp in map(float, chirp_values):
+        run_cfg = merge_overrides(config, {"pump": {"chirp_fs2": chirp}})
+        svd_purity = support.purity(pump_spectrum(run_cfg, *grids))
+        g2 = g2_from_purity(svd_purity)
+        rows.append({"chirp_fs2": chirp,
+                     "analytic_purity": chirp_purity_analytic(chirp, *support.sigmas),
+                     "svd_purity": svd_purity,
+                     "g2": g2,
+                     "g2_background_mixed": background_mixed_g2(
+                         g2, 1.0 - background_fraction, background_fraction)})
+    return rows
 
 
 def chirp_scan_csv(rows) -> str:

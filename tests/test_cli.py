@@ -970,6 +970,14 @@ class TestChirpScan:
         rc = main(["chirp-scan", "--a-values", "0,abc", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_pump_off_the_ridge_exits_2(self, tmp_path, capsys):
+        # a 1e-100 rad/fs ridge underflows at every grid point
+        assert main(["chirp-scan", "--a-values", "0,1e5", "--grid-count", "64",
+                     "--pm-width", "1e-100", "--pm-angle-deg", "30",
+                     "--out", str(tmp_path)]) == 2
+        assert "do not overlap" in capsys.readouterr().err
+        assert not (tmp_path / "chirp_scan.csv").exists()
+
     def test_chirp_beyond_largest_square(self, tmp_path):
         # the closed form's chirp term overflows a double: purity is its limit
         assert main(["chirp-scan", "--a-values", "1e200", "--grid-count", "16",

@@ -292,23 +292,67 @@ class TestBuildJsa:
         largest = np.max(np.abs(reference))
         assert np.max(np.abs(values - reference)) <= 1e-13 * largest
 
+
+def scan_support(config):
+    """The :class:`pdc.ScanSupport` of `config`'s grids and ridge, and the
+    grids."""
+    grids = presets.experiment_grids(config)
+    return pdc.ScanSupport(presets.pump_spectrum(config, *grids),
+                           config.phasematching.model(), *grids), grids
+
+
+class TestScanSupport:
+    """The chirp-independent crop, widths and ridge of a scan, taken once."""
+
     @pytest.mark.parametrize("shape", _PM_SHAPES)
     @pytest.mark.parametrize("config", [SCAN_ROW_CONFIG, presets.preset_config("d")],
                              ids=["scan-1024-chirp-1e6", "d"])
-    def test_sampled_ridge_matches_model_bit_for_bit(self, config, shape):
+    def test_block_is_the_amplitude_on_its_crop(self, config, shape):
+        # the support is sampled from the unchirped pump; the row's block
+        # is the chirped amplitude's crop within 4 eps |f| per entry
+        # (measured <= 7.4e-16 |f| over 360 rows of varied sources):
+        # build_jsa scales the product by 1/sqrt(weight), the support its
+        # ridge before the product
         config = presets.merge_overrides(config, {"phasematching": {"shape": shape}})
-        pump, pm, signal_grid, idler_grid = scan_inputs(config)
-        ridge = pdc.SampledRidge(pm, signal_grid, idler_grid)
-        assert not ridge.values.flags.writeable
-        built = build_jsa(pump, pm, signal_grid, idler_grid).amplitudes
-        shared = build_jsa(pump, ridge, signal_grid, idler_grid).amplitudes
-        assert np.array_equal(shared.view(np.uint64), built.view(np.uint64))
+        support, grids = scan_support(
+            presets.merge_overrides(config, {"pump": {"chirp_fs2": 0.0}}))
+        assert not support.ridge.flags.writeable
+        assert not support.modulus.flags.writeable
+        jsa = presets.build_state(config)
+        assert (support.rows, support.cols) == pdc._support_block(*jsa.marginals)
+        reference = jsa.amplitudes[support.rows, support.cols]
+        block = support.block(presets.pump_spectrum(config, *grids))
+        assert block.shape == reference.shape == support.ridge.shape
+        assert np.all(np.abs(block - reference)
+                      <= 4.0 * np.finfo(float).eps * np.abs(reference)
+                      + np.sqrt(np.finfo(float).tiny))
+        for got, want in zip(support.sigmas, jsi_marginal_sigmas(jsa)):
+            assert got == pytest.approx(want, rel=1e-14)
 
-    def test_sampled_ridge_rejects_other_grids(self):
-        pump, pm, signal_grid, idler_grid = scan_inputs(presets.preset_config("a"))
-        ridge = pdc.SampledRidge(pm, idler_grid, signal_grid)
-        with pytest.raises(InvalidArgumentError, match="ridge was sampled on"):
-            build_jsa(pump, ridge, signal_grid, idler_grid)
+    def test_rejects_a_pump_off_its_grid_or_modulus(self):
+        config = presets.preset_config("a")
+        support, (signal_grid, idler_grid) = scan_support(config)
+        wider = FrequencyGrid(signal_grid.center, signal_grid.spacing,
+                              signal_grid.count + 1)
+        with pytest.raises(InvalidArgumentError, match="sum-frequency grid"):
+            support.block(presets.pump_spectrum(config, wider, idler_grid))
+        # another pump width, and the odd pump: the crop and the widths
+        # would no longer hold
+        for other in ({"fwhm_nm": 1.0}, {"shape_order": 1}):
+            pump = presets.pump_spectrum(
+                presets.merge_overrides(config, {"pump": other}), signal_grid, idler_grid)
+            with pytest.raises(InvalidArgumentError, match="only its phase may change"):
+                support.block(pump)
+
+    def test_pump_off_the_ridge_rejected(self):
+        # a normalized pump meets a 45-degree ridge on every antidiagonal,
+        # so it is the ridge that misses: 1e-100 rad/fs wide, it underflows
+        # to 0 at every grid point
+        pump, _, signal_grid, idler_grid = scan_inputs(presets.preset_config("a"))
+        pm = PhasematchingModel(30.0, 1e-100)
+        for build in (build_jsa, pdc.ScanSupport):
+            with pytest.raises(InvalidArgumentError, match="do not overlap"):
+                build(pump, pm, signal_grid, idler_grid)
 
 
 def _assert_flushed(values):
@@ -320,16 +364,34 @@ def _assert_flushed(values):
     assert not np.any((parts == 0) & np.signbit(parts))
 
 
+def assert_gram_inputs_flushed(scan, *args):
+    """Run `scan(*args)` with every block that reaches the Gram product of
+    :func:`pdc._block_purity` checked by :func:`_assert_flushed` on its way
+    in; returns the scan's result."""
+    calls = []
+
+    def checked(block):
+        _assert_flushed(block)
+        calls.append(block.shape)
+        return gram(block)
+
+    gram = pdc._block_purity
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pdc, "_block_purity", checked)
+        result = scan(*args)
+    assert len(calls) == len(result)
+    return result
+
+
 class TestFlush:
-    """`build_jsa` and `build_mapping` set every part below sqrt(tiny) to
-    +0, the real and the imaginary parts each through their own mask."""
+    """`build_jsa`, `build_mapping` and a scan row's block set every part
+    below sqrt(tiny) to +0, the real and the imaginary parts each through
+    their own mask."""
 
     @pytest.mark.parametrize("chirp", SCAN_A_VALUES)
     def test_scan_rows(self, chirp):
-        config = presets.merge_overrides(SCAN_CONFIG, {"pump": {"chirp_fs2": chirp}})
-        pump, pm, signal_grid, idler_grid = scan_inputs(config)
-        ridge = pdc.SampledRidge(pm, signal_grid, idler_grid)
-        _assert_flushed(build_jsa(pump, ridge, signal_grid, idler_grid).amplitudes)
+        # every block a scan row hands to the Gram product
+        assert_gram_inputs_flushed(presets.chirp_scan, [chirp], SCAN_CONFIG)
 
     @pytest.mark.parametrize("case", "abcd")
     def test_presets(self, case):
@@ -596,6 +658,30 @@ class TestTruncatedSchmidt:
         assert abs(dec.residual_weight - mu**20) <= 1e-11 * mu**20 + 1e-28
         assert dec.separability == dec.weights[0] * (1.0 - dec.residual_weight)
 
+    @settings(max_examples=30, deadline=None)
+    @given(count=st.sampled_from([256, 512]), fwhm=st.floats(0.4, 2.0),
+           angle=st.floats(30.0, 60.0), share=st.floats(-1.0, 1.0))
+    def test_gaussian_sources_follow_geometric_law(self, count, fwhm, angle, share):
+        # the law of the presets above over TestChirpOracleRegion's resolved
+        # region.  Measured max of |share - law| and |residual - mu^20|:
+        # <= 1.3e-15 while the pump's phase steps at most 0.6 x 3 rad
+        # between grid neighbours (|share| <= 0.6; 200 random draws and the
+        # corners fwhm 0.4-2 nm, angle 30-60 degrees); beyond, the sampled
+        # kernel leaves the Gaussian long before its purity does: at 256
+        # points 1.6e-12 (0.7), 3.9e-10 (0.8), 2.3e-8 (0.9) and 3.3e-7 at
+        # the 3 rad edge, where the purity still holds to 1e-9
+        config = resolved_chirp(presets.merge_overrides(presets.preset_config("a"), {
+            "grid": {"count": count}, "pump": {"fwhm_nm": fwhm},
+            "phasematching": {"angle_deg": angle}}), share)
+        jsa = presets.build_state(config)
+        dec = schmidt_decompose(jsa, max_modes=20)
+        purity = schmidt_purity(jsa)
+        mu = (1.0 - purity) / (1.0 + purity)
+        law = (1.0 - mu) * mu ** np.arange(20)
+        bound = 1e-14 if abs(share) <= 0.6 else 1e-6
+        assert np.max(np.abs(dec.weights * (1.0 - dec.residual_weight) - law)) <= bound
+        assert abs(dec.residual_weight - mu**20) <= bound
+
     def test_repeat_is_bit_identical(self):
         jsa = presets.build_state(presets.preset_config("c"))
         first, second = (schmidt_decompose(jsa, max_modes=20) for _ in range(2))
@@ -818,35 +904,41 @@ class TestChirpScanRows:
             [r["svd_purity"] for r in reference], rel=1e-12)
 
     def test_rows_match_reference_loop(self, scans):
+        # the scan's widths come from the chirp-independent intensity
+        # |pump| x ridge, not from each row's amplitude: rounding apart
         rows, reference = scans
         assert [list(r) for r in rows] == [list(r) for r in reference]
         for row, ref in zip(rows, reference):
             assert row["chirp_fs2"] == ref["chirp_fs2"]
-            assert row["analytic_purity"] == ref["analytic_purity"]
+            assert row["analytic_purity"] == pytest.approx(ref["analytic_purity"],
+                                                           rel=1e-14)
             for key in ("svd_purity", "g2", "g2_background_mixed"):
                 assert row[key] == pytest.approx(ref[key], rel=1e-12)
 
     def test_rows_match_single_state_path(self, scans):
-        # the shared grids and ridge give each row the bits of build_state
+        # the crop and widths come from the chirp-independent intensity, and
+        # each row's block is its amplitude's crop to rounding
+        # (TestScanRowsProperty measures the gap)
         rows, _ = scans
         for chirp, row in zip(SCAN_A_VALUES, rows):
             jsa = presets.build_state(
                 presets.merge_overrides(SCAN_CONFIG, {"pump": {"chirp_fs2": chirp}}))
-            assert row["svd_purity"] == schmidt_purity(jsa)
-            assert row["analytic_purity"] == chirp_purity_analytic(
-                chirp, *jsi_marginal_sigmas(jsa))
+            assert row["svd_purity"] == pytest.approx(schmidt_purity(jsa), rel=1e-14)
+            assert row["analytic_purity"] == pytest.approx(
+                chirp_purity_analytic(chirp, *jsi_marginal_sigmas(jsa)), rel=1e-14)
 
     def test_two_row_scan_peak(self):
-        # one shared 8 MiB ridge, one live 16 MiB amplitude with its 8 MiB
-        # buffer of |.|^2, then the purity's cropped Gram; the previous
-        # row's amplitude is freed first (40.7 MiB while it was kept)
+        # sampling: the 8 MiB ridge and the 2.67 MiB ridge on the 592 x 592
+        # crop; a row: that crop ridge, its 5.35 MiB complex block and the
+        # Gram's 2.67 MiB product.  Measured 11.35 MiB (32.3 MiB while each
+        # row built its full 1024 x 1024 amplitude); the bound leaves 0.65 MiB
         tracemalloc.start()
         try:
             presets.chirp_scan(SCAN_A_VALUES[:2], SCAN_CONFIG)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 36 * 2**20
+        assert peak <= 12 * 2**20
 
     def test_purity_follows_closed_form(self, scans):
         # the pump is evaluated at the JSA's own sums, so only rounding
@@ -886,20 +978,58 @@ class TestChirpOracleRegion:
         assert abs(schmidt_purity(jsa) - analytic) <= 1e-9
 
 
+class TestScanRowsProperty:
+    """Every scan row against the single-state path, over sources: each
+    row's purity within 1e-14 of `schmidt_purity` of `build_state` of its
+    configuration, and the scan's widths within 1e-14 of its
+    `jsi_marginal_sigmas` (measured over 360 rows: <= 8.2e-16 and
+    <= 4.2e-16); every block that reaches a row's Gram is flushed."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(count=st.integers(64, 512), fwhm=st.floats(0.4, 2.0),
+           angle=st.floats(30.0, 60.0), order=st.sampled_from([0, 1]),
+           shape=st.sampled_from(_PM_SHAPES),
+           shares=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+    def test_rows_match_single_state_path(self, count, fwhm, angle, order, shape,
+                                          shares):
+        config = presets.merge_overrides(presets.preset_config("a"), {
+            "grid": {"count": count},
+            "pump": {"fwhm_nm": fwhm, "shape_order": order},
+            "phasematching": {"angle_deg": angle, "shape": shape}})
+        chirps = [resolved_chirp(config, share).pump.chirp_fs2 for share in shares]
+        rows = assert_gram_inputs_flushed(presets.chirp_scan, chirps, config)
+        widths = scan_support(config)[0].sigmas
+        for chirp, row in zip(chirps, rows):
+            jsa = presets.build_state(
+                presets.merge_overrides(config, {"pump": {"chirp_fs2": chirp}}))
+            assert row["svd_purity"] == pytest.approx(schmidt_purity(jsa), rel=1e-14)
+            sigmas = jsi_marginal_sigmas(jsa)
+            assert widths == pytest.approx(sigmas, rel=1e-14)
+            assert row["analytic_purity"] == pytest.approx(
+                chirp_purity_analytic(chirp, *sigmas), rel=1e-14)
+
+
 class TestPurityBenchmarks:
     """Purity from the Gram identity against the full weight spectrum, the
-    reduced state and the truncated decompositions, on 512 x 512 kernels,
-    the two halves of a 1024 x 1024 chirp-scan row at chirp 1e6 fs^2, the
-    purity of the same row at 2048 x 2048 and the six-row 1024 x 1024 scan;
-    pytest-benchmark prints them with ``pytest --benchmark-only -k
-    Benchmarks``."""
+    reduced state and the truncated decompositions, on 512 x 512 kernels;
+    what a 1024 x 1024 chirp scan runs, its once-per-scan sampling with one
+    row at chirp 1e6 fs^2, and the six-row scan; the purity of that row's
+    full amplitude at 1024 x 1024 and 2048 x 2048.  pytest-benchmark prints
+    them with ``pytest --benchmark-only -k Purity``."""
 
     jsa = presets.build_state(presets.preset_config("b"))
 
-    def test_build_state_scan_row(self, benchmark):
-        jsa = benchmark.pedantic(presets.build_state, args=(SCAN_ROW_CONFIG,),
-                                 rounds=3, iterations=1)
-        assert jsa.amplitudes.shape == (1024, 1024)
+    def test_scan_sampling_and_row(self, benchmark):
+        # a scan's ScanSupport from the unchirped pump, then one row
+        pump, pm, signal_grid, idler_grid = scan_inputs()
+        unchirped = presets.pump_spectrum(SCAN_CONFIG, signal_grid, idler_grid)
+
+        def sample_and_row():
+            support = pdc.ScanSupport(unchirped, pm, signal_grid, idler_grid)
+            return support.purity(pump), support.sigmas
+
+        purity, sigmas = benchmark.pedantic(sample_and_row, rounds=3, iterations=1)
+        assert abs(purity - chirp_purity_analytic(1e6, *sigmas)) <= 1e-12
 
     def test_schmidt_purity_scan_row(self, benchmark):
         jsa = presets.build_state(SCAN_ROW_CONFIG)
@@ -953,10 +1083,11 @@ class TestPurityBenchmarks:
 
 
 class TestJsaKernelBenchmarks:
-    """Timing of `build_jsa` on the 1024 x 1024 chirp-scan row at chirp
-    1e6 fs^2, against its 2047-point pump, and on the same row at
-    2048 x 2048; pytest-benchmark prints them with
-    ``pytest --benchmark-only -k Kernel``."""
+    """Timing of `build_jsa` on the full 1024 x 1024 amplitude of the
+    chirp-scan configuration at chirp 1e6 fs^2, against its 2047-point
+    pump, and on the same state at 2048 x 2048, as `build_state` builds
+    them (a scan row forms only its crop); pytest-benchmark prints them
+    with ``pytest --benchmark-only -k Kernel``."""
 
     inputs = scan_inputs()
 
