@@ -35,17 +35,29 @@ output is identical to ``format_float`` per value by construction.  Where
 the ``%`` path, and a product that overflows fails the range check and
 takes it too; the output stays exact.
 
+Each finite value's slot has the kernel's layout: its head (sign,
+leading digit and point), its 12 decimals and its exponent at bytes 0, 4
+and 16, each part NUL-padded, so the slots of values of one sign and one
+exponent width share their NULs; the kernel reports when every slot of a
+call does.
+
 Grid text is laid out in the row blocks of ``pdc._row_blocks``, whole
-grid rows of about ``pdc._BLOCK`` values each, in buffers that an
-artifact allocates once, over ``bytearray`` objects, and reuses;
-``bytearray.translate`` on a buffer drops its NULs.  A grid CSV
+grid rows of about ``pdc._BLOCK`` values each, in a line buffer that an
+artifact allocates once, over a ``bytearray``, and reuses.  A grid CSV
 (``_GridLines``) formats each frequency once per grid and writes the
-column texts and separators into its line buffer once, so a block copies
-in only its row texts and its values' slots.  jsa.json's two arrays
-(``_ArrayRows``) hold their brackets and commas in the same way, and
-copy in the slots of jsa.csv's columns, with ``null`` in place of NaN
-and infinity.  The text of a grid artifact never exists whole, and
-``write_jsa`` writes its CSV lines and JSON arrays side by side.
+column texts and separators into its line buffer once per layout, so a
+block copies in only its row texts and its values' text.  Where every
+value of each of a block's columns shares one slot layout and no
+frequency text is padded, which is most blocks of a smooth one-signed
+kernel, the block is laid out at its exact width by two copies per value
+and handed out as a view of the buffer.  Any other block, one that mixes
+signs or exponent widths or holds NaN or infinity, takes cells of one
+width with the slots' NULs, and ``bytearray.translate`` drops them.
+jsa.json's two arrays (``_ArrayRows``) hold their brackets and commas in
+the same way, and copy in the slots of jsa.csv's columns, with ``null``
+in place of NaN and infinity.  The text of a grid artifact never exists
+whole, and ``write_jsa`` writes its CSV lines and JSON arrays side by
+side.
 """
 
 from __future__ import annotations
@@ -151,21 +163,31 @@ def _mantissas(x: np.ndarray):
     return e, n, slow
 
 
-def _float_slots(values, out=None) -> np.ndarray:
+def _float_slots(values, out=None) -> tuple:
     """An ``(n, _SLOT)`` uint8 array whose row i holds the ASCII bytes of
     ``FLOAT_FORMAT % values[i]``, NUL-padded, for the n values of the
     flattened float64 array ``values``: the first n rows of the C-ordered
-    array ``out`` if given, else a new array.  Zeros keep the template
-    every slot starts as; only the nonzero values are converted."""
+    array ``out`` if given, else a new array; and the slots' layout.
+
+    A finite value's slot holds its sign, leading digit and point in
+    bytes 0 to 3, its 12 decimals in bytes 4 to 15 and its exponent from
+    byte 16 on, each part NUL-padded.  The layout is the pair of text
+    bytes in the first and last part, (2, 4) for ``d.`` and ``e+dd`` up
+    to (3, 5) for ``-d.`` and ``e-ddd``, where every slot has the same
+    pair, and None where the slots mix pairs or hold NaN or infinity,
+    whose text fills its slot from byte 0.  Zeros keep the template every
+    slot starts as; only the nonzero values are converted."""
     v = np.asarray(values, dtype=np.float64).ravel()
     slots = np.empty((v.size, _SLOT), np.uint8) if out is None else out[:v.size]
     words64 = slots.view(np.uint64)
     for k, word in enumerate(_ZERO_WORDS):
         words64[:, k] = word
-    slots.view(np.uint32)[v.view(np.uint64) == _NEG_ZERO, 0] = _HEADS[10]  # "-0."
+    negative_zeros = v.view(np.uint64) == _NEG_ZERO
+    slots.view(np.uint32)[negative_zeros, 0] = _HEADS[10]  # "-0."
     at = np.flatnonzero(v)
     x = v[at]
     e, n, slow = _mantissas(x)
+    negative = np.signbit(x)
     top = n // 10**8  # the leading digit and the first group, below 10**5
     low = (n - top * 10**8).astype(np.uint32)  # the last two groups
     del n
@@ -174,7 +196,7 @@ def _float_slots(values, out=None) -> np.ndarray:
     mid = low // 10**4
     words = slots.view(np.uint32).reshape(-1)  # six per slot
     word = at * 6  # the first word of each nonzero value's slot
-    words[word] = _HEADS[np.signbit(x) * 10 + lead]
+    words[word] = _HEADS[negative * 10 + lead]
     word += 1
     words[word] = _QUADS[top - lead * 10**4]
     word += 1
@@ -182,11 +204,27 @@ def _float_slots(values, out=None) -> np.ndarray:
     word += 1
     words[word] = _QUADS[low - mid * 10**4]
     words64.reshape(-1)[at * 3 + 2] = _EXPONENTS[e - _E_LO]
+    # the layout: one sign over all slots, and one exponent width, read
+    # from e (0 where the value is left to %) and from %'s own texts
+    signs = np.count_nonzero(negative) + np.count_nonzero(negative_zeros)
+    wide = 0
+    if e.size and not -100 < e.min() <= e.max() < 100:
+        wide = np.count_nonzero((e <= -100) | (e >= 100))
+    uniform = signs in (0, v.size)
     if slow.size:
-        text = "".join([(FLOAT_FORMAT % y).ljust(_SLOT, "\0")
-                        for y in x[slow].tolist()])
+        texts = [FLOAT_FORMAT % y for y in x[slow].tolist()]
+        parts = [t.partition(".") for t in texts]
+        # a finite value's text in the kernel's layout, so that one tie
+        # leaves its block's layout as it is; NaN and infinity from byte 0
+        text = "".join([(head + dot).ljust(4, "\0") + tail[:12] + tail[12:].ljust(8, "\0")
+                        if dot else t.ljust(_SLOT, "\0")
+                        for t, (head, dot, tail) in zip(texts, parts)])
         slots[at[slow]] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _SLOT)
-    return slots
+        uniform &= all(dot for _, dot, _ in parts)
+        wide += sum(len(tail) == 17 for _, _, tail in parts)
+    if not uniform or wide not in (0, v.size):
+        return slots, None
+    return slots, (2 + int(signs > 0), 4 + int(wide > 0))
 
 
 def _text_rows(texts) -> np.ndarray:
@@ -194,13 +232,6 @@ def _text_rows(texts) -> np.ndarray:
     width = max(map(len, texts))
     return np.frombuffer("".join(t.ljust(width, "\0") for t in texts).encode("ascii"),
                          np.uint8).reshape(len(texts), width)
-
-
-def _byte_array(*shape):
-    """A zeroed uint8 array of ``shape`` and the bytearray it views, from
-    which ``_nul_free`` takes its text."""
-    buffer = bytearray(int(np.prod(shape)))
-    return np.frombuffer(buffer, np.uint8).reshape(shape), buffer
 
 
 def _nul_free(buffer: bytearray, size: int) -> bytearray:
@@ -219,7 +250,9 @@ def _nulled(slots: np.ndarray, values) -> np.ndarray:
 
 
 def _text(chunks) -> str:
-    return b"".join(chunks).decode("ascii")
+    """The text of byte chunks, each copied before the next is made: a
+    chunk may be a view of a buffer that the next one reuses."""
+    return b"".join([bytes(chunk) for chunk in chunks]).decode("ascii")
 
 
 def float_rows_to_csv(header: str, rows) -> str:
@@ -284,6 +317,25 @@ def _items(array: np.ndarray) -> np.ndarray:
     return array.view(f"V{array.shape[-1]}")
 
 
+def _cell_width(layout) -> int:
+    """The bytes of a value's text in its cell: its slot's first
+    ``_SEP_AT``, NULs included, where the slots of a block mix layouts
+    (None), else the text alone."""
+    return _SEP_AT if layout is None else layout[0] + 12 + layout[1]
+
+
+def _cell_copies(lines: np.ndarray, at: int, layout) -> list:
+    """The copies that take a value's slot of ``layout`` into its cell,
+    from byte ``at`` of the last axis of ``lines``: (the cells as items,
+    first slot byte, end slot byte) each.  A slot of one layout leaves its
+    NULs behind: its head, then its decimals with its exponent."""
+    if layout is None:
+        return [(_items(lines[..., at:at + _SEP_AT]), 0, _SEP_AT)]
+    head, tail = layout
+    return [(_items(lines[..., at:at + head]), 0, head),
+            (_items(lines[..., at + head:at + head + 12 + tail]), 4, 16 + tail)]
+
+
 class _GridLines:
     """The CSV lines of a grid, one per point: its row and column
     frequencies, then its value in each of ``columns`` arrays, laid out
@@ -291,36 +343,63 @@ class _GridLines:
 
     Each frequency's text with its comma is formatted once per grid and
     NUL-padded to the longest of its axis.  The column texts and every
-    separator are written into the buffer once; a block copies in only its
-    rows' texts and the slots of its values, each into a cell of
-    ``_SEP_AT + 1`` bytes whose last byte is the separator.  ``slots``
-    holds each column's reused slot array with its bytearray."""
+    separator are written into the buffer once per layout of the lines; a
+    block copies in only its rows' texts and its values' slots.  Where
+    every value of each of a block's columns has one layout and no
+    frequency text is padded, the block's lines are laid out at their
+    exact width and handed out as they are; otherwise each value takes a
+    cell of ``_SEP_AT`` bytes and a separator, and the lines are handed
+    out with their NULs dropped.  Both layouts share the buffer: a block
+    whose layout differs from the last one's rewrites the column texts and
+    separators first.  ``slots`` holds each column's reused slot array,
+    and ``layouts`` the slot layouts of the last block's columns."""
 
     def __init__(self, row_grid: FrequencyGrid, col_grid: FrequencyGrid, rows: int,
                  columns: int):
         row_texts = _text_rows([format_float(w) + "," for w in row_grid.points.tolist()])
-        col_texts = _text_rows([format_float(w) + "," for w in col_grid.points.tolist()])
-        width = row_texts.shape[1]
-        start = width + col_texts.shape[1]  # the first value cell
-        self.lines, self.buffer = _byte_array(rows, col_grid.count, start + columns * _CELL)
-        self.lines[:, :, width:start] = col_texts
-        ends = np.arange(start + _SEP_AT, self.lines.shape[2], _CELL)
-        self.lines[:, :, ends[:-1]] = ord(",")
-        self.lines[:, :, ends[-1]] = ord("\n")
+        self.col_texts = _text_rows([format_float(w) + "," for w in col_grid.points.tolist()])
+        # exact widths need one text length per axis: texts with no NUL
+        self.exact = bool(row_texts.all() and self.col_texts.all())
+        self.width = row_texts.shape[1]
+        self.start = self.width + self.col_texts.shape[1]  # the first value cell
+        self.shape = (rows, col_grid.count)
+        self.buffer = bytearray(rows * col_grid.count * (self.start + columns * _CELL))
         self.row_texts = _items(row_texts)
-        self.prefixes = _items(self.lines[:, :, :width])
-        self.cells = [_items(self.lines[:, :, at:at + _SEP_AT]) for at in ends - _SEP_AT]
-        self.slots = [_byte_array(rows * col_grid.count, _SLOT) for _ in range(columns)]
+        self.slots = [np.empty((rows * col_grid.count, _SLOT), np.uint8)
+                      for _ in range(columns)]
+        self._lay((None,) * columns)
 
-    def text(self, first: int, *blocks: np.ndarray) -> bytearray:
+    def _lay(self, layouts: tuple) -> None:
+        """Lay the line buffer out for values of ``layouts``, one per column."""
+        widths = np.array([_cell_width(layout) for layout in layouts])
+        ends = self.start + np.cumsum(widths + 1) - 1  # each value's separator
+        count = int(np.prod(self.shape)) * (ends[-1] + 1)
+        lines = np.frombuffer(self.buffer, np.uint8, count).reshape(*self.shape, -1)
+        lines[:, :, self.width:self.start] = self.col_texts
+        lines[:, :, ends[:-1]] = ord(",")
+        lines[:, :, ends[-1]] = ord("\n")
+        self.lines, self.key = lines, layouts
+        self.prefixes = _items(lines[:, :, :self.width])
+        self.copies = [_cell_copies(lines, at, layout)
+                       for at, layout in zip(ends - widths, layouts)]
+
+    def text(self, first: int, *blocks: np.ndarray):
         """The lines of the grid rows from ``first`` on, whose values are
-        the rows of ``blocks``, one per column."""
+        the rows of ``blocks``, one per column: a view of the line buffer,
+        valid until the next call, where they have their exact width."""
         rows = len(blocks[0])
+        slots = [_float_slots(block, out) for block, out in zip(blocks, self.slots)]
+        self.layouts = tuple(layout for _, layout in slots)
+        exact = self.exact and None not in self.layouts
+        key = self.layouts if exact else (None,) * len(blocks)
+        if key != self.key:
+            self._lay(key)
         self.prefixes[:rows] = self.row_texts[first:first + rows, None]
-        for block, (out, _), cells in zip(blocks, self.slots, self.cells):
-            slots = _float_slots(block, out)
-            cells[:rows] = _items(slots[:, :_SEP_AT]).reshape(rows, -1, 1)
-        return _nul_free(self.buffer, self.lines[:rows].nbytes)
+        for (block_slots, _), copies in zip(slots, self.copies):
+            for cells, lo, hi in copies:
+                cells[:rows] = _items(block_slots[:, lo:hi]).reshape(rows, -1, 1)
+        size = self.lines[:rows].nbytes
+        return memoryview(self.buffer)[:size] if exact else _nul_free(self.buffer, size)
 
 
 def _grid_pair_chunks(header: bytes, row_grid: FrequencyGrid, col_grid: FrequencyGrid,
@@ -348,7 +427,9 @@ def jsi_to_csv(jsa: JointSpectralAmplitude) -> str:
 
 
 def mapping_csv_chunks(xi: MappingFunction):
-    """The text of ``mapping.csv`` in chunks of bytes, for ``write_text``."""
+    """The text of ``mapping.csv`` in chunks of bytes, for ``write_text``:
+    a chunk may be a view of a reused buffer, valid until the next one is
+    taken, so a caller that holds chunks copies each."""
     return _grid_pair_chunks(_MAPPING_HEADER, xi.signal_grid, xi.idler_grid,
                              xi.amplitudes.real, xi.amplitudes.imag)
 
@@ -362,28 +443,42 @@ class _ArrayRows:
     columns, ``[v,...,v],`` each and ``[v,...,v]]`` the last, laid out
     ``rows`` grid rows at a time in one reused line buffer.
 
-    The brackets and commas are written into the buffer once; a block
-    copies in only the first ``_SEP_AT`` bytes of its values' slots, each
-    into a cell of ``_SEP_AT + 1`` bytes whose last byte is the separator."""
+    The brackets and commas are written into the buffer once per layout
+    of the rows; a block copies in only its values' slots, at the exact
+    width of their text where the slots have one layout, else into cells
+    of ``_SEP_AT`` bytes whose NULs are dropped, as in :class:`_GridLines`."""
 
     def __init__(self, count: int, rows: int, cols: int):
-        self.count = count
-        self.lines, self.buffer = _byte_array(rows, cols * _CELL + 2)
-        self.lines[:, 0] = ord("[")
-        self.lines[:, _SEP_AT + 1:-1:_CELL] = ord(",")
-        self.lines[:, -2] = ord("]")
-        self.lines[:, -1] = ord(",")
-        cells = self.lines[:, 1:-1].reshape(rows, cols, _CELL)
-        self.cells = _items(cells[:, :, :_SEP_AT])
+        self.count, self.shape = count, (rows, cols)
+        self.buffer = bytearray(rows * (cols * _CELL + 2))
+        self._lay(None)
 
-    def text(self, first: int, slots: np.ndarray) -> bytearray:
+    def _lay(self, layout) -> None:
+        """Lay the line buffer out for values of ``layout``."""
+        rows, cols = self.shape
+        cell = _cell_width(layout) + 1
+        lines = np.frombuffer(self.buffer, np.uint8, rows * (cols * cell + 2))
+        lines = lines.reshape(rows, -1)
+        lines[:, 0] = ord("[")
+        lines[:, cell:-1:cell] = ord(",")
+        lines[:, -2] = ord("]")
+        lines[:, -1] = ord(",")
+        self.lines, self.key = lines, layout
+        self.copies = _cell_copies(lines[:, 1:-1].reshape(rows, cols, cell), 0, layout)
+
+    def text(self, first: int, slots: np.ndarray, layout):
         """The lines of the grid rows from ``first`` on, whose values'
-        slots are the rows of ``slots``."""
-        rows = len(slots) // self.cells.shape[1]
-        self.cells[:rows] = _items(slots[:, :_SEP_AT]).reshape(rows, -1, 1)
+        slots of ``layout`` are the rows of ``slots``: a view of the line
+        buffer, valid until the next call, where they have one layout."""
+        rows = len(slots) // self.shape[1]
+        if layout != self.key:
+            self._lay(layout)
+        for cells, lo, hi in self.copies:
+            cells[:rows] = _items(slots[:, lo:hi]).reshape(rows, -1, 1)
         if first + rows == self.count:
             self.lines[rows - 1, -1] = ord("]")
-        return _nul_free(self.buffer, self.lines[:rows].nbytes)
+        size = self.lines[:rows].nbytes
+        return memoryview(self.buffer)[:size] if layout else _nul_free(self.buffer, size)
 
 
 def write_jsa(jsa: JointSpectralAmplitude, out: Path) -> None:
@@ -403,7 +498,7 @@ def write_jsa(jsa: JointSpectralAmplitude, out: Path) -> None:
     rows = blocks[0].stop
     jsa_lines = _GridLines(jsa.signal_grid, jsa.idler_grid, rows, 2)
     jsi_lines = _GridLines(jsa.signal_grid, jsa.idler_grid, rows, 1)
-    (re, _), (im, _) = jsa_lines.slots
+    re, im = jsa_lines.slots
     # one line buffer for both arrays: "re" is copied out before "im" is laid out
     json_rows = _ArrayRows(count, rows, cols)
     re_text = []
@@ -417,10 +512,12 @@ def write_jsa(jsa: JointSpectralAmplitude, out: Path) -> None:
             a, block = block_rows.start, amplitudes[block_rows]
             csv.write(jsa_lines.text(a, block.real, block.imag))
             jsi.write(jsi_lines.text(a, np.abs(block) ** 2))
-            # held until "im" is complete: as bytes, which keep no room
-            # for the NULs that the bytearray dropped
-            re_text.append(bytes(json_rows.text(a, _nulled(re[:block.size], block.real))))
-            js.write(json_rows.text(a, _nulled(im[:block.size], block.imag)))
+            re_layout, im_layout = jsa_lines.layouts
+            # held until "im" is complete: as bytes, a copy out of the
+            # reused buffer that keeps no room for dropped NULs
+            re_text.append(bytes(json_rows.text(
+                a, _nulled(re[:block.size], block.real), re_layout)))
+            js.write(json_rows.text(a, _nulled(im[:block.size], block.imag), im_layout))
         js.write(b',"re":[')
         js.writelines(re_text)
         js.write(b',"signal_grid":%s}\n' % _render_json(

@@ -1,8 +1,10 @@
 import json
 import os
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from tmsim import (
     JointSpectralAmplitude,
     MappingFunction,
     ModalDensityMatrix,
+    GateSpec,
     build_mapping,
     hg_mode,
     make_grid,
@@ -102,9 +105,33 @@ def slot_texts(slots):
             for row in slots]
 
 
+def kernel_slot(text):
+    """The slot the kernel writes for a value of text ``text``: a finite
+    value's head, decimals and exponent at bytes 0, 4 and 16, each part
+    NUL-padded, and NaN or infinity from byte 0."""
+    head, dot, tail = text.partition(".")
+    if not dot:
+        return text.ljust(serialize._SLOT, "\0")
+    return (head + dot).ljust(4, "\0") + tail[:12] + tail[12:].ljust(8, "\0")
+
+
+def text_layout(texts):
+    """The (head, exponent) text bytes that every slot of ``texts``
+    shares, or None where they differ or a text is NaN or infinity."""
+    layouts = {(len(t.partition(".")[0]) + 1, len(t.partition(".")[2]) - 12)
+               if "." in t else None for t in texts}
+    return layouts.pop() if len(layouts) == 1 else None
+
+
 def kernel_texts(values):
-    """The text of each slot the formatting kernel writes for ``values``."""
-    return slot_texts(serialize._float_slots(values))
+    """The text of each slot the formatting kernel writes for ``values``,
+    after checking each slot's bytes and the layout the kernel reports."""
+    slots, layout = serialize._float_slots(values)
+    texts = slot_texts(slots)
+    assert [row.tobytes().decode("ascii") for row in slots] == list(map(kernel_slot, texts))
+    if texts:
+        assert layout == text_layout(texts)
+    return texts
 
 
 def percent_texts(values):
@@ -494,6 +521,157 @@ class TestReusedLineBuffers:
         assert_grid_files(tmp_path, signal, idler, values)
 
 
+# a 13-digit mantissa this close to a rounding tie is left to %
+WIDE_TIE = 1.4226872211975e-150
+
+
+def pattern_row(pattern, cols, rng):
+    """One grid row of ``cols`` values of a text pattern: one sign with
+    two-digit exponents (positive, negative), three-digit exponents
+    (wide), either sign (mixed), both exponent widths (widths), zeros of
+    either sign, a rounding tie that ``%`` converts among one-signed values
+    of its exponent width (tie, negative-tie, wide-tie), or NaN and
+    infinity among them (non-finite)."""
+    values = rng.uniform(1.0, 10.0, cols) * 10.0 ** rng.integers(-98, 99, cols)
+    if pattern == "negative":
+        values = -values
+    elif pattern == "wide":
+        values = rng.uniform(1.0, 10.0, cols) * 10.0 ** (
+            rng.choice([-1, 1], cols) * rng.integers(100, 300, cols))
+    elif pattern == "mixed":
+        values *= rng.choice([-1.0, 1.0], cols)
+    elif pattern == "widths":
+        values[rng.integers(cols)] = rng.choice([1e-150, WIDE_TIE])
+    elif pattern == "zeros":
+        values[:] = 0.0
+    elif pattern == "negative-zeros":
+        values[:] = -0.0
+    elif pattern in ("tie", "negative-tie"):
+        values[rng.integers(cols)] = 2.0 ** -19  # 1.9073486328125e-06
+        values *= -1.0 if pattern == "negative-tie" else 1.0
+    elif pattern == "wide-tie":
+        values = rng.uniform(1.0, 10.0, cols) * 10.0 ** -rng.integers(100, 300, cols)
+        values[rng.integers(cols)] = WIDE_TIE
+    elif pattern == "non-finite":
+        values[rng.integers(cols)] = rng.choice([np.nan, np.inf, -np.inf])
+    return values
+
+
+ROW_PATTERNS = ("positive", "negative", "wide", "mixed", "widths", "zeros",
+                "negative-zeros", "tie", "negative-tie", "wide-tie", "non-finite")
+
+
+@st.composite
+def patterned_grids(draw):
+    """Grids of 2-6 x 2-5 complex values whose real and imaginary parts
+    take a pattern of ``pattern_row`` per grid row, on frequency axes that
+    straddle zero, so that their texts are padded, or stay positive."""
+    rows, cols = draw(st.integers(2, 6)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.empty((rows, cols), complex)
+    for part in (values.real, values.imag):
+        for row in part:
+            row[:] = pattern_row(draw(st.sampled_from(ROW_PATTERNS)), cols, rng)
+    center = 0.0 if draw(st.booleans()) else 1.223
+    return (FrequencyGrid(center=center, spacing=0.5, count=rows),
+            FrequencyGrid(center=center, spacing=0.25, count=cols), values)
+
+
+def predicted_drops(signal, idler, values):
+    """How many blocks of ``write_jsa``'s files keep the NUL drop: those
+    whose frequency texts are padded, or one of whose columns mixes text
+    layouts or holds NaN or infinity (by ``%``'s texts); jsa.json's blocks
+    go one array at a time.  mapping.csv's blocks are jsa.csv's."""
+    count, cols = values.shape
+    padded = any(len({len(serialize.format_float(w)) for w in grid.points}) > 1
+                 for grid in (signal, idler))
+    with np.errstate(invalid="ignore", over="ignore"):
+        intensity = np.abs(values) ** 2
+
+    def mixed(*parts):
+        return any(text_layout(percent_texts(part)) is None for part in parts)
+
+    drops = {"jsa.csv": 0, "jsi.csv": 0, "jsa.json": 0}
+    for rows in pdc._row_blocks(count, cols * 4):
+        re, im = values.real[rows], values.imag[rows]
+        drops["jsa.csv"] += padded or mixed(re, im)
+        drops["jsi.csv"] += padded or mixed(intensity[rows])
+        drops["jsa.json"] += mixed(re) + mixed(im)
+    return drops
+
+
+def counted_drops(write) -> int:
+    """How many times ``write()`` drops NULs from a line buffer."""
+    calls, nul_free = [], serialize._nul_free
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "_nul_free",
+                      lambda *args: calls.append(None) or nul_free(*args))
+        write()
+    return len(calls)
+
+
+class TestFixedWidthBlocks:
+    """A block whose columns' values each share one text layout, on axes
+    whose frequency texts have one length, is laid out at its exact width
+    and skips the NUL drop; every other block keeps it.  Both give the
+    bytes of the per-cell loop."""
+
+    @pytest.mark.parametrize("block", [1, 64, 32768])
+    @settings(max_examples=150, deadline=None)
+    @given(grid=patterned_grids())
+    @example(grid=(FrequencyGrid(center=1.223, spacing=0.5, count=3),
+                   FrequencyGrid(center=1.223, spacing=0.25, count=2),
+                   np.array([[2.0**-19, 1.5], [-0.0, -2.0], [1e-150, 3e150]]) + 0j))
+    def test_grid_files_match_reference(self, block, grid):
+        signal, idler, values = grid
+        with pytest.MonkeyPatch.context() as monkeypatch, \
+                tempfile.TemporaryDirectory() as directory:
+            monkeypatch.setattr(pdc, "_BLOCK", block)
+            out = Path(directory)
+            jsa = unchecked(JointSpectralAmplitude, signal_grid=signal, idler_grid=idler,
+                            amplitudes=values)
+            xi = unchecked(MappingFunction, signal_grid=signal, idler_grid=idler,
+                           amplitudes=values)
+            with np.errstate(invalid="ignore", over="ignore"):
+                drops = counted_drops(lambda: serialize.write_jsa(jsa, out))
+                intensity = np.abs(values) ** 2
+            mapping_drops = counted_drops(lambda: serialize.write_text(
+                out / "mapping.csv", serialize.mapping_csv_chunks(xi)))
+            expected = predicted_drops(signal, idler, values)
+            assert drops == sum(expected.values())
+            assert mapping_drops == expected["jsa.csv"]
+            assert first_difference(read(out / "jsa.csv"), reference_grid_pair_csv(
+                "omega_s,omega_i,real,imag", signal, idler, values.real,
+                values.imag)) is None
+            assert first_difference(read(out / "jsi.csv"), reference_grid_pair_csv(
+                "omega_s,omega_i,intensity", signal, idler, intensity)) is None
+            assert first_difference(read(out / "jsa.json"), reference_jsa_json(
+                signal, idler, serialize.dump_json(values.real.tolist())[:-1],
+                serialize.dump_json(values.imag.tolist())[:-1])) is None
+            assert first_difference(read(out / "mapping.csv"), reference_grid_pair_csv(
+                "omega_in,omega_out,real,imag", signal, idler, values.real,
+                values.imag)) is None
+
+    def test_ties_are_left_to_percent(self):
+        for tie in (2.0 ** -19, -2.0 ** -19, WIDE_TIE):
+            assert serialize._mantissas(np.array([tie]))[2].size == 1
+
+    def test_preset_a_and_gate_mapping_skip_the_drop(self, tmp_path):
+        # preset a: every block of jsa.csv and jsa.json, and 28 of jsi.csv's
+        # 32, whose other 4 mix two- and three-digit exponents in the tails;
+        # the gate mapping: every block, its rounding ties included
+        jsa = presets.build_state(presets.preset_config("a"))
+        assert predicted_drops(jsa.signal_grid, jsa.idler_grid, jsa.amplitudes) == {
+            "jsa.csv": 0, "jsi.csv": 4, "jsa.json": 0}
+        assert counted_drops(lambda: serialize.write_jsa(jsa, tmp_path)) == 4
+        xi = build_mapping(*GateSpec().inputs())
+        re = xi.amplitudes.real
+        assert serialize._mantissas(re[re != 0])[2].size  # ties left to %
+        assert counted_drops(lambda: serialize.write_text(
+            tmp_path / "mapping.csv", serialize.mapping_csv_chunks(xi))) == 0
+        assert len(pdc._row_blocks(512, 512 * 4)) == 32
+
+
 def traced_peak(write) -> int:
     """The peak of memory traced while ``write()`` runs, in bytes."""
     tracemalloc.start()
@@ -648,9 +826,11 @@ class TestCountRecordFormats:
 
 class TestSerializeBenchmarks:
     """Timings of the JSA and mapping writers on a 256 x 256 grid, one of
-    them on a real mapping function, and of the formatting kernel against
-    one ``%`` per value on 512 x 512 values; pytest-benchmark prints them
-    with ``pytest --benchmark-only -k serialize``."""
+    them on a real mapping function, of ``write_jsa`` on preset a, whose
+    blocks skip the NUL drop, and on preset b, whose blocks mostly keep
+    it, and of the formatting kernel against one ``%`` per value on
+    512 x 512 values; pytest-benchmark prints them with
+    ``pytest --benchmark-only -k serialize``."""
 
     jsa = sample_jsa(count=256)
 
@@ -683,15 +863,28 @@ class TestSerializeBenchmarks:
         xi = build_mapping(HermiteGaussParams(0, 2.4 - 1.223, 0.01),
                            HermiteGaussParams(0, 2.4, 0.01), input_grid, output_grid)
         assert not xi.amplitudes.imag.any()
-        text = benchmark.pedantic(lambda: b"".join(serialize.mapping_csv_chunks(xi)),
-                                  rounds=3, iterations=1)
+        text = benchmark.pedantic(lambda: b"".join(
+            [bytes(chunk) for chunk in serialize.mapping_csv_chunks(xi)]),
+            rounds=3, iterations=1)
+        assert text.decode("ascii") == serialize.mapping_to_csv(xi)
         assert text.count(b"\n") == 1 + 256 * 256
+
+    @pytest.mark.parametrize("case", ["a", "b"], ids=["a-exact-width", "b-nul-drop"])
+    def test_write_jsa_preset(self, benchmark, tmp_path, case):
+        # preset a's blocks are laid out at their exact width, all but 4 of
+        # jsi.csv's; preset b's mixed-sign real parts and intensities keep
+        # the NUL drop, and only its zero "im" array skips it
+        jsa = presets.build_state(presets.preset_config(case))
+        benchmark.pedantic(serialize.write_jsa, args=(jsa, tmp_path),
+                           rounds=3, iterations=1)
+        drops = counted_drops(lambda: serialize.write_jsa(jsa, tmp_path))
+        assert drops == {"a": 4, "b": 96}[case]
 
     def test_kernel_against_percent_512(self, benchmark):
         values = sample_jsa(count=512).amplitudes.real
         start = time.perf_counter()
         reference = percent_texts(values)
         benchmark.extra_info["percent_s"] = time.perf_counter() - start
-        slots = benchmark.pedantic(serialize._float_slots, args=(values,),
-                                   rounds=1, iterations=1)
+        slots, _ = benchmark.pedantic(serialize._float_slots, args=(values,),
+                                      rounds=1, iterations=1)
         assert first_difference("\n".join(slot_texts(slots)), "\n".join(reference)) is None

@@ -642,6 +642,8 @@ class TestSolver:
            flux=st.floats(10.0, 1e6), size=st.integers(1, 5),
            tolerance=st.sampled_from([1e-6, 1e-8, 1e-10]),
            seed=st.integers(0, 2**32 - 1))
+    # its second row needs 6 796 iterations to reach a 9.8e-11 certificate
+    @example(d=7, rank=2, flux=44922.75, size=2, tolerance=1e-10, seed=58858)
     def test_converged_rows_are_certified_states(self, d, rank, flux, size,
                                                  tolerance, seed):
         rng = np.random.default_rng(seed)
@@ -654,7 +656,7 @@ class TestSolver:
         counts[counts.sum(axis=1) == 0, 0] = 1.0
         rhos, _, converged, certificates, _ = _apg(
             coords, counts, weights,
-            MLEConfig(max_iterations=5000, tolerance=tolerance))
+            MLEConfig(tolerance=tolerance))
         assert converged.all()
         ops = gate_operators(pset.coefficient_matrix())
         for rho, row, certificate in zip(rhos, counts, certificates):
@@ -672,9 +674,18 @@ class TestSolver:
     @settings(max_examples=200, deadline=None)
     @given(d=st.integers(1, 9), size=st.integers(1, 4),
            scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+    # |shift| near 1024: the inner product reads 1.16e-10
+    @example(d=1, size=2, scale=812.40625, seed=58917)
     def test_projection_is_the_nearest_state(self, d, size, scale, seed):
-        # P is the projection of X onto the convex set of density matrices
-        # iff <X - P, Y - P> <= 0 for every density matrix Y
+        # P* is the projection of X onto the convex set of density matrices
+        # iff <X - P*, Y - P*> <= 0 for every density matrix Y.  The computed
+        # P = P* + E carries the rounding of eigh, of order d eps ||X||_2, and
+        # of the spectrum's shift s, of order eps |s| with |s| <= ||X||_2 + 1,
+        # so ||E||_F <= delta = 4 d eps (||X||_2 + 1).  Expanding
+        # <X - P*, Y - P*> <= 0 in P = P* + E leaves
+        # <X - P, Y - P> <= delta (||X - P||_F + ||Y - P||_F).  Over 20 000
+        # random draws the inner product reached 0.9 of this bound taken
+        # with d eps in place of 4 d eps.
         rng = np.random.default_rng(seed)
         g = rng.normal(size=(size, d, 2 * d)).view(complex)
         hermitian = scale * (g + np.conj(g).transpose(0, 2, 1))
@@ -685,7 +696,9 @@ class TestSolver:
         for x, p in zip(hermitian, projected):
             for rank in (1, d):
                 y = random_rho(int(rng.integers(2**32)), d=d, k=rank).entries
-                assert np.einsum("ab,ba->", x - p, y - p).real <= 1e-12
+                delta = 4 * d * np.finfo(float).eps * (np.linalg.norm(x, 2) + 1.0)
+                assert np.einsum("ab,ba->", x - p, y - p).real <= delta * (
+                    np.linalg.norm(x - p) + np.linalg.norm(y - p))
 
     @pytest.mark.parametrize("seed", [7, 11])
     @pytest.mark.parametrize("case", "abcd")
