@@ -6,7 +6,6 @@ from .errors import (
     BasisMismatchError,
     BasisMismatchWarning,
     IllPosedError,
-    IncompatibleGridError,
     InvalidArgumentError,
     ToolkitError,
     UnsupportedDimensionError,
@@ -49,7 +48,6 @@ from .spectral import (
     apply_chirp,
     convert_bandwidth,
     hg_mode,
-    inner_product,
     make_grid,
     wavelength_to_omega,
 )

@@ -9,10 +9,6 @@ class InvalidArgumentError(ToolkitError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class IncompatibleGridError(ToolkitError, ValueError):
-    """Two spectra live on different frequency grids."""
-
-
 class UnsupportedOrderError(ToolkitError, ValueError):
     """Hermite-Gauss order outside the numerically stable range."""
 

@@ -16,8 +16,8 @@ from .spectral import (
     ComplexSpectrum,
     FrequencyGrid,
     HermiteGaussParams,
+    chirp_factor,
     hg_mode,
-    inner_product,
 )
 
 _PM_SHAPES = ("gaussian", "sinc")
@@ -265,23 +265,24 @@ def build_jsa(pump: ComplexSpectrum, pm: PhasematchingModel,
 
 
 class ScanSupport:
-    """What a scan over the pump's spectral phase keeps fixed on one
-    signal x idler grid pair: the crop of :func:`schmidt_purity`, the
-    marginal widths of :func:`jsi_marginal_sigmas` and the ridge.
+    """What a scan over the chirp of one pump keeps fixed on one signal x
+    idler grid pair: the crop of :func:`schmidt_purity`, the marginal
+    widths of :func:`jsi_marginal_sigmas`, the ridge on the crop, and the
+    pump's values and offsets on the crop's slice of the sum-frequency
+    grid.
 
-    A spectral phase multiplies the pump by a unit phase, so |f|^2, its
-    marginals, the crop (:func:`_support_block`) and the marginal widths
-    are the same for every pump of one modulus.  They are taken once, from
-    the intensity (|pump| x ridge)^2, sampled block by block; only the
-    ridge on the crop is kept, scaled by 1/sqrt(weight), so that
-    :meth:`block` has the scale of the unit-weight amplitude.  A pump then
-    costs its Hankel window on the crop times that ridge and the Gram
-    product of :meth:`purity`; no full-grid amplitude is formed.
+    A chirp multiplies the pump by a unit phase, so |f|^2, its marginals,
+    the crop (:func:`_support_block`) and the marginal widths are the same
+    for every row.  They are taken once, from the intensity
+    (|pump| x ridge)^2, sampled block by block; only the ridge on the crop
+    is kept, scaled by 1/sqrt(weight), so that :meth:`block` has the scale
+    of the unit-weight amplitude.  A row then costs the chirp phase on the
+    pump's slice, its Hankel window on the crop times that ridge, and the
+    Gram product of :meth:`purity`; no full-grid amplitude is formed.
 
     Since |e^{i phi}| = 1 +- one ulp, the border runs the crop drops from
-    any pump of this modulus weigh what they weigh in the intensity, to
-    rounding, so :func:`schmidt_purity`'s bound |P_crop - P| <= 2^-53 P
-    still holds.
+    any row weigh what they weigh in the intensity, to rounding, so
+    :func:`schmidt_purity`'s bound |P_crop - P| <= 2^-53 P still holds.
 
     Raises
     ------
@@ -294,8 +295,7 @@ class ScanSupport:
                  signal_grid: FrequencyGrid, idler_grid: FrequencyGrid):
         _check_pump_grid(pump, signal_grid, idler_grid)
         n, m = signal_grid.count, idler_grid.count
-        modulus = np.abs(pump.amplitudes)
-        alpha = np.lib.stride_tricks.sliding_window_view(modulus, m)
+        alpha = np.lib.stride_tricks.sliding_window_view(np.abs(pump.amplitudes), m)
         ridge = np.empty((n, m))
         row_sums, col_sums = np.empty(n), np.zeros(m)
         for rows in _row_blocks(n, m):
@@ -308,33 +308,22 @@ class ScanSupport:
         if not weight > 0.0:
             raise InvalidArgumentError(
                 "pump and phasematching do not overlap on the requested grids")
-        self.grids = (signal_grid, idler_grid)
-        self.sigmas = _marginal_sigmas((row_sums, col_sums), self.grids)
+        self.sigmas = _marginal_sigmas((row_sums, col_sums), (signal_grid, idler_grid))
         self.rows, self.cols = _support_block(row_sums, col_sums)
         self.ridge = ridge[self.rows, self.cols] * (1.0 / np.sqrt(weight))
         self.ridge.flags.writeable = False
-        modulus.flags.writeable = False
-        self.modulus = modulus
+        sums = slice(self.rows.start + self.cols.start,
+                     self.rows.stop + self.cols.stop - 1)
+        self._pump, self._offsets = pump.amplitudes[sums], pump.grid.offsets[sums]
 
-    def block(self, pump: ComplexSpectrum) -> np.ndarray:
-        """The unit-weight amplitude of `pump` on the crop: its Hankel
-        window there times the kept ridge, formed over row blocks and
-        flushed below sqrt(tiny) as :func:`_build_kernel` flushes.
-
-        `pump` must be sampled on the grids' sum-frequency grid and differ
-        from the support's pump only by a phase: its modulus must match to
-        4 ulp (plus the smallest normal double, for subnormal tails)."""
-        _check_pump_grid(pump, *self.grids)
-        drift = np.abs(np.abs(pump.amplitudes) - self.modulus)
-        if not np.all(drift <= 4.0 * np.finfo(float).eps * self.modulus
-                      + np.finfo(float).tiny):
-            raise InvalidArgumentError(
-                "the pump's modulus differs from that of the pump the scan "
-                "support was sampled with; only its phase may change")
-        first = self.rows.start + self.cols.start
-        window = np.lib.stride_tricks.sliding_window_view(
-            pump.amplitudes[first:self.rows.stop + self.cols.stop - 1],
-            self.ridge.shape[1])
+    def block(self, chirp_fs2: float) -> np.ndarray:
+        """The unit-weight amplitude on the crop of the pump chirped by
+        `chirp_fs2` (fs^2) about its grid's center: the pump's slice times
+        :func:`apply_chirp`'s phase, its Hankel window there times the kept
+        ridge, formed over row blocks and flushed below sqrt(tiny) as
+        :func:`_build_kernel` flushes."""
+        pump = self._pump * chirp_factor(chirp_fs2, self._offsets)
+        window = np.lib.stride_tricks.sliding_window_view(pump, self.ridge.shape[1])
         values = np.empty(self.ridge.shape, dtype=complex)
         blocks = _row_blocks(*values.shape)
         flush = _flusher(values[blocks[0]].shape)
@@ -343,10 +332,10 @@ class ScanSupport:
             flush(values[rows])
         return values
 
-    def purity(self, pump: ComplexSpectrum) -> float:
-        """:func:`schmidt_purity` of the amplitude of `pump`, from the Gram
-        product over :meth:`block`."""
-        return _block_purity(self.block(pump))
+    def purity(self, chirp_fs2: float) -> float:
+        """:func:`schmidt_purity` of the amplitude of the pump chirped by
+        `chirp_fs2`, from the Gram product over :meth:`block`."""
+        return _block_purity(self.block(chirp_fs2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -708,7 +697,7 @@ def fit_basis_width(dec: SchmidtDecomposition) -> float:
     from scipy.optimize import minimize_scalar
 
     grid = dec.signal_grid
-    psi0 = ComplexSpectrum(grid, dec.signal_modes[0] / np.sqrt(grid.spacing))
+    psi0 = dec.signal_modes[0] / np.sqrt(grid.spacing)
     center = grid.center
     density = np.abs(dec.signal_modes[0]) ** 2  # unit discrete norm
     mean = float(np.sum(grid.points * density))
@@ -717,7 +706,7 @@ def fit_basis_width(dec: SchmidtDecomposition) -> float:
 
     def negative_overlap(width: float) -> float:
         mode = hg_mode(HermiteGaussParams(order=0, center=center, width=width), grid)
-        return -abs(inner_product(mode, psi0)) ** 2
+        return -abs(np.sum(np.conj(mode.amplitudes) * psi0) * grid.spacing) ** 2
 
     result = minimize_scalar(negative_overlap, bounds=(guess / 4.0, guess * 4.0),
                              method="bounded", options={"xatol": guess * 1e-9})

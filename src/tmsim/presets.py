@@ -9,9 +9,10 @@ manifest with the fully resolved configuration; re-running from a manifest
 reproduces all outputs byte for byte.
 
 A chirp scan builds no joint amplitude.  The chirp only sets the pump's
-phase, so the scan samples the intensity, its marginal widths and the
-purity's crop once (`pdc.ScanSupport`), and each row takes the Gram purity
-of its pump's amplitude on that crop; a row agrees with the single-state
+phase, so the scan samples the intensity, its marginal widths, the purity's
+crop and the unchirped pump on the crop once (`pdc.ScanSupport`), and each
+row multiplies the pump's crop slice by its chirp phase and takes the Gram
+purity of the amplitude on the crop; a row agrees with the single-state
 path, `build_state`, to within rounding, not bit for bit.
 """
 
@@ -513,24 +514,31 @@ def chirp_scan(chirp_values, config: ExperimentConfig,
 
     A chirp only multiplies the pump by a unit phase, so the grids, the
     intensity |f|^2, its marginal widths and the purity's crop are the
-    same for every row: one :class:`pdc.ScanSupport` takes them once per
-    call, and every row's analytic purity reads its widths.  A row then
-    forms its pump, the Hankel window of that pump on the crop times the
-    kept ridge, and the Gram purity of that block; no row builds a
-    full-grid amplitude.  Each row matches `schmidt_purity` and
-    `jsi_marginal_sigmas` of `build_state` of the row's configuration to
-    within a few units of roundoff, not bit for bit.
+    same for every row: one :class:`pdc.ScanSupport`, sampled from the
+    configured pump without its chirp, takes them once per call, and every
+    row's analytic purity reads its widths.  Every chirp is checked as
+    ``pump.chirp_fs2`` before that sampling.  A row then multiplies the
+    pump's crop slice by its chirp phase, forms the Hankel window of that
+    slice on the crop times the kept ridge, and takes the Gram purity of
+    that block; no row builds a configuration, a pump or a full-grid
+    amplitude.  Each row matches `schmidt_purity` and `jsi_marginal_sigmas`
+    of `build_state` of the row's configuration to within a few units of
+    roundoff, not bit for bit.
     """
     if not 0.0 <= background_fraction < 1.0:
         raise InvalidArgumentError(
             f"background fraction must lie in [0, 1), got {background_fraction}")
+    chirps = [float(chirp) for chirp in chirp_values]
+    for chirp in chirps:  # PumpConfig's own check, before any sampling
+        dataclasses.replace(config.pump, chirp_fs2=chirp)
     grids = experiment_grids(config)
-    support = ScanSupport(pump_spectrum(config, *grids),
+    unchirped = dataclasses.replace(
+        config, pump=dataclasses.replace(config.pump, chirp_fs2=0.0))
+    support = ScanSupport(pump_spectrum(unchirped, *grids),
                           config.phasematching.model(), *grids)
     rows = []
-    for chirp in map(float, chirp_values):
-        run_cfg = merge_overrides(config, {"pump": {"chirp_fs2": chirp}})
-        svd_purity = support.purity(pump_spectrum(run_cfg, *grids))
+    for chirp in chirps:
+        svd_purity = support.purity(chirp)
         g2 = g2_from_purity(svd_purity)
         rows.append({"chirp_fs2": chirp,
                      "analytic_purity": chirp_purity_analytic(chirp, *support.sigmas),

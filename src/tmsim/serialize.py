@@ -53,11 +53,11 @@ kernel, the block is laid out at its exact width by two copies per value
 and handed out as a view of the buffer.  Any other block, one that mixes
 signs or exponent widths or holds NaN or infinity, takes cells of one
 width with the slots' NULs, and ``bytearray.translate`` drops them.
-jsa.json's two arrays (``_ArrayRows``) hold their brackets and commas in
-the same way, and copy in the slots of jsa.csv's columns, with ``null``
-in place of NaN and infinity.  The text of a grid artifact never exists
-whole, and ``write_jsa`` writes its CSV lines and JSON arrays side by
-side.
+jsa.json's two arrays, each in its own ``_ArrayRows``, hold their
+brackets and commas in the same way, and copy in the slots of jsa.csv's
+columns, with ``null`` in place of NaN and infinity.  The text of a grid
+artifact never exists whole, and ``write_jsa`` writes its CSV lines and
+JSON arrays side by side.
 """
 
 from __future__ import annotations
@@ -499,8 +499,7 @@ def write_jsa(jsa: JointSpectralAmplitude, out: Path) -> None:
     jsa_lines = _GridLines(jsa.signal_grid, jsa.idler_grid, rows, 2)
     jsi_lines = _GridLines(jsa.signal_grid, jsa.idler_grid, rows, 1)
     re, im = jsa_lines.slots
-    # one line buffer for both arrays: "re" is copied out before "im" is laid out
-    json_rows = _ArrayRows(count, rows, cols)
+    re_rows, im_rows = _ArrayRows(count, rows, cols), _ArrayRows(count, rows, cols)
     re_text = []
     with (_artifact(out / "jsa.csv") as csv, _artifact(out / "jsi.csv") as jsi,
           _artifact(out / "jsa.json") as js):
@@ -515,9 +514,9 @@ def write_jsa(jsa: JointSpectralAmplitude, out: Path) -> None:
             re_layout, im_layout = jsa_lines.layouts
             # held until "im" is complete: as bytes, a copy out of the
             # reused buffer that keeps no room for dropped NULs
-            re_text.append(bytes(json_rows.text(
+            re_text.append(bytes(re_rows.text(
                 a, _nulled(re[:block.size], block.real), re_layout)))
-            js.write(json_rows.text(a, _nulled(im[:block.size], block.imag), im_layout))
+            js.write(im_rows.text(a, _nulled(im[:block.size], block.imag), im_layout))
         js.write(b',"re":[')
         js.writelines(re_text)
         js.write(b',"signal_grid":%s}\n' % _render_json(

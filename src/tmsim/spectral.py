@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IncompatibleGridError,
-    InvalidArgumentError,
-    UnsupportedOrderError,
-)
+from .errors import InvalidArgumentError, UnsupportedOrderError
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
@@ -189,14 +185,20 @@ def hg_mode(params: HermiteGaussParams, grid: FrequencyGrid) -> ComplexSpectrum:
     return ComplexSpectrum(grid, values.astype(complex)).normalized()
 
 
+def chirp_factor(coefficient: float, detuning: np.ndarray) -> np.ndarray:
+    """The unit phase exp[i A d^2] of a chirp of coefficient A at the
+    detunings d from its center."""
+    return np.exp(1j * coefficient * detuning**2)
+
+
 def apply_chirp(spectrum: ComplexSpectrum, chirp: ChirpPhase) -> ComplexSpectrum:
     """Multiply by exp[i A (w - w0)^2]; moduli are untouched."""
     grid = spectrum.grid
     # from the offsets, as in hg_mode: the phase carries no rounding of the
     # absolute frequencies, which A (w - w0) would amplify
     detuning = grid.offsets + (grid.center - chirp.center)
-    phase = np.exp(1j * chirp.coefficient * detuning**2)
-    return ComplexSpectrum(grid, spectrum.amplitudes * phase)
+    return ComplexSpectrum(grid, spectrum.amplitudes
+                           * chirp_factor(chirp.coefficient, detuning))
 
 
 def convert_bandwidth(center_wavelength_nm: float,
@@ -243,12 +245,3 @@ def wavelength_to_omega(wavelength_nm: float) -> float:
 def omega_to_wavelength(omega_rad_per_fs: float) -> float:
     """Angular frequency in rad/fs to vacuum wavelength in nm."""
     return _reciprocal_nm(omega_rad_per_fs, "angular frequency")
-
-
-def inner_product(a: ComplexSpectrum, b: ComplexSpectrum) -> complex:
-    """<a|b> = sum conj(a_j) b_j * spacing; conjugate-linear in `a`."""
-    if (a.grid.center != b.grid.center or a.grid.spacing != b.grid.spacing
-            or a.grid.count != b.grid.count):
-        raise IncompatibleGridError(
-            f"grids differ: {a.grid} vs {b.grid}")
-    return complex(np.sum(np.conj(a.amplitudes) * b.amplitudes) * a.grid.spacing)

@@ -970,6 +970,16 @@ class TestChirpScan:
         rc = main(["chirp-scan", "--a-values", "0,abc", "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("values", ["nan", "inf", "-inf", "0,1e5,nan"])
+    def test_non_finite_chirp_exits_2(self, tmp_path, capsys, values):
+        # "=" keeps argparse from reading "-inf" as an option
+        assert main(["chirp-scan", f"--a-values={values}", "--grid-count", "16",
+                     "--out", str(tmp_path)]) == 2
+        bad = values.rsplit(",", 1)[-1]
+        assert (f"pump.chirp_fs2: must be of type float with a finite double "
+                f"value, got {bad}") in capsys.readouterr().err
+        assert not (tmp_path / "chirp_scan.csv").exists()
+
     def test_pump_off_the_ridge_exits_2(self, tmp_path, capsys):
         # a 1e-100 rad/fs ridge underflows at every grid point
         assert main(["chirp-scan", "--a-values", "0,1e5", "--grid-count", "64",

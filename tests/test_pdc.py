@@ -294,11 +294,25 @@ class TestBuildJsa:
 
 
 def scan_support(config):
-    """The :class:`pdc.ScanSupport` of `config`'s grids and ridge, and the
-    grids."""
+    """The :class:`pdc.ScanSupport` a chirp scan of `config` samples, from
+    its pump without the chirp, and the grids."""
     grids = presets.experiment_grids(config)
-    return pdc.ScanSupport(presets.pump_spectrum(config, *grids),
+    unchirped = presets.merge_overrides(config, {"pump": {"chirp_fs2": 0.0}})
+    return pdc.ScanSupport(presets.pump_spectrum(unchirped, *grids),
                            config.phasematching.model(), *grids), grids
+
+
+def row_reference_block(support, config, grids):
+    """A scan row's block as the scan formed it while each row built its
+    own pump: `pump_spectrum` of the row's configuration, its slice on the
+    crop's sums, the Hankel window there times the kept ridge, flushed."""
+    pump = presets.pump_spectrum(config, *grids).amplitudes
+    sums = pump[support.rows.start + support.cols.start:
+                support.rows.stop + support.cols.stop - 1]
+    values = (np.lib.stride_tricks.sliding_window_view(sums, support.ridge.shape[1])
+              * support.ridge)
+    pdc._flusher(values.shape)(values)
+    return values
 
 
 class TestScanSupport:
@@ -314,14 +328,12 @@ class TestScanSupport:
         # build_jsa scales the product by 1/sqrt(weight), the support its
         # ridge before the product
         config = presets.merge_overrides(config, {"phasematching": {"shape": shape}})
-        support, grids = scan_support(
-            presets.merge_overrides(config, {"pump": {"chirp_fs2": 0.0}}))
+        support, grids = scan_support(config)
         assert not support.ridge.flags.writeable
-        assert not support.modulus.flags.writeable
         jsa = presets.build_state(config)
         assert (support.rows, support.cols) == pdc._support_block(*jsa.marginals)
         reference = jsa.amplitudes[support.rows, support.cols]
-        block = support.block(presets.pump_spectrum(config, *grids))
+        block = support.block(config.pump.chirp_fs2)
         assert block.shape == reference.shape == support.ridge.shape
         assert np.all(np.abs(block - reference)
                       <= 4.0 * np.finfo(float).eps * np.abs(reference)
@@ -329,20 +341,39 @@ class TestScanSupport:
         for got, want in zip(support.sigmas, jsi_marginal_sigmas(jsa)):
             assert got == pytest.approx(want, rel=1e-14)
 
-    def test_rejects_a_pump_off_its_grid_or_modulus(self):
+    @settings(max_examples=40, deadline=None)
+    @given(count=st.integers(16, 512), order=st.sampled_from([0, 1]),
+           shape=st.sampled_from(_PM_SHAPES),
+           chirp=st.one_of(st.sampled_from([0.0, -0.0, 1e200]),
+                           st.floats(-1.0, 1.0)))
+    @example(count=1024, order=0, shape="gaussian", chirp=1e6)
+    @example(count=512, order=1, shape="gaussian", chirp=0.0)
+    @example(count=300, order=1, shape="sinc", chirp=-0.0)
+    @example(count=16, order=0, shape="gaussian", chirp=1e200)
+    def test_block_keeps_the_bits_of_a_row_built_from_its_pump(self, count, order,
+                                                               shape, chirp):
+        # a share in [-1, 1] of the resolved chirp (resolved_chirp), or one
+        # of 0, -0.0 (which pump_spectrum leaves unchirped, while the block
+        # multiplies by exp(0j)) and 1e200 fs^2, far past what the grid
+        # resolves; the examples hold the chirp-scan-1024 row at 1e6 fs^2
+        config = presets.merge_overrides(presets.preset_config("a"), {
+            "grid": {"count": count}, "pump": {"shape_order": order},
+            "phasematching": {"shape": shape}})
+        if chirp and abs(chirp) <= 1.0:
+            chirp = resolved_chirp(config, chirp).pump.chirp_fs2
+        support, grids = scan_support(config)
+        row = presets.merge_overrides(config, {"pump": {"chirp_fs2": chirp}})
+        block = support.block(chirp)
+        assert block.tobytes() == row_reference_block(support, row, grids).tobytes()
+
+    def test_rejects_a_pump_off_its_grid(self):
         config = presets.preset_config("a")
-        support, (signal_grid, idler_grid) = scan_support(config)
+        _, pm, signal_grid, idler_grid = scan_inputs(config)
         wider = FrequencyGrid(signal_grid.center, signal_grid.spacing,
                               signal_grid.count + 1)
         with pytest.raises(InvalidArgumentError, match="sum-frequency grid"):
-            support.block(presets.pump_spectrum(config, wider, idler_grid))
-        # another pump width, and the odd pump: the crop and the widths
-        # would no longer hold
-        for other in ({"fwhm_nm": 1.0}, {"shape_order": 1}):
-            pump = presets.pump_spectrum(
-                presets.merge_overrides(config, {"pump": other}), signal_grid, idler_grid)
-            with pytest.raises(InvalidArgumentError, match="only its phase may change"):
-                support.block(pump)
+            pdc.ScanSupport(presets.pump_spectrum(config, wider, idler_grid), pm,
+                            signal_grid, idler_grid)
 
     def test_pump_off_the_ridge_rejected(self):
         # a normalized pump meets a 45-degree ridge on every antidiagonal,
@@ -1091,12 +1122,11 @@ class TestPurityBenchmarks:
 
     def test_scan_sampling_and_row(self, benchmark):
         # a scan's ScanSupport from the unchirped pump, then one row
-        pump, pm, signal_grid, idler_grid = scan_inputs()
-        unchirped = presets.pump_spectrum(SCAN_CONFIG, signal_grid, idler_grid)
+        unchirped, pm, signal_grid, idler_grid = scan_inputs(SCAN_CONFIG)
 
         def sample_and_row():
             support = pdc.ScanSupport(unchirped, pm, signal_grid, idler_grid)
-            return support.purity(pump), support.sigmas
+            return support.purity(1e6), support.sigmas
 
         purity, sigmas = benchmark.pedantic(sample_and_row, rounds=3, iterations=1)
         assert abs(purity - chirp_purity_analytic(1e6, *sigmas)) <= 1e-12

@@ -7,13 +7,11 @@ from tmsim import (
     ComplexSpectrum,
     FrequencyGrid,
     HermiteGaussParams,
-    IncompatibleGridError,
     InvalidArgumentError,
     UnsupportedOrderError,
     apply_chirp,
     convert_bandwidth,
     hg_mode,
-    inner_product,
     make_grid,
 )
 from tmsim.spectral import (FWHM_PER_SIGMA, SPEED_OF_LIGHT_M_PER_S, amplitude_width,
@@ -66,6 +64,12 @@ def _mode(order, width=1.0, center=0.0, count=512, halfspan_sigmas=None):
     return hg_mode(HermiteGaussParams(order=order, center=center, width=width), grid)
 
 
+def _overlap(a, b) -> complex:
+    """<a|b> = sum conj(a_j) b_j * spacing of two spectra on one grid."""
+    assert a.grid == b.grid
+    return complex(np.sum(np.conj(a.amplitudes) * b.amplitudes) * a.grid.spacing)
+
+
 class TestHermiteGaussModes:
     def test_gaussian_peaks_at_center(self):
         mode = _mode(0, width=0.3, center=1.2)
@@ -78,7 +82,7 @@ class TestHermiteGaussModes:
         a = _mode(n)
         b = _mode(m)
         expected = 1.0 if n == m else 0.0
-        assert abs(inner_product(a, b) - expected) < 1e-6
+        assert abs(_overlap(a, b) - expected) < 1e-6
 
     def test_first_order_antisymmetric(self):
         mode = _mode(1, count=513)  # odd count puts a point on the center
@@ -105,8 +109,8 @@ class TestHermiteGaussModes:
             assert abs(_mode(n).norm_squared() - 1.0) < 1e-12
 
     def test_grid_refinement_stable(self):
-        coarse = abs(inner_product(_mode(2, count=512), _mode(4, count=512)))
-        fine = abs(inner_product(_mode(2, count=1024), _mode(4, count=1024)))
+        coarse = abs(_overlap(_mode(2, count=512), _mode(4, count=512)))
+        fine = abs(_overlap(_mode(2, count=1024), _mode(4, count=1024)))
         assert abs(coarse - fine) < 1e-6
 
 
@@ -200,26 +204,6 @@ class TestConvertBandwidth:
     def test_wavelength_to_omega(self):
         # 2 pi c / 1540 nm
         assert wavelength_to_omega(1540.0) == pytest.approx(1.22316, rel=1e-5)
-
-
-class TestInnerProduct:
-    def test_self_product_of_normalized(self):
-        mode = _mode(3)
-        assert abs(inner_product(mode, mode) - 1.0) < 1e-10
-
-    def test_orthogonal_orders(self):
-        assert abs(inner_product(_mode(0), _mode(1))) < 1e-8
-
-    def test_hermitian_symmetry(self):
-        a = apply_chirp(_mode(1), ChirpPhase(coefficient=0.3, center=0.1))
-        b = apply_chirp(_mode(2), ChirpPhase(coefficient=-0.2, center=0.0))
-        assert abs(inner_product(a, b) - np.conj(inner_product(b, a))) < 1e-14
-
-    def test_grid_mismatch_rejected(self):
-        a = _mode(0, count=512)
-        b = _mode(0, count=256)
-        with pytest.raises(IncompatibleGridError):
-            inner_product(a, b)
 
 
 class TestComplexSpectrum:
