@@ -28,18 +28,20 @@ writes their words straight into the template:
 
 The product carries a relative error of about one ``np.longdouble``
 epsilon, so a mantissa whose fractional part lies within ``_TIE_WINDOW``
-of one half cannot be rounded safely.  Those values, and every NaN and
-infinity, are converted by ``%`` one at a time into the same slot, so the
-output is identical to ``format_float`` per value by construction.  Where
-``np.longdouble`` is a plain double the window is wider, more values take
-the ``%`` path, and a product that overflows fails the range check and
-takes it too; the output stays exact.
+of one half cannot be rounded safely.  Those values are converted by
+``%`` one at a time into the same slot, so the output is identical to
+``format_float`` per value by construction.  Where ``np.longdouble`` is
+a plain double the window is wider, more values take the ``%`` path, and
+a product that overflows fails the range check and takes it too; the
+output stays exact.
 
-Each finite value's slot has the kernel's layout: its head (sign,
-leading digit and point), its 12 decimals and its exponent at bytes 0, 4
-and 16, each part NUL-padded, so the slots of values of one sign and one
-exponent width share their NULs; the kernel reports when every slot of a
-call does.
+The kernel formats finite values only: a grid artifact prints a
+``JointSpectralAmplitude``, whose constructor admits only a weight
+sum |f|^2 h_s h_i near 1, so each value and each |f|^2 is finite.  Each
+slot has one layout: its head (sign, leading digit and point), its 12
+decimals and its exponent at bytes 0, 4 and 16, each part NUL-padded, so
+the slots of values of one sign and one exponent width share their NULs;
+the kernel reports when every slot of a call does.
 
 Grid text is laid out in the row blocks of ``pdc._row_blocks``, whole
 grid rows of about ``pdc._BLOCK`` values each, in a line buffer that an
@@ -51,13 +53,12 @@ value of each of a block's columns shares one slot layout and no
 frequency text is padded, which is most blocks of a smooth one-signed
 kernel, the block is laid out at its exact width by two copies per value
 and handed out as a view of the buffer.  Any other block, one that mixes
-signs or exponent widths or holds NaN or infinity, takes cells of one
-width with the slots' NULs, and ``bytearray.translate`` drops them.
-jsa.json's two arrays, each in its own ``_ArrayRows``, hold their
-brackets and commas in the same way, and copy in the slots of jsa.csv's
-columns, with ``null`` in place of NaN and infinity.  The text of a grid
-artifact never exists whole, and ``write_jsa`` writes its CSV lines and
-JSON arrays side by side.
+signs or exponent widths, takes cells of one width with the slots' NULs,
+and ``bytearray.translate`` drops them.  jsa.json's two arrays, each in
+its own ``_ArrayRows``, hold their brackets and commas in the same way,
+and copy in the slots of jsa.csv's columns as they are.  The text of a
+grid artifact never exists whole, and ``write_jsa`` writes its CSV lines
+and JSON arrays side by side.
 """
 
 from __future__ import annotations
@@ -125,13 +126,11 @@ _NEG_ZERO = np.float64(-0.0).view(np.uint64)  # the bits of -0.0
 
 def _mantissas(x: np.ndarray):
     """The decimal exponent e and rounded 13-digit mantissa n of each of the
-    nonzero float64 values ``x``, and the indices of the values left to
-    ``%``: NaN, infinity, mantissas within ``_TIE_WINDOW`` of a rounding
-    tie and any that no exponent correction brought into range.  Those get
-    the valid placeholder e = 0, n = 10**12."""
+    finite nonzero float64 values ``x``, and the indices of the values left
+    to ``%``: mantissas within ``_TIE_WINDOW`` of a rounding tie and any
+    that no exponent correction brought into range.  Those get the valid
+    placeholder e = 0, n = 10**12."""
     mag = np.abs(x)
-    leave = ~(mag < np.inf)
-    mag[leave] = 1.0
     # errstate: on a platform whose long double is a plain double, 10**337
     # overflows; the cast of such an m is out of range and takes the % path
     with np.errstate(over="ignore", invalid="ignore"):
@@ -145,7 +144,7 @@ def _mantissas(x: np.ndarray):
             e[fix] += (n[fix] >= 10**13).astype(np.int64) - (n[fix] < 10**12)
             m[fix] = mag[fix] * _POW10[e[fix] - _E_LO]
             n[fix] = m[fix].astype(np.int64)
-            leave[fix] |= (n[fix] < 10**12) | (n[fix] >= 10**13)
+            fix = fix[(n[fix] < 10**12) | (n[fix] >= 10**13)]  # still out of range
         # drop each array once it is spent: a smaller working set touches
         # fewer fresh pages
         del mag
@@ -153,7 +152,8 @@ def _mantissas(x: np.ndarray):
         del m
     n += frac > 0.5
     frac -= 0.5
-    leave |= np.abs(frac, out=frac) <= _TIE_WINDOW
+    leave = np.abs(frac, out=frac) <= _TIE_WINDOW
+    leave[fix] = True
     carry = n == 10**13  # 9.9999999999995e(k) rounds up to 1.000000000000e(k+1)
     n[carry] = 10**12
     e += carry
@@ -167,16 +167,16 @@ def _float_slots(values, out=None) -> tuple:
     """An ``(n, _SLOT)`` uint8 array whose row i holds the ASCII bytes of
     ``FLOAT_FORMAT % values[i]``, NUL-padded, for the n values of the
     flattened float64 array ``values``: the first n rows of the C-ordered
-    array ``out`` if given, else a new array; and the slots' layout.
+    array ``out`` if given, else a new array; and the slots' layout.  Its
+    domain is finite float64 values.
 
-    A finite value's slot holds its sign, leading digit and point in
-    bytes 0 to 3, its 12 decimals in bytes 4 to 15 and its exponent from
-    byte 16 on, each part NUL-padded.  The layout is the pair of text
-    bytes in the first and last part, (2, 4) for ``d.`` and ``e+dd`` up
-    to (3, 5) for ``-d.`` and ``e-ddd``, where every slot has the same
-    pair, and None where the slots mix pairs or hold NaN or infinity,
-    whose text fills its slot from byte 0.  Zeros keep the template every
-    slot starts as; only the nonzero values are converted."""
+    A slot holds its value's sign, leading digit and point in bytes 0 to
+    3, its 12 decimals in bytes 4 to 15 and its exponent from byte 16 on,
+    each part NUL-padded.  The layout is the pair of text bytes in the
+    first and last part, (2, 4) for ``d.`` and ``e+dd`` up to (3, 5) for
+    ``-d.`` and ``e-ddd``, where every slot has the same pair, and None
+    where the slots mix pairs.  Zeros keep the template every slot starts
+    as; only the nonzero values are converted."""
     v = np.asarray(values, dtype=np.float64).ravel()
     slots = np.empty((v.size, _SLOT), np.uint8) if out is None else out[:v.size]
     words64 = slots.view(np.uint64)
@@ -212,15 +212,12 @@ def _float_slots(values, out=None) -> tuple:
         wide = np.count_nonzero((e <= -100) | (e >= 100))
     uniform = signs in (0, v.size)
     if slow.size:
-        texts = [FLOAT_FORMAT % y for y in x[slow].tolist()]
-        parts = [t.partition(".") for t in texts]
-        # a finite value's text in the kernel's layout, so that one tie
-        # leaves its block's layout as it is; NaN and infinity from byte 0
+        parts = [(FLOAT_FORMAT % y).partition(".") for y in x[slow].tolist()]
+        # each text in the kernel's layout, so that one tie leaves its
+        # block's layout as it is
         text = "".join([(head + dot).ljust(4, "\0") + tail[:12] + tail[12:].ljust(8, "\0")
-                        if dot else t.ljust(_SLOT, "\0")
-                        for t, (head, dot, tail) in zip(texts, parts)])
+                        for head, dot, tail in parts])
         slots[at[slow]] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _SLOT)
-        uniform &= all(dot for _, dot, _ in parts)
         wide += sum(len(tail) == 17 for _, _, tail in parts)
     if not uniform or wide not in (0, v.size):
         return slots, None
@@ -237,16 +234,6 @@ def _text_rows(texts) -> np.ndarray:
 def _nul_free(buffer: bytearray, size: int) -> bytearray:
     """The first ``size`` bytes of ``buffer`` with the NULs dropped."""
     return (buffer if size == len(buffer) else buffer[:size]).translate(None, b"\0")
-
-
-_NULL_SLOT = np.frombuffer(b"null".ljust(_SLOT, b"\0"), np.uint8)
-
-
-def _nulled(slots: np.ndarray, values) -> np.ndarray:
-    """``slots`` of ``values`` with JSON's ``null`` in place of NaN and
-    infinity, written in place."""
-    slots[~np.isfinite(values).ravel()] = _NULL_SLOT
-    return slots
 
 
 def _text(chunks) -> str:
@@ -345,14 +332,15 @@ class _GridLines:
     NUL-padded to the longest of its axis.  The column texts and every
     separator are written into the buffer once per layout of the lines; a
     block copies in only its rows' texts and its values' slots.  Where
-    every value of each of a block's columns has one layout and no
-    frequency text is padded, the block's lines are laid out at their
-    exact width and handed out as they are; otherwise each value takes a
-    cell of ``_SEP_AT`` bytes and a separator, and the lines are handed
-    out with their NULs dropped.  Both layouts share the buffer: a block
-    whose layout differs from the last one's rewrites the column texts and
-    separators first.  ``slots`` holds each column's reused slot array,
-    and ``layouts`` the slot layouts of the last block's columns."""
+    the values of each of a block's columns share one sign and one
+    exponent width, and so one slot layout, and no frequency text is
+    padded, the block's lines are laid out at their exact width and handed
+    out as they are; otherwise each value takes a cell of ``_SEP_AT``
+    bytes and a separator, and the lines are handed out with their NULs
+    dropped.  Both layouts share the buffer: a block whose layout differs
+    from the last one's rewrites the column texts and separators first.
+    ``slots`` holds each column's reused slot array, and ``layouts`` the
+    slot layouts of the last block's columns."""
 
     def __init__(self, row_grid: FrequencyGrid, col_grid: FrequencyGrid, rows: int,
                  columns: int):
@@ -488,9 +476,9 @@ def write_jsa(jsa: JointSpectralAmplitude, out: Path) -> None:
     The three files are written side by side, one block of grid rows at a
     time, so each real part, imaginary part and intensity is formatted
     once: jsa.json's arrays are laid out from the slots of jsa.csv's
-    columns, with NaN and infinity as ``null``.  jsa.json's keys are
-    sorted, so its "im" array streams with the CSV files and only the
-    laid-out "re" array is held until "im" is complete.
+    columns as they are.  jsa.json's keys are sorted, so its "im" array
+    streams with the CSV files and only the laid-out "re" array is held
+    until "im" is complete.
     """
     amplitudes = jsa.amplitudes
     count, cols = amplitudes.shape
@@ -514,9 +502,8 @@ def write_jsa(jsa: JointSpectralAmplitude, out: Path) -> None:
             re_layout, im_layout = jsa_lines.layouts
             # held until "im" is complete: as bytes, a copy out of the
             # reused buffer that keeps no room for dropped NULs
-            re_text.append(bytes(re_rows.text(
-                a, _nulled(re[:block.size], block.real), re_layout)))
-            js.write(im_rows.text(a, _nulled(im[:block.size], block.imag), im_layout))
+            re_text.append(bytes(re_rows.text(a, re[:block.size], re_layout)))
+            js.write(im_rows.text(a, im[:block.size], im_layout))
         js.write(b',"re":[')
         js.writelines(re_text)
         js.write(b',"signal_grid":%s}\n' % _render_json(

@@ -454,13 +454,17 @@ NAN_ARRAY = np.full((3, 4), np.nan)
 NAN_NEXT_TO_INF = np.array([[np.nan, np.inf, 0.0, 0.0],
                             [0.0, 0.0, 0.0, 0.0],
                             [0.0, 0.0, 0.0, 0.0]])
+# finite entries whose squares overflow: the weight reads inf for the
+# real one and nan for the complex one
+SQUARE_OVERFLOWS = [np.pad([[1e200]], ((0, 2), (0, 3))),
+                    np.pad([[1e160 + 1e160j]], ((0, 2), (0, 3)))]
 
 
 class TestNonFiniteRejected:
     """NaN compares False against any tolerance, so every check must be
     written to pass only on a finite value within it."""
 
-    @pytest.mark.parametrize("values", [NAN_ARRAY, NAN_NEXT_TO_INF])
+    @pytest.mark.parametrize("values", [NAN_ARRAY, NAN_NEXT_TO_INF, *SQUARE_OVERFLOWS])
     def test_joint_amplitude(self, values):
         grids = make_grid(0.0, 1.0, 3), make_grid(0.0, 1.0, 4)
         with pytest.raises(InvalidArgumentError, match="not normalized"):
@@ -1364,6 +1368,51 @@ class TestGaussianOracle:
             "phasematching": {"angle_deg": angle}}), share)
         assume(gaussian_rho_oracle(config)[1] <= 0.49)
         self._assert_matches(config)
+
+
+class TestSymmetries:
+    """Two relations of the physics that hold where no closed form reaches:
+    HG1 pumps, sinc ridges, any angle and chirp.  Reversing the chirp
+    conjugates the amplitude and rho, bit for bit.  A pump of definite
+    parity on the sum-frequency grid's centre, on an even ridge through
+    the grid centres, gives f(-x) = +-f(x) about them, so rho_mn vanishes
+    for odd m + n.  Draws the basis cannot hold (leakage above 0.5) are
+    skipped."""
+
+    @staticmethod
+    def _state(config):
+        jsa = presets.build_state(config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BasisMismatchWarning)
+            try:
+                rho = reduced_density_matrix(jsa, presets.tomography_basis(config),
+                                             config.basis.dimension)
+            except BasisMismatchError:
+                assume(False)
+        return jsa.amplitudes, rho.entries
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from("abcd"), count=st.integers(16, 400),
+           order=st.sampled_from([0, 1]), shape=st.sampled_from(_PM_SHAPES),
+           angle=st.floats(25.0, 65.0), chirp=st.floats(-4e5, 4e5))
+    @example(case="a", count=512, order=0, shape="gaussian", angle=38.0, chirp=2.5e5)
+    @example(case="d", count=512, order=1, shape="gaussian", angle=41.0, chirp=6e4)
+    @example(case="a", count=512, order=0, shape="sinc", angle=33.0, chirp=8e4)
+    def test_chirp_reversal_and_parity(self, case, count, order, shape, angle, chirp):
+        def state(a):
+            return self._state(presets.merge_overrides(presets.preset_config(case), {
+                "grid": {"count": count}, "pump": {"shape_order": order, "chirp_fs2": a},
+                "phasematching": {"shape": shape, "angle_deg": angle}}))
+
+        (f, rho), (f_reversed, rho_reversed) = state(chirp), state(-chirp)
+        # by value: conjugation flips the sign of zero imaginary parts
+        assert np.array_equal(f_reversed, np.conj(f))
+        assert np.array_equal(rho_reversed, np.conj(rho))
+        # an entry sums n grid points' terms of at most rho's scale, whose
+        # odd parts cancel exactly; rounding leaves at most n eps of them
+        # (measured <= 7.6e-17)
+        m, n = np.indices(rho.shape)
+        assert np.abs(rho[(m + n) % 2 == 1]).max() <= count * np.finfo(float).eps
 
 
 class TestFitBasisWidth:

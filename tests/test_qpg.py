@@ -399,13 +399,17 @@ NAN_ARRAY = np.full((3, 4), np.nan)
 NAN_NEXT_TO_INF = np.array([[np.nan, np.inf, 0.0, 0.0],
                             [0.0, 0.0, 0.0, 0.0],
                             [0.0, 0.0, 0.0, 0.0]])
+# finite entries whose squares overflow: the weight reads inf for the
+# real one and nan for the complex one
+SQUARE_OVERFLOWS = [np.pad([[1e200]], ((0, 2), (0, 3))),
+                    np.pad([[1e160 + 1e160j]], ((0, 2), (0, 3)))]
 
 
 class TestNonFiniteRejected:
     """NaN compares False against any tolerance, so every check must be
     written to pass only on a finite value within it."""
 
-    @pytest.mark.parametrize("values", [NAN_ARRAY, NAN_NEXT_TO_INF])
+    @pytest.mark.parametrize("values", [NAN_ARRAY, NAN_NEXT_TO_INF, *SQUARE_OVERFLOWS])
     def test_mapping_function(self, values):
         grids = make_grid(0.0, 1.0, 3), make_grid(0.0, 1.0, 4)
         with pytest.raises(InvalidArgumentError, match="not normalized"):

@@ -30,10 +30,10 @@ from tmsim.cli import main
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300,
                   np.nan, np.inf, -np.inf]
-# each class the kernel treats apart: zeros of both signs, NaN, infinities,
-# subnormals, regular values and a rounding tie
-MIXED_FLOATS = SPECIAL_FLOATS + [-np.nan, -5e-324, 2.2250738585072009e-308,
-                                 1.5, -2.75e-7, 6.02214076e23, 0.5, 2.0 ** -19]
+# each class the kernel treats apart: zeros of both signs, subnormals,
+# regular values and a rounding tie
+MIXED_FLOATS = [v for v in SPECIAL_FLOATS if np.isfinite(v)] + [
+    -5e-324, 2.2250738585072009e-308, 1.5, -2.75e-7, 6.02214076e23, 0.5, 2.0 ** -19]
 
 
 def sample_spectrum():
@@ -57,7 +57,8 @@ def sample_density():
 
 def unchecked(cls, **fields):
     """A frozen toolkit object holding ``fields`` as given, without the
-    constructor's checks, so writers can be fed non-finite values."""
+    constructor's checks, so writers can be fed finite values of any
+    weight: the signs and exponents that a grid's layouts turn on."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
@@ -106,20 +107,17 @@ def slot_texts(slots):
 
 
 def kernel_slot(text):
-    """The slot the kernel writes for a value of text ``text``: a finite
-    value's head, decimals and exponent at bytes 0, 4 and 16, each part
-    NUL-padded, and NaN or infinity from byte 0."""
+    """The slot the kernel writes for a value of text ``text``: its head,
+    decimals and exponent at bytes 0, 4 and 16, each part NUL-padded."""
     head, dot, tail = text.partition(".")
-    if not dot:
-        return text.ljust(serialize._SLOT, "\0")
     return (head + dot).ljust(4, "\0") + tail[:12] + tail[12:].ljust(8, "\0")
 
 
 def text_layout(texts):
     """The (head, exponent) text bytes that every slot of ``texts``
-    shares, or None where they differ or a text is NaN or infinity."""
+    shares, or None where they differ."""
     layouts = {(len(t.partition(".")[0]) + 1, len(t.partition(".")[2]) - 12)
-               if "." in t else None for t in texts}
+               for t in texts}
     return layouts.pop() if len(layouts) == 1 else None
 
 
@@ -132,6 +130,11 @@ def kernel_texts(values):
     if texts:
         assert layout == text_layout(texts)
     return texts
+
+
+def finite(values):
+    """The finite values of ``values``, the kernel's domain."""
+    return values[np.isfinite(values)]
 
 
 def percent_texts(values):
@@ -148,7 +151,7 @@ def reference_json_fill(arr):
 
 
 def edge_floats():
-    """Values at the kernel's decision boundaries: zeros, the extremes,
+    """Finite values at the kernel's decision boundaries: zeros, the extremes,
     both neighbours of every power of ten, mantissas one half unit above
     and below a 13-digit boundary, and exact binary ties."""
     values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -162,7 +165,7 @@ def edge_floats():
     for k in range(0, 1075):
         tie = float(np.ldexp(0.5, -k))  # 2**-(k+1); its decimal digits end in 5
         values += [tie, 3.0 * tie, 5.0 * tie, 7.0 * tie, float(np.ldexp(1.0, k % 1024))]
-    values = np.array(values)
+    values = finite(np.array(values))  # 9.9999999999995e308 is inf
     return np.concatenate([values, -values])
 
 
@@ -230,7 +233,7 @@ class TestFloatKernel:
     """The numpy formatting kernel against one ``%`` conversion per value."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
                               allow_subnormal=True), max_size=40))
     def test_matches_percent_on_floats(self, values):
         values = np.array(values, dtype=float)
@@ -239,7 +242,7 @@ class TestFloatKernel:
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(np.uint64, st.integers(0, 40)))
     def test_matches_percent_on_bit_patterns(self, bits):
-        values = bits.view(np.float64)
+        values = finite(bits.view(np.float64))
         assert kernel_texts(values) == percent_texts(values)
 
     def test_matches_percent_on_edges(self):
@@ -250,7 +253,7 @@ class TestFloatKernel:
         rng = np.random.default_rng(11)
         bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64, endpoint=False)
         spread = rng.normal(size=50_000) * 10.0 ** rng.integers(-320, 300, 50_000)
-        for values in (bits.view(np.float64), spread):
+        for values in (finite(bits.view(np.float64)), spread):
             assert kernel_texts(values) == percent_texts(values)
 
     @pytest.mark.parametrize("values", [
@@ -262,7 +265,8 @@ class TestFloatKernel:
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from(MIXED_FLOATS),
-                              st.floats(allow_subnormal=True)), max_size=60))
+                              st.floats(allow_nan=False, allow_infinity=False,
+                                        allow_subnormal=True)), max_size=60))
     def test_matches_percent_on_mixed_blocks(self, values):
         values = np.array(values, dtype=float)
         assert kernel_texts(values) == percent_texts(values)
@@ -272,8 +276,7 @@ class TestFloatKernel:
         # so that a nonzero value written to the wrong slot shows
         rng = np.random.default_rng(13)
         values = np.concatenate([
-            np.zeros(3000), np.full(500, -0.0), [np.nan] * 50, [np.inf] * 50,
-            [-np.inf] * 50, rng.uniform(-1, 1, 500) * 2.0 ** -1060,
+            np.zeros(3000), np.full(500, -0.0), rng.uniform(-1, 1, 500) * 2.0 ** -1060,
             rng.normal(size=3000) * 10.0 ** rng.integers(-300, 300, 3000)])
         shuffled = rng.permutation(values)
         for block in (values, shuffled, shuffled[:1], shuffled[::7]):
@@ -290,7 +293,7 @@ class TestFloatKernel:
         monkeypatch.setattr(serialize, "_TIE_WINDOW", 4e13 * float(np.finfo(float).eps))
         rng = np.random.default_rng(11)
         bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64, endpoint=False)
-        for values in (edge_floats(), bits.view(np.float64)):
+        for values in (edge_floats(), finite(bits.view(np.float64))):
             assert kernel_texts(values) == percent_texts(values)
 
     def test_powers_of_ten_are_correctly_rounded(self):
@@ -337,11 +340,13 @@ class TestJsaFormats:
 class TestGridCsvMatchesPerCellLoop:
     """The block-filled grid writers, and the files ``write_jsa`` and the
     mapping chunks write, against the per-cell loop they replaced, on a
-    non-square grid holding NaN and infinite cells."""
+    non-square grid holding signed zeros, subnormals and three-digit
+    exponents, each |f|^2 finite as in a kernel."""
 
     signal = make_grid(1.223, 0.02, 5)
     idler = make_grid(1.220, 0.03, 8)
-    values = non_finite_grid(5, 8)
+    values = np.nan_to_num(non_finite_grid(5, 8), nan=-0.0, posinf=1e150, neginf=-1e-310)
+    values[2, 3] = complex(1e-310, -1e150)
 
     def test_jsa_and_jsi(self, tmp_path):
         jsa = unchecked(JointSpectralAmplitude, signal_grid=self.signal,
@@ -350,20 +355,15 @@ class TestGridCsvMatchesPerCellLoop:
             "omega_s,omega_i,real,imag", self.signal, self.idler,
             self.values.real, self.values.imag)
         assert first_difference(serialize.jsa_to_csv(jsa), expected_jsa) is None
-        with np.errstate(invalid="ignore", over="ignore"):
-            intensity = jsa.intensity()
-            expected_jsi = reference_grid_pair_csv(
-                "omega_s,omega_i,intensity", self.signal, self.idler, intensity)
-            assert first_difference(serialize.jsi_to_csv(jsa), expected_jsi) is None
-            serialize.write_jsa(jsa, tmp_path)
-        assert np.isnan(intensity).any() and np.isinf(intensity).any()
+        expected_jsi = reference_grid_pair_csv(
+            "omega_s,omega_i,intensity", self.signal, self.idler, jsa.intensity())
+        assert first_difference(serialize.jsi_to_csv(jsa), expected_jsi) is None
+        serialize.write_jsa(jsa, tmp_path)
         assert first_difference(read(tmp_path / "jsa.csv"), expected_jsa) is None
         assert first_difference(read(tmp_path / "jsi.csv"), expected_jsi) is None
-        # non-finite parts render as null, value by value
         assert first_difference(read(tmp_path / "jsa.json"), reference_jsa_json(
             self.signal, self.idler, serialize.dump_json(self.values.real.tolist())[:-1],
             serialize.dump_json(self.values.imag.tolist())[:-1])) is None
-        assert "null" in read(tmp_path / "jsa.json")
 
     def test_mapping(self, tmp_path):
         xi = unchecked(MappingFunction, signal_grid=self.signal,
@@ -433,15 +433,13 @@ class TestGridCsvMatchesPerCellLoop:
 
 def long_then_zero_grid(rows, cols, long_rows, seed=11):
     """Complex (rows, cols) values whose first ``long_rows`` rows hold the
-    longest texts, negative parts with 3-digit exponents and NaN and
-    infinite cells, and whose other rows are all zeros."""
+    longest texts, negative parts with 3-digit exponents, and whose other
+    rows are all zeros."""
     rng = np.random.default_rng(seed)
     size = (long_rows, cols)
     values = np.zeros((rows, cols), complex)
     values.real[:long_rows] = -rng.uniform(1, 10, size) * 10.0 ** -rng.integers(100, 150, size)
     values.imag[:long_rows] = -rng.uniform(1, 10, size) * 10.0 ** rng.integers(100, 150, size)
-    values[0, 0] = complex(np.nan, -np.inf)
-    values[long_rows - 1, cols - 1] = complex(np.inf, np.nan)
     return values
 
 
@@ -457,12 +455,11 @@ def first_difference(text, expected):
 
 def assert_grid_files(tmp_path, signal, idler, values):
     """``write_jsa`` and the mapping chunks of ``values`` on the grids
-    against the per-cell loop, NaN and infinity as null in jsa.json."""
+    against the per-cell loop."""
     jsa = unchecked(JointSpectralAmplitude, signal_grid=signal, idler_grid=idler,
                     amplitudes=values)
-    with np.errstate(invalid="ignore", over="ignore"):
-        serialize.write_jsa(jsa, tmp_path)
-        intensity = np.abs(values) ** 2
+    serialize.write_jsa(jsa, tmp_path)
+    intensity = np.abs(values) ** 2
     assert first_difference(read(tmp_path / "jsa.csv"), reference_grid_pair_csv(
         "omega_s,omega_i,real,imag", signal, idler, values.real, values.imag)) is None
     assert first_difference(read(tmp_path / "jsi.csv"), reference_grid_pair_csv(
@@ -493,7 +490,7 @@ class TestReusedLineBuffers:
         assert values[blocks[-1].start:].any() == (len(blocks) == 1)
         assert_grid_files(tmp_path, signal, idler, values)
         text = read(tmp_path / "jsa.csv")
-        assert "-9." in text and "e-1" in text and "nan" in text and "-inf" in text
+        assert "-9." in text and "e-1" in text
 
     @pytest.mark.parametrize("chunk", [1, 64, pdc._BLOCK])
     def test_frequencies_straddling_zero(self, monkeypatch, tmp_path, chunk):
@@ -529,15 +526,15 @@ def pattern_row(pattern, cols, rng):
     """One grid row of ``cols`` values of a text pattern: one sign with
     two-digit exponents (positive, negative), three-digit exponents
     (wide), either sign (mixed), both exponent widths (widths), zeros of
-    either sign, a rounding tie that ``%`` converts among one-signed values
-    of its exponent width (tie, negative-tie, wide-tie), or NaN and
-    infinity among them (non-finite)."""
+    either sign, or a rounding tie that ``%`` converts among one-signed
+    values of its exponent width (tie, negative-tie, wide-tie).  Each
+    |v|^2 is finite, as in a kernel."""
     values = rng.uniform(1.0, 10.0, cols) * 10.0 ** rng.integers(-98, 99, cols)
     if pattern == "negative":
         values = -values
     elif pattern == "wide":
-        values = rng.uniform(1.0, 10.0, cols) * 10.0 ** (
-            rng.choice([-1, 1], cols) * rng.integers(100, 300, cols))
+        values = rng.uniform(1.0, 10.0, cols) * 10.0 ** rng.choice(
+            np.r_[-299:-99, 100:153], cols)
     elif pattern == "mixed":
         values *= rng.choice([-1.0, 1.0], cols)
     elif pattern == "widths":
@@ -552,13 +549,11 @@ def pattern_row(pattern, cols, rng):
     elif pattern == "wide-tie":
         values = rng.uniform(1.0, 10.0, cols) * 10.0 ** -rng.integers(100, 300, cols)
         values[rng.integers(cols)] = WIDE_TIE
-    elif pattern == "non-finite":
-        values[rng.integers(cols)] = rng.choice([np.nan, np.inf, -np.inf])
     return values
 
 
 ROW_PATTERNS = ("positive", "negative", "wide", "mixed", "widths", "zeros",
-                "negative-zeros", "tie", "negative-tie", "wide-tie", "non-finite")
+                "negative-zeros", "tie", "negative-tie", "wide-tie")
 
 
 @st.composite
@@ -580,13 +575,12 @@ def patterned_grids(draw):
 def predicted_drops(signal, idler, values):
     """How many blocks of ``write_jsa``'s files keep the NUL drop: those
     whose frequency texts are padded, or one of whose columns mixes text
-    layouts or holds NaN or infinity (by ``%``'s texts); jsa.json's blocks
-    go one array at a time.  mapping.csv's blocks are jsa.csv's."""
+    layouts (by ``%``'s texts); jsa.json's blocks go one array at a time.
+    mapping.csv's blocks are jsa.csv's."""
     count, cols = values.shape
     padded = any(len({len(serialize.format_float(w)) for w in grid.points}) > 1
                  for grid in (signal, idler))
-    with np.errstate(invalid="ignore", over="ignore"):
-        intensity = np.abs(values) ** 2
+    intensity = np.abs(values) ** 2
 
     def mixed(*parts):
         return any(text_layout(percent_texts(part)) is None for part in parts)
@@ -632,9 +626,8 @@ class TestFixedWidthBlocks:
                             amplitudes=values)
             xi = unchecked(MappingFunction, signal_grid=signal, idler_grid=idler,
                            amplitudes=values)
-            with np.errstate(invalid="ignore", over="ignore"):
-                drops = counted_drops(lambda: serialize.write_jsa(jsa, out))
-                intensity = np.abs(values) ** 2
+            drops = counted_drops(lambda: serialize.write_jsa(jsa, out))
+            intensity = np.abs(values) ** 2
             mapping_drops = counted_drops(lambda: serialize.write_text(
                 out / "mapping.csv", serialize.mapping_csv_chunks(xi)))
             expected = predicted_drops(signal, idler, values)
